@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .expr import Expr, parse_expr, eval_expr, unparse, limit_in_n
 from .mnc import (
     TailForm,
+    Seq,
     TailBox,
     SetUnion,
     Point,

@@ -143,7 +143,7 @@ def _shrink(rng: random.Random, box: TailBox) -> TailBox:
     lam_min = 0.0 if beta_r == 0.0 else min(1.0, abs(beta_c) / beta_r)
     lam = rng.uniform(min(1.0, lam_min + 0.01), 1.0)
     head_lo, head_hi = [], []
-    for lo, hi in zip(box.head_lo, box.head_hi):
+    for lo, hi in zip(box.lo.head.tolist(), box.hi.head.tolist()):
         mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
         lam_h = rng.uniform(0.0, 1.0)
         # clamp against rounding so the shrink stays inside exactly
@@ -247,11 +247,8 @@ def _check_m6(rng: random.Random, chains: int, depth: int) -> AxiomRunResult:
         if any(not subset(b2, b1) for b1, b2 in zip(chain, chain[1:])):
             result.violations.append({"instance": k, "reason": "chain not nested"})
             continue
-        deepest = chain[-1]
-        h = deepest.head_len
-        mid_head = tuple(0.5 * (deepest.lo(i) + deepest.hi(i)) for i in range(1, h + 1))
-        mid_tail = (deepest.tail_lo + deepest.tail_hi).scale(0.5)
-        point = Point(mid_head, mid_tail)  # symmetric constants: asym is 0
+        mid = (chain[-1].lo + chain[-1].hi).scale(0.5)
+        point = Point(mid.head, mid.tail)  # symmetric constants: asym is 0
         misses = [j for j, box in enumerate(chain) if not contains_point(box, point)]
         if misses:
             result.violations.append({"instance": k, "missedBoxes": misses})

@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from . import __version__
@@ -36,6 +36,7 @@ from .engine import (
     check_example_bound,
     classic_darbo_run,
     darbo_iterate,
+    identity_pair,
     weak_contraction_run,
 )
 from .expr import ExprError, parse_expr
@@ -321,12 +322,8 @@ def cmd_certify(cfg: RunConfig, mode: str, out_path: str | None) -> int:
         _require(cfg.pair is not None, f"{mode} mode needs a pair in the config")
         pair = cfg.pair
         if mode == "identity":
-            pair = FunctionSequencePair(
-                psi_seq=parse_expr("t"),
-                phi_seq=pair.phi_seq,
-                psi_limit=parse_expr("t"),
-                phi_limit=pair.phi_limit,
-            )
+            psi = identity_pair()
+            pair = replace(pair, psi_seq=psi.psi_seq, psi_limit=psi.psi_limit)
         pair_reports = run_all_checks(pair, cfg.grid, cfg.uniform_tol)
         report["checks"] = {name: rep.to_dict() for name, rep in pair_reports.items()}
         cert = darbo_iterate(

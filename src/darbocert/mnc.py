@@ -1,14 +1,15 @@
 """Exact Hausdorff measure-of-noncompactness calculus on tail boxes.
 
 The ambient space is the space of real sequences converging to zero under
-the sup norm.  A set is described coordinatewise: finitely many explicit
-head intervals for coordinates 1..h, and closed-form envelopes for every
-coordinate beyond, where each envelope is a *tail form*
+the sup norm.  Every sequence here is a ``Seq``: explicit head values for
+coordinates 1..h and a closed-form *tail form* for every coordinate beyond,
 
     f(i) = sum_j alpha_j * rho_j**i + beta,     0 <= rho_j < 1.
 
-The asymptotic value of a tail form is its constant beta, so the Hausdorff
-measure of noncompactness of a box is computable exactly:
+A box is the set between two such envelopes, a point is a Seq with
+asymptotic value zero.  The asymptotic value of a tail form is its
+constant beta, so the Hausdorff measure of noncompactness of a box is
+computable exactly:
 
     mu(box) = max(|beta_lo|, |beta_hi|)
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "InvalidPointError",
     "UndecidedComparisonError",
     "TailForm",
+    "Seq",
     "TailBox",
     "SetUnion",
     "Point",
@@ -52,6 +54,7 @@ __all__ = [
     "convex_combination",
     "subset",
     "scale_translate",
+    "affine_image",
     "truncation_tail_sup",
     "closure",
     "contains_point",
@@ -193,7 +196,7 @@ class TailForm:
         return max(start, idx)
 
 
-def eventual_sign(form: TailForm, start: int = 1, horizon: int = DEFAULT_HORIZON) -> tuple[int, int]:
+def eventual_sign(form: TailForm, start: int = 1) -> tuple[int, int]:
     """Return (sign, from_index): the constant sign of ``form`` on every
     index >= from_index, with sign in {-1, 0, +1} (+1 means >= 0, -1 means
     <= 0, 0 means identically zero).
@@ -217,9 +220,7 @@ def eventual_sign(form: TailForm, start: int = 1, horizon: int = DEFAULT_HORIZON
         return (1, start)
     if all(c < 0 for c in coeffs):
         return (-1, start)
-    raise UndecidedComparisonError(
-        f"sign of mixed beta=0 form undecidable past horizon {horizon}"
-    )
+    raise UndecidedComparisonError("sign of a mixed-sign beta=0 form is undecidable")
 
 
 def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
@@ -269,60 +270,126 @@ def is_nonnegative(form: TailForm, start: int = 1, horizon: int = DEFAULT_HORIZO
     )
 
 
-# Indices sampled when validating that a box's lower envelope stays below
-# its upper one (the check is sampled by design; the asymptotic comparison
-# is exact).
-_VALIDATION_SAMPLES = tuple(range(1, 65)) + tuple(2**j for j in range(7, 21))
+@dataclass(frozen=True, eq=False)
+class Seq:
+    """A sequence x_1, x_2, ...: explicit values for coordinates 1..h and a
+    tail form for every coordinate beyond.
 
+    This is the one place that indexes, pads, combines and sign-decides
+    such sequences.  Binary operations first pad both operands to a common
+    head length; padded coordinates are scalar ``TailForm.value``s of the
+    operand's own tail.  Results are plain Seqs.
+    """
 
-@dataclass(frozen=True)
-class TailBox:
-    """Closed convex coordinatewise-interval set: explicit head intervals
-    for coordinates 1..h, tail-form envelopes beyond."""
-
-    head_lo: tuple[float, ...] = ()
-    head_hi: tuple[float, ...] = ()
-    tail_lo: TailForm = TailForm()
-    tail_hi: TailForm = TailForm()
+    head: np.ndarray = ()
+    tail: TailForm = TailForm()
 
     def __post_init__(self):
-        object.__setattr__(self, "head_lo", tuple(float(x) for x in self.head_lo))
-        object.__setattr__(self, "head_hi", tuple(float(x) for x in self.head_hi))
-        if len(self.head_lo) != len(self.head_hi):
-            raise InvalidBoxError("head arrays differ in length")
-        for k, (lo, hi) in enumerate(zip(self.head_lo, self.head_hi), start=1):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise InvalidBoxError(f"non-finite head interval at coordinate {k}")
-            if lo > hi:
-                raise InvalidBoxError(f"empty head interval at coordinate {k}: [{lo}, {hi}]")
-        if not (self.tail_lo.asym <= 0.0 <= self.tail_hi.asym):
-            raise InvalidBoxError(
-                "box is empty in the null-sequence space: needs "
-                f"asym(lo) <= 0 <= asym(hi), got {self.tail_lo.asym} and {self.tail_hi.asym}"
-            )
-        h = len(self.head_lo)
-        for i in _VALIDATION_SAMPLES:
-            j = h + i
-            if self.tail_lo.value(j) > self.tail_hi.value(j):
-                raise InvalidBoxError(f"tail envelopes cross at coordinate {j}")
+        head = np.array(self.head, dtype=float)
+        head.flags.writeable = False
+        object.__setattr__(self, "head", head)
 
     @property
     def head_len(self) -> int:
-        return len(self.head_lo)
+        return len(self.head)
 
-    def lo(self, i: int) -> float:
+    @property
+    def asym(self) -> float:
+        return self.tail.asym
+
+    def __call__(self, i: int) -> float:
         if i < 1:
             raise ValueError("coordinates are indexed from 1")
-        if i <= self.head_len:
-            return self.head_lo[i - 1]
-        return self.tail_lo.value(i)
+        if i <= len(self.head):
+            return float(self.head[i - 1])
+        return self.tail.value(i)
 
-    def hi(self, i: int) -> float:
-        if i < 1:
-            raise ValueError("coordinates are indexed from 1")
-        if i <= self.head_len:
-            return self.head_hi[i - 1]
-        return self.tail_hi.value(i)
+    def pad(self, h: int) -> "Seq":
+        """The same sequence with at least h explicit head values."""
+        h0 = len(self.head)
+        if h <= h0:
+            return self
+        extra = [self.tail.value(i) for i in range(h0 + 1, h + 1)]
+        return Seq(np.concatenate((self.head, extra)), self.tail)
+
+    def _heads(self, other: "Seq") -> tuple[np.ndarray, np.ndarray]:
+        h = max(len(self.head), len(other.head))
+        return self.pad(h).head, other.pad(h).head
+
+    def __add__(self, other: "Seq") -> "Seq":
+        a, b = self._heads(other)
+        return Seq(a + b, self.tail + other.tail)
+
+    def __sub__(self, other: "Seq") -> "Seq":
+        a, b = self._heads(other)
+        return Seq(a - b, self.tail - other.tail)
+
+    def __mul__(self, other: "Seq") -> "Seq":
+        a, b = self._heads(other)
+        return Seq(a * b, self.tail * other.tail)
+
+    def scale(self, c: float) -> "Seq":
+        c = float(c)
+        return Seq(self.head * c, self.tail.scale(c))
+
+    def nonneg(self, start: int = 1, horizon: int = DEFAULT_HORIZON) -> bool:
+        """Exactly decide x_i >= 0 for every i >= start: the head entries
+        directly, the tail through ``is_nonnegative``."""
+        if not (self.head[start - 1:] >= 0.0).all():
+            return False
+        return is_nonnegative(self.tail, max(start, len(self.head) + 1), horizon)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return bool(np.array_equal(self.head, other.head)) and self.tail == other.tail
+
+    def __hash__(self):
+        return hash((tuple(self.head.tolist()), self.tail))
+
+
+@dataclass(frozen=True, init=False)
+class TailBox:
+    """Closed convex coordinatewise-interval set between the envelopes
+    ``lo`` and ``hi``: explicit head intervals for coordinates 1..h,
+    tail-form envelopes beyond."""
+
+    lo: Seq
+    hi: Seq
+
+    def __init__(
+        self,
+        head_lo: Sequence[float] = (),
+        head_hi: Sequence[float] = (),
+        tail_lo: TailForm = TailForm(),
+        tail_hi: TailForm = TailForm(),
+    ):
+        lo, hi = Seq(head_lo, tail_lo), Seq(head_hi, tail_hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if lo.head_len != hi.head_len:
+            raise InvalidBoxError("head arrays differ in length")
+        if not (np.isfinite(lo.head).all() and np.isfinite(hi.head).all()):
+            raise InvalidBoxError("non-finite head interval")
+        if not (lo.asym <= 0.0 <= hi.asym):
+            raise InvalidBoxError(
+                "box is empty in the null-sequence space: needs "
+                f"asym(lo) <= 0 <= asym(hi), got {lo.asym} and {hi.asym}"
+            )
+        if not (hi - lo).nonneg():
+            raise InvalidBoxError("lower envelope exceeds the upper one at some coordinate")
+
+    @property
+    def head_len(self) -> int:
+        return self.lo.head_len
+
+    @property
+    def tail_lo(self) -> TailForm:
+        return self.lo.tail
+
+    @property
+    def tail_hi(self) -> TailForm:
+        return self.hi.tail
 
 
 @dataclass(frozen=True)
@@ -337,31 +404,18 @@ class SetUnion:
             raise InvalidBoxError("empty union")
 
 
-@dataclass(frozen=True)
-class Point:
-    """A single element of the null-sequence space: explicit head values
-    plus a tail form whose asymptotic value must be zero."""
-
-    head: tuple[float, ...] = ()
-    tail: TailForm = TailForm()
+class Point(Seq):
+    """A single element of the null-sequence space: a Seq whose tail has
+    asymptotic value zero."""
 
     def __post_init__(self):
-        object.__setattr__(self, "head", tuple(float(x) for x in self.head))
+        super().__post_init__()
         if self.tail.asym != 0.0:
             raise InvalidPointError(
                 f"asymptotic value {self.tail.asym} != 0: not a null sequence"
             )
 
-    @property
-    def head_len(self) -> int:
-        return len(self.head)
-
-    def value(self, i: int) -> float:
-        if i < 1:
-            raise ValueError("coordinates are indexed from 1")
-        if i <= len(self.head):
-            return self.head[i - 1]
-        return self.tail.value(i)
+    value = Seq.__call__
 
 
 ZERO_POINT = Point()
@@ -393,7 +447,7 @@ def hausdorff_mnc(box: TailBox) -> MncValue:
     Equals max(|asym(lo)|, |asym(hi)|); the finitely many head coordinates
     never contribute.
     """
-    return MncValue(max(abs(box.tail_lo.asym), abs(box.tail_hi.asym)))
+    return MncValue(max(abs(box.lo.asym), abs(box.hi.asym)))
 
 
 def mnc_union(union: SetUnion) -> MncValue:
@@ -410,8 +464,8 @@ def conv_hull_mnc(union: SetUnion) -> MncValue:
     measure follows without materialising the (generally non-tail-form)
     pointwise min/max.
     """
-    lo = min(b.tail_lo.asym for b in union.boxes)
-    hi = max(b.tail_hi.asym for b in union.boxes)
+    lo = min(b.lo.asym for b in union.boxes)
+    hi = max(b.hi.asym for b in union.boxes)
     return MncValue(max(abs(lo), abs(hi)))
 
 
@@ -430,44 +484,37 @@ def convex_combination(lam: float, a: TailBox, b: TailBox) -> TailBox:
     if lam == 0.0:
         return b
     mu = 1.0 - lam
-    h = max(a.head_len, b.head_len)
-    head_lo = tuple(lam * a.lo(i) + mu * b.lo(i) for i in range(1, h + 1))
-    head_hi = tuple(lam * a.hi(i) + mu * b.hi(i) for i in range(1, h + 1))
-    return TailBox(
-        head_lo,
-        head_hi,
-        a.tail_lo.scale(lam) + b.tail_lo.scale(mu),
-        a.tail_hi.scale(lam) + b.tail_hi.scale(mu),
-    )
+    return _box(a.lo.scale(lam) + b.lo.scale(mu), a.hi.scale(lam) + b.hi.scale(mu))
 
 
 def subset(a: TailBox, b: TailBox, horizon: int = DEFAULT_HORIZON) -> bool:
-    """Exactly decide A subseteq B.
-
-    Heads (padded against the tails where lengths differ) are compared
-    directly; tail comparisons go through the dominance machinery.  Raises
-    UndecidedComparisonError in the genuinely undecidable beta = 0 case.
-    """
-    h = max(a.head_len, b.head_len)
-    for i in range(1, h + 1):
-        if b.lo(i) > a.lo(i) or a.hi(i) > b.hi(i):
-            return False
-    start = h + 1
-    return is_nonnegative(a.tail_lo - b.tail_lo, start, horizon) and is_nonnegative(
-        b.tail_hi - a.tail_hi, start, horizon
-    )
+    """Exactly decide A subseteq B.  Raises UndecidedComparisonError in the
+    genuinely undecidable beta = 0 case."""
+    return (a.lo - b.lo).nonneg(horizon=horizon) and (b.hi - a.hi).nonneg(horizon=horizon)
 
 
 def contains_point(box: TailBox, p: Point, horizon: int = DEFAULT_HORIZON) -> bool:
     """Exactly decide membership of a point in a box."""
-    h = max(box.head_len, p.head_len)
-    for i in range(1, h + 1):
-        if not box.lo(i) <= p.value(i) <= box.hi(i):
-            return False
-    start = h + 1
-    return is_nonnegative(p.tail - box.tail_lo, start, horizon) and is_nonnegative(
-        box.tail_hi - p.tail, start, horizon
-    )
+    return (p - box.lo).nonneg(horizon=horizon) and (box.hi - p).nonneg(horizon=horizon)
+
+
+def affine_image(box: TailBox, d: Seq, e: Seq) -> TailBox:
+    """Exact image of ``box`` under x_i -> d_i * x_i + e_i.
+
+    Coordinates before the eventual sign of d is settled are materialised
+    into the head; beyond, the image tails are tail-form products with the
+    envelopes swapped where d is negative.  Raises UndecidedComparisonError
+    when the sign of d is genuinely undecidable.
+    """
+    h = max(box.head_len, d.head_len, e.head_len)
+    sign, from_idx = eventual_sign(d.tail, start=h + 1)
+    d = d.pad(from_idx - 1)
+    x, y = d * box.lo, d * box.hi
+    if sign < 0:
+        x, y = y, x
+    lo = Seq(np.minimum(x.head, y.head), x.tail) + e
+    hi = Seq(np.maximum(x.head, y.head), y.tail) + e
+    return _box(lo, hi)
 
 
 def scale_translate(a: TailBox, c: float, shift: Point = ZERO_POINT) -> TailBox:
@@ -476,22 +523,11 @@ def scale_translate(a: TailBox, c: float, shift: Point = ZERO_POINT) -> TailBox:
     is |c| times the measure of A, exactly."""
     if not isinstance(shift, Point):
         raise InvalidPointError("shift must be a Point with asymptotic value zero")
-    c = float(c)
-    h = max(a.head_len, shift.head_len)
-    head_lo = []
-    head_hi = []
-    for i in range(1, h + 1):
-        x, y = c * a.lo(i), c * a.hi(i)
-        s = shift.value(i)
-        head_lo.append(min(x, y) + s)
-        head_hi.append(max(x, y) + s)
-    if c >= 0.0:
-        tail_lo = a.tail_lo.scale(c) + shift.tail
-        tail_hi = a.tail_hi.scale(c) + shift.tail
-    else:
-        tail_lo = a.tail_hi.scale(c) + shift.tail
-        tail_hi = a.tail_lo.scale(c) + shift.tail
-    return TailBox(tuple(head_lo), tuple(head_hi), tail_lo, tail_hi)
+    return affine_image(a, Seq((), TailForm((), c)), shift)
+
+
+def _box(lo: Seq, hi: Seq) -> TailBox:
+    return TailBox(lo.head, hi.head, lo.tail, hi.tail)
 
 
 _ORACLE_WINDOW = 4096
@@ -523,4 +559,4 @@ def truncation_tail_sup(box: TailBox, n_cut: int) -> float:
     """
     if n_cut < box.head_len:
         raise MncError(f"cut {n_cut} smaller than head length {box.head_len}")
-    return _tail_abs_sup(box.tail_lo, box.tail_hi, n_cut)
+    return _tail_abs_sup(box.lo.tail, box.hi.tail, n_cut)

@@ -5,12 +5,11 @@ e_i with tail-form coefficient descriptions (plus finite compositions,
 which are materialised back into a single map).  These commute with convex
 hulls and map boxes to boxes, so every quantity in a certification run is
 computable in closed form.  Coefficient tails whose sign cannot be decided
-past the horizon are rejected rather than approximated.
+are rejected rather than approximated.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -18,13 +17,12 @@ import numpy as np
 
 from .mnc import (
     DEFAULT_HORIZON,
-    InvalidBoxError,
     MncError,
     Point,
+    Seq,
     TailBox,
     TailForm,
-    UndecidedComparisonError,
-    eventual_sign,
+    affine_image,
     subset,
 )
 
@@ -50,42 +48,44 @@ class NotContractiveError(OperatorError):
     """sup_i |d_i| >= 1: no coordinatewise fixed point formula."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiagonalAffineOperator:
-    """x_i -> d_i * x_i + e_i with tail-form coefficient sequences.
+    """x_i -> d_i * x_i + e_i: a pair of coefficient Seqs ``d`` and ``e``,
+    padded to one head length.
 
     The offsets must form a genuine member of the space: asym(e) = 0.
     """
 
-    d_head: tuple[float, ...] = ()
-    d_tail: TailForm = TailForm()
-    e_head: tuple[float, ...] = ()
-    e_tail: TailForm = TailForm()
+    d: Seq
+    e: Seq
 
-    def __post_init__(self):
-        object.__setattr__(self, "d_head", tuple(float(x) for x in self.d_head))
-        object.__setattr__(self, "e_head", tuple(float(x) for x in self.e_head))
-        if self.e_tail.asym != 0.0:
-            raise OperatorError(
-                f"offset sequence has asymptotic value {self.e_tail.asym} != 0"
-            )
-        for x in self.d_head + self.e_head:
-            if not math.isfinite(x):
-                raise OperatorError("non-finite coefficient")
+    def __init__(
+        self,
+        d_head: Sequence[float] = (),
+        d_tail: TailForm = TailForm(),
+        e_head: Sequence[float] = (),
+        e_tail: TailForm = TailForm(),
+    ):
+        d, e = Seq(d_head, d_tail), Seq(e_head, e_tail)
+        if e.asym != 0.0:
+            raise OperatorError(f"offset sequence has asymptotic value {e.asym} != 0")
+        if not (np.isfinite(d.head).all() and np.isfinite(e.head).all()):
+            raise OperatorError("non-finite coefficient")
+        h = max(d.head_len, e.head_len)
+        object.__setattr__(self, "d", d.pad(h))
+        object.__setattr__(self, "e", e.pad(h))
 
-    def d(self, i: int) -> float:
-        if i <= len(self.d_head):
-            return self.d_head[i - 1]
-        return self.d_tail.value(i)
+    @property
+    def d_tail(self) -> TailForm:
+        return self.d.tail
 
-    def e(self, i: int) -> float:
-        if i <= len(self.e_head):
-            return self.e_head[i - 1]
-        return self.e_tail.value(i)
+    @property
+    def e_tail(self) -> TailForm:
+        return self.e.tail
 
     @property
     def head_len(self) -> int:
-        return max(len(self.d_head), len(self.e_head))
+        return self.d.head_len
 
 
 OperatorSpec = Union[DiagonalAffineOperator, Sequence[DiagonalAffineOperator]]
@@ -93,15 +93,8 @@ OperatorSpec = Union[DiagonalAffineOperator, Sequence[DiagonalAffineOperator]]
 
 def compose(outer: DiagonalAffineOperator, inner: DiagonalAffineOperator) -> DiagonalAffineOperator:
     """Materialise outer(inner(x)): d = d_o*d_i, e = d_o*e_i + e_o."""
-    h = max(outer.head_len, inner.head_len)
-    d_head = tuple(outer.d(i) * inner.d(i) for i in range(1, h + 1))
-    e_head = tuple(outer.d(i) * inner.e(i) + outer.e(i) for i in range(1, h + 1))
-    return DiagonalAffineOperator(
-        d_head,
-        outer.d_tail * inner.d_tail,
-        e_head,
-        outer.d_tail * inner.e_tail + outer.e_tail,
-    )
+    d, e = outer.d * inner.d, outer.d * inner.e + outer.e
+    return DiagonalAffineOperator(d.head, d.tail, e.head, e.tail)
 
 
 def as_operator(spec: OperatorSpec) -> DiagonalAffineOperator:
@@ -118,38 +111,16 @@ def as_operator(spec: OperatorSpec) -> DiagonalAffineOperator:
     return current
 
 
-def apply_to_box(spec: OperatorSpec, box: TailBox, horizon: int = DEFAULT_HORIZON) -> TailBox:
-    """Exact image box of ``box`` under the operator.
-
-    Coordinates where the sign of d is resolved pointwise are materialised
-    into the head; beyond, the sign of the d tail is constant (dominance)
-    and the image tails are tail-form products.  Raises
-    UndecidedComparisonError when the sign of d past the horizon is
-    genuinely undecidable.
-    """
+def apply_to_box(spec: OperatorSpec, box: TailBox) -> TailBox:
+    """Exact image box of ``box`` under the operator (see
+    ``mnc.affine_image``)."""
     op = as_operator(spec)
-    h = max(box.head_len, op.head_len)
-    sign, from_idx = eventual_sign(op.d_tail, start=h + 1, horizon=horizon)
-    h = max(h, from_idx - 1)
-    head_lo = []
-    head_hi = []
-    for i in range(1, h + 1):
-        d, e = op.d(i), op.e(i)
-        x, y = d * box.lo(i), d * box.hi(i)
-        head_lo.append(min(x, y) + e)
-        head_hi.append(max(x, y) + e)
-    if sign >= 0:
-        tail_lo = op.d_tail * box.tail_lo + op.e_tail
-        tail_hi = op.d_tail * box.tail_hi + op.e_tail
-    else:
-        tail_lo = op.d_tail * box.tail_hi + op.e_tail
-        tail_hi = op.d_tail * box.tail_lo + op.e_tail
-    return TailBox(tuple(head_lo), tuple(head_hi), tail_lo, tail_hi)
+    return affine_image(box, op.d, op.e)
 
 
 def verify_self_map(spec: OperatorSpec, domain: TailBox, horizon: int = DEFAULT_HORIZON) -> bool:
     """True iff the image of ``domain`` is contained in ``domain``."""
-    return subset(apply_to_box(spec, domain, horizon), domain, horizon)
+    return subset(apply_to_box(spec, domain), domain, horizon)
 
 
 @dataclass(frozen=True)
@@ -162,42 +133,29 @@ class FixedPointWitness:
 
 
 def _check_contractive(op: DiagonalAffineOperator, horizon: int) -> None:
-    for i, d in enumerate(op.d_head, start=1):
-        if abs(d) >= 1.0:
-            raise NotContractiveError(f"|d_{i}| = {abs(d)} >= 1")
-    beta = abs(op.d_tail.asym)
+    beta = abs(op.d.asym)
     if beta >= 1.0:
         raise NotContractiveError(f"|asym(d)| = {beta} >= 1")
     # beyond idx the geometric part is < 1 - |beta|, so |d(i)| < 1 there
-    total = op.d_tail.coeff_abs_sum()
-    start = len(op.d_head) + 1
-    if total == 0.0:
-        return
-    rho = op.d_tail.max_ratio()
-    idx = start
-    while total * rho**idx >= 1.0 - beta:
-        idx += 1
-        if idx - start > horizon:
-            raise NotContractiveError(
-                f"cannot certify sup|d_i| < 1 within horizon {horizon}"
-            )
-    for i in range(start, idx + 1):
-        if abs(op.d_tail.value(i)) >= 1.0:
-            raise NotContractiveError(f"|d_{i}| = {abs(op.d_tail.value(i))} >= 1")
+    start = op.head_len + 1
+    idx = TailForm(op.d.tail.terms, 1.0 - beta).dominance_index(start)
+    if idx - start > horizon:
+        raise NotContractiveError(f"cannot certify sup|d_i| < 1 within horizon {horizon}")
+    bad = np.flatnonzero(np.abs(op.d.pad(idx).head) >= 1.0)
+    if bad.size:
+        i = int(bad[0]) + 1
+        raise NotContractiveError(f"|d_{i}| = {abs(op.d(i))} >= 1")
 
 
 def _residual(op: DiagonalAffineOperator, point: Point, probe_to: int) -> float:
-    idx = np.arange(1, probe_to + 1, dtype=np.int64)
-    x = np.array([point.value(int(i)) for i in idx])
-    d = np.array([op.d(int(i)) for i in idx])
-    e = np.array([op.e(int(i)) for i in idx])
+    x, d, e = (s.pad(probe_to).head for s in (point, op.d, op.e))
     best = float(np.abs(d * x + e - x).max())
     probe = probe_to
     for _ in range(40):
         probe *= 2
         if probe > 2**62:
             break
-        xi = point.value(probe)
+        xi = point(probe)
         best = max(best, abs(op.d(probe) * xi + op.e(probe) - xi))
     return best
 
@@ -214,15 +172,11 @@ def fixed_point_witness(
     """
     op = as_operator(spec)
     _check_contractive(op, horizon)
-    h = op.head_len
-    head = tuple(op.e(i) / (1.0 - op.d(i)) for i in range(1, h + 1))
-    if not op.d_tail.terms:
-        # constant-coefficient tail: exact closed form
-        tail = op.e_tail.scale(1.0 / (1.0 - op.d_tail.asym))
-        point = Point(head, tail)
-        return FixedPointWitness(point, _residual(op, point, max(h, 64)))
-    solve_to = max(h, horizon)
-    head = tuple(op.e(i) / (1.0 - op.d(i)) for i in range(1, solve_to + 1))
-    tail = op.e_tail.scale(1.0 / (1.0 - op.d_tail.asym))
-    point = Point(head, tail)
-    return FixedPointWitness(point, _residual(op, point, solve_to))
+    if op.d.tail.terms:
+        solve_to = probe_to = max(op.head_len, horizon)
+    else:
+        solve_to, probe_to = op.head_len, max(op.head_len, 64)
+    d, e = op.d.pad(solve_to), op.e.pad(solve_to)
+    tail = op.e.tail.scale(1.0 / (1.0 - op.d.asym))
+    point = Point(e.head / (1.0 - d.head), tail)
+    return FixedPointWitness(point, _residual(op, point, probe_to))

@@ -282,8 +282,10 @@ def _per_n_hypothesis_mask(
 def _condition_report(
     name: str,
     readings: dict[str, np.ndarray],
-    make_witness: Callable[[str, int, int], dict],
+    make_witness: Callable[..., dict],
 ) -> CheckReport:
+    """Verdict over the limit and per-n readings; the witness builder gets
+    the reading and the grid indices of the first violation."""
     details: dict[str, str] = {}
     counterexample = None
     for reading in ("limit", "perN"):
@@ -291,8 +293,7 @@ def _condition_report(
         if viol.any():
             details[f"{reading}Reading"] = FAIL
             if counterexample is None:
-                i, j = (int(x) for x in np.argwhere(viol)[0])
-                counterexample = make_witness(reading, i, j)
+                counterexample = make_witness(reading, *(int(x) for x in np.argwhere(viol)[0]))
         else:
             details[f"{reading}Reading"] = PASS
     verdict = FAIL if counterexample is not None else PASS
@@ -341,23 +342,17 @@ def check_condition_ii(pair: FunctionSequencePair, grid: SampleGrid) -> CheckRep
         per_n &= psi_n <= phi_n
     per_n_viol = per_n & positive
 
-    details: dict[str, str] = {}
-    counterexample = None
-    for reading, viol in (("limit", limit_viol), ("perN", per_n_viol)):
-        if viol.any():
-            details[f"{reading}Reading"] = FAIL
-            if counterexample is None:
-                i = int(np.nonzero(viol)[0][0])
-                counterexample = {
-                    "reading": reading,
-                    "w": float(t[i]),
-                    "psiW": float(psi_lim[i]),
-                    "phiW": float(phi_lim[i]),
-                }
-        else:
-            details[f"{reading}Reading"] = PASS
-    verdict = FAIL if counterexample is not None else PASS
-    return CheckReport("condition_ii", verdict, counterexample=counterexample, details=details)
+    def witness(reading: str, i: int) -> dict:
+        return {
+            "reading": reading,
+            "w": float(t[i]),
+            "psiW": float(psi_lim[i]),
+            "phiW": float(phi_lim[i]),
+        }
+
+    return _condition_report(
+        "condition_ii", {"limit": limit_viol, "perN": per_n_viol}, witness
+    )
 
 
 def check_equality_only_at_zero(pair: FunctionSequencePair, grid: SampleGrid) -> CheckReport:

@@ -1,3 +1,4 @@
+import random
 import warnings
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from darbocert.engine import (
     check_example_bound,
     classic_darbo_run,
     darbo_iterate,
+    identity_pair,
     weak_contraction_run,
 )
 from darbocert.expr import eval_expr, parse_expr
@@ -174,6 +176,20 @@ class TestClassicRun:
         assert cert.refutation["lhs"] == 0.5
         assert cert.refutation["rhs"] == pytest.approx(0.4)
 
+    def test_limit_check_is_the_ratio_check(self):
+        # phi = k*t evaluates to exactly k*mu, so the per-step limit check
+        # is mu_(j+1) <= k*mu_j itself and needs no re-check on the trace
+        rng = random.Random(31)
+        for _ in range(10_000):
+            k, mu = rng.uniform(0.0, 1.0), rng.uniform(0.0, 10.0)
+            assert float(eval_expr(identity_pair(k).phi_limit, mu, 1.0)) == k * mu
+
+    def test_ratio_violation_refuted_by_the_limit_check(self):
+        cert = classic_darbo_run(scaling_operator(0.5), unit_box(), k=0.4, n_ladder=())
+        assert cert.outcome == REFUTED
+        assert cert.refutation["step"] == 0
+        assert cert.refutation["n"] == "limit"
+
     def test_identity_operator_refutes(self):
         cert = classic_darbo_run(identity_operator(), unit_box(), k=0.9)
         assert cert.outcome == REFUTED
@@ -185,8 +201,6 @@ class TestClassicRun:
             classic_darbo_run(scaling_operator(0.5), unit_box(), k=1.0)
 
     def test_consistency_across_random_factor_pairs(self):
-        import random
-
         rng = random.Random(29)
         for _ in range(20):
             c = rng.uniform(0.0, 0.9)
@@ -231,6 +245,16 @@ class TestWeakContractionRun:
             weak_contraction_run(
                 scaling_operator(0.5), unit_box(), make_pair("t", "t", "t", "t")
             )
+
+    def test_pair_check_override_warns_and_continues(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cert = weak_contraction_run(
+                scaling_operator(0.5), unit_box(), make_pair("t", "t", "t", "t"),
+                require_pair_checks=False,
+            )
+        assert any("equality_only_at_zero" in str(w.message) for w in caught)
+        assert cert.outcome == REFUTED
 
     def test_negative_phi_violates_the_precondition(self):
         with pytest.raises(PreconditionError):

@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from darbocert.axioms import random_box
 from darbocert.mnc import (
     InvalidBoxError,
     InvalidPointError,
@@ -10,6 +12,7 @@ from darbocert.mnc import (
     MncError,
     MncValue,
     Point,
+    Seq,
     SetUnion,
     TailBox,
     TailForm,
@@ -90,6 +93,53 @@ class TestTailForm:
             assert p.value(i) == pytest.approx(f.value(i) * g.value(i), abs=1e-8)
 
 
+class TestSeq:
+    GEOM = TailForm(((1.0, 0.5),), 0.0)
+
+    def test_indexing(self):
+        s = Seq((7.0, -2.0), self.GEOM)
+        assert (s(1), s(2), s(3)) == (7.0, -2.0, 0.125)
+        assert s.head_len == 2 and s.asym == 0.0
+        with pytest.raises(ValueError):
+            s(0)
+
+    def test_pad_materialises_tail_values(self):
+        s = Seq((7.0,), self.GEOM)
+        padded = s.pad(3)
+        assert padded.head.tolist() == [7.0, 0.25, 0.125]
+        assert padded.tail == s.tail
+        assert s.pad(1) is s
+
+    def test_arithmetic_pads_each_operand_from_its_own_tail(self):
+        a = Seq((1.0,), TailForm((), 2.0))
+        b = Seq((), self.GEOM)
+        assert (a + b).head.tolist() == [1.5]
+        assert (a - b).head.tolist() == [0.5]
+        assert (a * b).head.tolist() == [0.5]
+        assert (a + b).tail == TailForm(((1.0, 0.5),), 2.0)
+        assert (a * b).tail == TailForm(((2.0, 0.5),), 0.0)
+        assert a.scale(-2.0) == Seq((-2.0,), TailForm((), -4.0))
+
+    def test_nonneg_checks_head_then_tail(self):
+        s = Seq((-1.0, 0.0), TailForm(((-1.0, 0.5),), 0.5))
+        assert not s.nonneg()
+        assert s.nonneg(start=2)
+        assert not Seq((), TailForm(((-2.0, 0.5),), 0.5)).nonneg()
+
+    def test_equality_and_hash_over_array_heads(self):
+        assert Seq((1.0,), self.GEOM) == Seq([1.0], self.GEOM)
+        assert hash(Seq((1.0,), self.GEOM)) == hash(Seq(np.array([1.0]), self.GEOM))
+        assert Seq((1.0,), self.GEOM) != Seq((2.0,), self.GEOM)
+        assert Seq((1.0,), self.GEOM) != Seq((1.0, 0.5), self.GEOM)
+        assert Point() == Point()
+        assert Point() != Seq()
+
+    def test_head_is_immutable(self):
+        s = Seq((1.0,))
+        with pytest.raises(ValueError):
+            s.head[0] = 2.0
+
+
 class TestSignMachinery:
     def test_dominant_positive_constant(self):
         # 0.5 - 0.5**i >= 0 for i >= 1 (equality at i = 1)
@@ -135,6 +185,21 @@ class TestBoxValidation:
         # lo(1) = 3*0.5 - 1 = 0.5 exceeds the constant upper envelope 0.2
         with pytest.raises(InvalidBoxError):
             TailBox((), (), TailForm(((3.0, 0.5),), -1.0), TailForm((), 0.2))
+
+    def test_crossing_between_sampled_coordinates_rejected(self):
+        # lo = 0.9**i - A*0.5**i - C*0.95**i rises above hi = 0 only on 65..83,
+        # where a sampled check (1..64, then powers of two) never looks
+        big, small = 1.4354040671043126e16, 0.010685445898527178
+        lo = TailForm(((-big, 0.5), (1.0, 0.9), (-small, 0.95)), 0.0)
+        crossing = [i for i in range(1, 2000) if lo.value(i) > 0.0]
+        assert crossing == list(range(65, 84))
+        with pytest.raises(InvalidBoxError):
+            TailBox((), (), lo, TailForm())
+
+    def test_mixed_sign_gap_is_undecided(self):
+        # hi - lo = 0.9**i - 0.8**i: beta = 0 with mixed-sign coefficients
+        with pytest.raises(UndecidedComparisonError):
+            TailBox((), (), TailForm(((1.0, 0.8),), 0.0), TailForm(((1.0, 0.9),), 0.0))
 
     def test_head_length_mismatch(self):
         with pytest.raises(InvalidBoxError):
@@ -211,6 +276,13 @@ class TestUnion:
         a = TailBox((), (), TailForm((), 0.0), TailForm(((1.0, 0.5),), 0.0))
         b = TailBox((), (), TailForm(((-2.0, 0.9),), 0.0), TailForm((), 0.0))
         assert mnc_union(SetUnion((a, b))).value == 0.0
+
+    def test_one_box_hull_is_the_box_measure(self):
+        # the certified chain relies on this: Conv(TA) = TA needs no re-check
+        rng = random.Random(17)
+        for _ in range(200):
+            box = random_box(rng)
+            assert conv_hull_mnc(SetUnion((box,))).value == hausdorff_mnc(box).value
 
     def test_empty_union_rejected(self):
         with pytest.raises(InvalidBoxError):

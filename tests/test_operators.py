@@ -80,6 +80,24 @@ class TestApplyToBox:
         assert image.hi(1) == max(d1 * -1.0, d1 * 1.0)
         assert hausdorff_mnc(image).value == 1.0
 
+    def test_heads_match_the_scalar_formula_exactly(self):
+        rng = random.Random(23)
+        for _ in range(50):
+            box = TailBox(
+                (-rng.uniform(0, 2),), (rng.uniform(0, 2),),
+                TailForm(((-rng.uniform(0, 1), 0.7),), -1.0),
+                TailForm(((rng.uniform(0, 1), 0.6),), 1.0),
+            )
+            op = diag(
+                d_terms=((-rng.uniform(1, 8), 0.5),), d_const=rng.uniform(0.2, 0.9),
+                e_terms=((rng.uniform(-1, 1), 0.3),), e_head=(rng.uniform(-1, 1),) * 2,
+            )
+            image = apply_to_box(op, box)
+            for i in range(1, image.head_len + 1):
+                x, y = op.d(i) * box.lo(i), op.d(i) * box.hi(i)
+                assert image.lo(i) == min(x, y) + op.e(i)
+                assert image.hi(i) == max(x, y) + op.e(i)
+
 
 class TestSelfMap:
     def test_half_scaling_on_unit(self):
@@ -107,6 +125,21 @@ class TestCompose:
         op = compose(scaling_operator(0.5), scaling_operator(0.5))
         assert op.d_tail == TailForm((), 0.25)
         assert op.e_tail == TailForm((), 0.0)
+
+    def test_compose_pads_coefficients_from_their_tails(self):
+        outer = diag(d_const=0.5, e_head=(1.0, 2.0))
+        inner = diag(d_terms=((1.0, 0.5),), d_const=0.25, d_head=(3.0,))
+        op = compose(outer, inner)
+        assert op.head_len == 2
+        assert op.d.head.tolist() == [0.5 * 3.0, 0.5 * inner.d(2)]
+        assert op.e.head.tolist() == [1.0, 2.0]
+        for i in (1, 2, 3, 10):
+            assert op.d(i) == pytest.approx(outer.d(i) * inner.d(i))
+
+    def test_coefficients_share_one_head_length(self):
+        op = diag(d_const=0.5, e_head=(1.0, 2.0))
+        assert op.d.head.tolist() == [0.5, 0.5]
+        assert op.e.head_len == op.head_len == 2
 
     def test_empty_composition_rejected(self):
         with pytest.raises(OperatorError):
@@ -177,10 +210,20 @@ class TestFixedPointWitness:
         for i in (1, 2, 3, 10):
             x = witness.point.value(i)
             assert op.d(i) * x + op.e(i) == pytest.approx(x, abs=1e-12)
+            assert x == op.e(i) / (1.0 - op.d(i))
 
     def test_identity_rejected(self):
         with pytest.raises(NotContractiveError):
             fixed_point_witness(identity_operator())
+
+    def test_late_dominance_index_hits_the_horizon(self):
+        # |d_i| < 1 is certified only from i = 9 on, where 1.2*0.9**i < 1 - 0.5
+        op = diag(d_terms=((0.6, 0.9), (-0.6, 0.8)), d_const=0.5, e_terms=((1.0, 0.5),))
+        with pytest.raises(NotContractiveError, match="horizon 5"):
+            fixed_point_witness(op, horizon=5)
+        witness = fixed_point_witness(op, horizon=50)
+        assert witness.point.head_len == 50
+        assert witness.residual <= 1e-10
 
     def test_head_coefficient_at_one_rejected(self):
         op = DiagonalAffineOperator((1.0,), TailForm((), 0.5), (), TailForm())
