@@ -363,8 +363,14 @@ class TailBox:
         head_hi: Sequence[float] = (),
         tail_lo: TailForm = TailForm(),
         tail_hi: TailForm = TailForm(),
+        *,
+        _derived: tuple[Seq, Seq] | None = None,
     ):
-        lo, hi = Seq(head_lo, tail_lo), Seq(head_hi, tail_hi)
+        """``_derived`` is a (lo, hi) pair that this module's set operations
+        build from valid boxes.  Its tail gap is nonnegative by construction
+        (|d| times a gap for an affine image, a convex combination of gaps)
+        and is not decided again; every other check still runs."""
+        lo, hi = _derived or (Seq(head_lo, tail_lo), Seq(head_hi, tail_hi))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if lo.head_len != hi.head_len:
@@ -376,7 +382,7 @@ class TailBox:
                 "box is empty in the null-sequence space: needs "
                 f"asym(lo) <= 0 <= asym(hi), got {lo.asym} and {hi.asym}"
             )
-        if not (hi - lo).nonneg():
+        if not ((hi.head >= lo.head).all() if _derived else (hi - lo).nonneg()):
             raise InvalidBoxError("lower envelope exceeds the upper one at some coordinate")
 
     @property
@@ -484,7 +490,8 @@ def convex_combination(lam: float, a: TailBox, b: TailBox) -> TailBox:
     if lam == 0.0:
         return b
     mu = 1.0 - lam
-    return _box(a.lo.scale(lam) + b.lo.scale(mu), a.hi.scale(lam) + b.hi.scale(mu))
+    lo, hi = a.lo.scale(lam) + b.lo.scale(mu), a.hi.scale(lam) + b.hi.scale(mu)
+    return TailBox(_derived=(lo, hi))
 
 
 def subset(a: TailBox, b: TailBox, horizon: int = DEFAULT_HORIZON) -> bool:
@@ -514,7 +521,7 @@ def affine_image(box: TailBox, d: Seq, e: Seq) -> TailBox:
         x, y = y, x
     lo = Seq(np.minimum(x.head, y.head), x.tail) + e
     hi = Seq(np.maximum(x.head, y.head), y.tail) + e
-    return _box(lo, hi)
+    return TailBox(_derived=(lo, hi))
 
 
 def scale_translate(a: TailBox, c: float, shift: Point = ZERO_POINT) -> TailBox:
@@ -524,10 +531,6 @@ def scale_translate(a: TailBox, c: float, shift: Point = ZERO_POINT) -> TailBox:
     if not isinstance(shift, Point):
         raise InvalidPointError("shift must be a Point with asymptotic value zero")
     return affine_image(a, Seq((), TailForm((), c)), shift)
-
-
-def _box(lo: Seq, hi: Seq) -> TailBox:
-    return TailBox(lo.head, hi.head, lo.tail, hi.tail)
 
 
 _ORACLE_WINDOW = 4096

@@ -73,6 +73,14 @@ class TestDarboIterate:
         assert len(cert.trace) == 1
         assert cert.trace[0].mu == 0.0
 
+    def test_compact_domain_with_non_constant_factor_certifies_at_step_zero(self):
+        domain = TailBox((), (), TailForm(((-1.0, 0.9),)), TailForm(((1.0, 0.9),)))
+        op = DiagonalAffineOperator((), TailForm(((-0.3, 0.5),), 0.5))
+        cert = darbo_iterate(op, domain, PAIR, pair_reports=PAIR_REPORTS)
+        assert cert.outcome == CERTIFIED
+        assert len(cert.trace) == 1
+        assert cert.trace[0].mu == 0.0
+
     def test_identity_operator_refuted_at_step_zero(self):
         cert = darbo_iterate(
             identity_operator(), unit_box(), PAIR, pair_reports=PAIR_REPORTS

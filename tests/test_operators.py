@@ -111,6 +111,18 @@ class TestSelfMap:
         op = diag(d_const=0.5, e_terms=((1.0, 0.25),))
         assert verify_self_map(op, UNIT)
 
+    def test_image_with_a_mixed_sign_gap_is_not_decided_again(self):
+        # the image gap 0.9^i - 0.6*0.45^i is |d| * 2*0.9^i >= 0, but as a
+        # beta = 0 form with mixed signs the public constructor cannot decide it
+        box = TailBox((), (), TailForm(((-1.0, 0.9),)), TailForm(((1.0, 0.9),)))
+        op = diag(d_terms=((-0.3, 0.5),), d_const=0.5)
+        image = apply_to_box(op, box)
+        gap = image.tail_hi - image.tail_lo
+        assert gap == TailForm(((-0.6, 0.45), (1.0, 0.9)))
+        with pytest.raises(UndecidedComparisonError):
+            TailBox((), (), image.tail_lo, image.tail_hi)
+        assert verify_self_map(op, box)
+
 
 class TestCompose:
     def test_materialised_composition_matches_sequential_application(self):
