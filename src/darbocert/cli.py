@@ -167,7 +167,6 @@ class RunConfig:
 
     raw: dict
     horizon: int = DEFAULT_HORIZON
-    head_length: int = 3
     domain: TailBox | None = None
     operator: DiagonalAffineOperator | None = None
     pair: FunctionSequencePair | None = None
@@ -199,8 +198,6 @@ def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(space, dict), "space must be an object")
     cfg.horizon = int(space.get("horizon", DEFAULT_HORIZON))
     _require(cfg.horizon >= 1, "space.horizon must be >= 1")
-    cfg.head_length = int(space.get("headLength", 3))
-    _require(cfg.head_length >= 0, "space.headLength must be >= 0")
 
     if "set" in raw:
         cfg.domain = _parse_box(raw["set"], "set")

@@ -50,7 +50,11 @@ from .shifting import (
     CheckReport,
     FunctionSequencePair,
     SampleGrid,
+    _limits_on_grid,
     check_equality_only_at_zero,
+    first_partner,
+    grid_table,
+    pair_table,
     run_all_checks,
 )
 
@@ -311,31 +315,30 @@ def check_example_bound(
     tolerance; additionally verify the bound decreases along n and that
     pairs satisfying the limit hypothesis obey 2u - v <= 0 (u <= v/2)."""
     t = grid.t_values()
-    lhs_matrix = (2.0 * t)[:, None] - t[None, :]
+
+    def max_lhs(psi: np.ndarray, phi: np.ndarray) -> tuple[float, int, int]:
+        # the largest 2u - v of a row sits at its first partner v
+        j = first_partner(psi, phi)
+        has = j < t.size
+        lhs = np.full(t.shape, -np.inf)
+        lhs[has] = (2.0 * t)[has] - t[j[has]]
+        i = int(lhs.argmax())
+        return float(lhs[i]), i, int(j[i]) if has[i] else 0
+
     per_n: dict[str, dict] = {}
     counterexample = None
     bounds = []
-    for n in n_list:
+    for n, psi, phi in zip(n_list, *pair_table(pair, t, n_list)):
         bound = float(Fraction(2 * n + 1, n * (n + 1)))
         bounds.append(bound)
-        psi_u = np.asarray(eval_expr(pair.psi_seq, t, float(n)), dtype=float)
-        phi_v = np.asarray(eval_expr(pair.phi_seq, t, float(n)), dtype=float)
-        mask = psi_u[:, None] <= phi_v[None, :]
-        if mask.any():
-            masked = np.where(mask, lhs_matrix, -np.inf)
-            flat = int(masked.argmax())
-            i, j = np.unravel_index(flat, masked.shape)
-            max_lhs = float(masked[i, j])
-        else:
-            max_lhs = float("-inf")
-            i = j = 0
-        per_n[str(n)] = {"bound": bound, "maxLhs": max_lhs, "margin": bound - max_lhs}
-        if counterexample is None and max_lhs > bound + TIE_TOL:
+        lhs, i, j = max_lhs(psi, phi)
+        per_n[str(n)] = {"bound": bound, "maxLhs": lhs, "margin": bound - lhs}
+        if counterexample is None and lhs > bound + TIE_TOL:
             counterexample = {
                 "n": int(n),
                 "u": float(t[i]),
                 "v": float(t[j]),
-                "lhs": max_lhs,
+                "lhs": lhs,
                 "bound": bound,
             }
     details: dict = {"perN": per_n}
@@ -346,22 +349,14 @@ def check_example_bound(
         counterexample = {"reason": "bound not decreasing along n"}
 
     if pair.psi_limit is not None and pair.phi_limit is not None:
-        psi_lim = np.asarray(eval_expr(pair.psi_limit, t, 1.0), dtype=float)
-        phi_lim = np.asarray(eval_expr(pair.phi_limit, t, 1.0), dtype=float)
-        psi_lim = np.broadcast_to(psi_lim, t.shape)
-        phi_lim = np.broadcast_to(phi_lim, t.shape)
-        mask = psi_lim[:, None] <= phi_lim[None, :]
-        masked = np.where(mask, lhs_matrix, -np.inf)
-        limit_max = float(masked.max()) if mask.any() else float("-inf")
-        details["limitMaxLhs"] = limit_max
-        if counterexample is None and limit_max > TIE_TOL:
-            flat = int(masked.argmax())
-            i, j = np.unravel_index(flat, masked.shape)
+        lhs, i, j = max_lhs(*_limits_on_grid(pair, t))
+        details["limitMaxLhs"] = lhs
+        if counterexample is None and lhs > TIE_TOL:
             counterexample = {
                 "n": "limit",
                 "u": float(t[i]),
                 "v": float(t[j]),
-                "lhs": limit_max,
+                "lhs": lhs,
                 "bound": 0.0,
             }
     verdict = FAIL if counterexample is not None else PASS
@@ -425,13 +420,10 @@ def weak_contraction_run(
         {"equality_only_at_zero": check_equality_only_at_zero(pair, grid)},
         require_pair_checks, "weak_contraction_run",
     )
-    t = grid.t_values()
-    for n in grid.n_ladder:
-        phi_vals = np.asarray(eval_expr(pair.phi_seq, t, float(n)), dtype=float)
-        if float(phi_vals.min()) < -TIE_TOL:
-            raise PreconditionError(
-                f"phi_{n} takes negative values on the grid (min {float(phi_vals.min())})"
-            )
+    phi_min = grid_table(pair.phi_seq, grid.t_values(), grid.n_ladder).min(axis=1)
+    for n, low in zip(grid.n_ladder, phi_min):
+        if low < -TIE_TOL:
+            raise PreconditionError(f"phi_{n} takes negative values on the grid (min {float(low)})")
     if not verify_self_map(op, domain, horizon):
         raise PreconditionError("operator does not map the domain into itself")
 

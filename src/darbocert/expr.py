@@ -300,21 +300,30 @@ def unparse(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def limit_in_n(e: Expr, t: float, tol: float) -> float:
+def limit_in_n(e: Expr, t, tol: float):
     """Estimate the pointwise limit of e(t, n) as n grows.
 
-    Probes n = 2**j for j = 4..40 and returns the value once two successive
-    probes differ by less than ``tol``.  Raises LimitDivergenceError when
-    the ladder never stabilises.
+    Probes n = 2**j for j = 4..40 and, at each t, keeps the value once two
+    successive probes differ by less than ``tol``.  ``t`` may be a scalar
+    (a float is returned) or an array (an array of its shape is returned,
+    also for expressions constant in t).  Raises LimitDivergenceError
+    naming the first t where the ladder never stabilises.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    x = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
+    shape = np.shape(x)
+    result = np.empty(shape)
+    unresolved = np.ones(shape, dtype=bool)
     prev = None
     for j in range(4, 41):
-        cur = float(eval_expr(e, float(t), float(2**j)))
-        if prev is not None and abs(cur - prev) < tol:
-            return cur
+        cur = np.broadcast_to(np.asarray(eval_expr(e, x, float(2**j)), dtype=float), shape)
+        if prev is not None:
+            newly = unresolved & (np.abs(cur - prev) < tol)
+            result[newly] = cur[newly]
+            unresolved &= ~newly
+            if not unresolved.any():
+                return result if shape else float(result)
         prev = cur
-    raise LimitDivergenceError(
-        f"no stabilisation of {unparse(e)!r} at t={t} within n = 2**4..2**40 (tol={tol})"
-    )
+    bad = float(np.asarray(x)[unresolved][0])
+    raise LimitDivergenceError(f"{unparse(e)!r} does not stabilise in n at t={bad} (tol={tol})")

@@ -155,7 +155,9 @@ class TailForm:
         return TailForm(self.terms + other.terms, self.constant + other.constant)
 
     def __sub__(self, other: "TailForm") -> "TailForm":
-        return self + other.scale(-1.0)
+        # negation is exact: the same form as self + other.scale(-1.0)
+        negated = tuple((-coeff, ratio) for coeff, ratio in other.terms)
+        return TailForm(self.terms + negated, self.constant - other.constant)
 
     def scale(self, c: float) -> "TailForm":
         c = float(c)
@@ -240,26 +242,26 @@ def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
 def is_nonnegative(form: TailForm, start: int = 1, horizon: int = DEFAULT_HORIZON) -> bool:
     """Exactly decide form(i) >= 0 for every integer i >= start.
 
-    Forms with beta != 0 are decided via the dominance index; beta = 0
-    forms with single-signed coefficients are decided directly; beta = 0
-    forms with mixed signs are scanned up to ``horizon`` and raise
-    UndecidedComparisonError if nothing failed by then.
+    Sign-definite forms are decided at once: beta < 0 (the form tends to
+    beta), and beta >= 0 with every coefficient positive.  Other beta > 0
+    forms are decided via the dominance index; beta = 0 forms with negative
+    coefficients only are negative; beta = 0 forms with mixed signs are
+    scanned up to ``horizon`` and raise UndecidedComparisonError if nothing
+    failed by then.
     """
     beta = form.constant
-    if not form.terms:
-        return beta >= 0.0
-    if beta != 0.0:
+    if beta < 0.0:
+        return False
+    coeffs = [c for c, _ in form.terms]
+    if all(c > 0 for c in coeffs):
+        return True
+    if beta > 0.0:
         idx = form.dominance_index(start)
         if idx - start > _DOMINANCE_CAP:
             raise UndecidedComparisonError(
                 f"dominance index {idx} exceeds practical range"
             )
-        if beta < 0.0:
-            return False
         return _first_negative(form, start, idx) is None
-    coeffs = [c for c, _ in form.terms]
-    if all(c > 0 for c in coeffs):
-        return True
     if all(c < 0 for c in coeffs):
         return False
     witness = _first_negative(form, start, horizon)

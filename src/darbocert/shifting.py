@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import Expr, LimitDivergenceError, eval_expr, unparse
+from .expr import Expr, LimitDivergenceError, eval_expr, limit_in_n, unparse
 
 __all__ = [
     "PASS",
@@ -30,6 +30,9 @@ __all__ = [
     "FunctionSequencePair",
     "SampleGrid",
     "CheckReport",
+    "grid_table",
+    "pair_table",
+    "first_partner",
     "check_uniform_convergence",
     "check_monotone_in_n",
     "check_condition_i",
@@ -111,27 +114,20 @@ class CheckReport:
         }
 
 
-_LIMIT_LADDER = tuple(2**j for j in range(4, 41))
+def grid_table(e: Expr, t: np.ndarray, ns: tuple[int, ...]) -> np.ndarray:
+    """[n, t] table of e at every n of ``ns``, each row on the whole grid
+    (also for expressions constant in t)."""
+    table = np.empty((len(ns), t.size))
+    for row, n in zip(table, ns):
+        row[:] = eval_expr(e, t, float(n))
+    return table
 
 
-def _estimate_limit_on_grid(e: Expr, t: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorised pointwise limit estimate on the dyadic n ladder; raises
-    LimitDivergenceError if any grid point fails to stabilise."""
-    result = np.empty_like(t)
-    unresolved = np.ones(t.shape, dtype=bool)
-    prev = np.asarray(eval_expr(e, t, float(_LIMIT_LADDER[0])), dtype=float)
-    for n in _LIMIT_LADDER[1:]:
-        cur = np.asarray(eval_expr(e, t, float(n)), dtype=float)
-        newly = unresolved & (np.abs(cur - prev) < tol)
-        result[newly] = cur[newly]
-        unresolved &= ~newly
-        if not unresolved.any():
-            return result
-        prev = cur
-    bad = float(t[np.nonzero(unresolved)[0][0]])
-    raise LimitDivergenceError(
-        f"{unparse(e)!r} does not stabilise in n at t={bad} (tol={tol})"
-    )
+def pair_table(
+    pair: FunctionSequencePair, t: np.ndarray, ns: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """[n, t] tables of psi_n and phi_n."""
+    return grid_table(pair.psi_seq, t, ns), grid_table(pair.phi_seq, t, ns)
 
 
 def _limits_on_grid(
@@ -139,22 +135,23 @@ def _limits_on_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Limit values on the grid: declared expressions when present,
     otherwise numerical estimates."""
-    if pair.psi_limit is not None:
-        psi = np.asarray(eval_expr(pair.psi_limit, t, 1.0), dtype=float)
-        psi = np.broadcast_to(psi, t.shape).astype(float)
-    else:
-        psi = _estimate_limit_on_grid(pair.psi_seq, t, tol)
-    if pair.phi_limit is not None:
-        phi = np.asarray(eval_expr(pair.phi_limit, t, 1.0), dtype=float)
-        phi = np.broadcast_to(phi, t.shape).astype(float)
-    else:
-        phi = _estimate_limit_on_grid(pair.phi_seq, t, tol)
-    return psi, phi
+
+    def limit(declared: Expr | None, seq: Expr) -> np.ndarray:
+        if declared is not None:
+            return grid_table(declared, t, (1,))[0]
+        return limit_in_n(seq, t, tol)
+
+    return limit(pair.psi_limit, pair.psi_seq), limit(pair.phi_limit, pair.phi_seq)
 
 
-def _seq_values(e: Expr, t: np.ndarray, n: int) -> np.ndarray:
-    vals = np.asarray(eval_expr(e, t, float(n)), dtype=float)
-    return np.broadcast_to(vals, t.shape).astype(float)
+def first_partner(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """For each grid index i, the first grid index j with psi[i] <= phi[j],
+    or len(phi) when there is none.  On an increasing grid that j is also
+    the smallest admissible v for u = t[i].  A NaN phi counts as -inf, a
+    NaN psi has no partner."""
+    reach = np.fmax.accumulate(phi)
+    reach[np.isnan(reach)] = -np.inf
+    return np.searchsorted(reach, psi)
 
 
 def check_uniform_convergence(
@@ -172,15 +169,14 @@ def check_uniform_convergence(
         psi_lim, phi_lim = _limits_on_grid(pair, t)
     except LimitDivergenceError as exc:
         return CheckReport("uniform_convergence", UNDECIDED, details={"reason": str(exc)})
-    sup_errors: dict[str, dict[str, float]] = {"psi": {}, "phi": {}}
-    argmax: dict[str, dict[int, float]] = {"psi": {}, "phi": {}}
-    for n in grid.n_ladder:
-        err_psi = np.abs(_seq_values(pair.psi_seq, t, n) - psi_lim)
-        err_phi = np.abs(_seq_values(pair.phi_seq, t, n) - phi_lim)
-        sup_errors["psi"][str(n)] = float(err_psi.max())
-        sup_errors["phi"][str(n)] = float(err_phi.max())
-        argmax["psi"][n] = float(t[int(err_psi.argmax())])
-        argmax["phi"][n] = float(t[int(err_phi.argmax())])
+    sup_errors: dict[str, dict[str, float]] = {}
+    argmax: dict[str, dict[int, float]] = {}
+    for which, table, lim in zip(
+        ("psi", "phi"), pair_table(pair, t, grid.n_ladder), (psi_lim, phi_lim)
+    ):
+        err = np.abs(table - lim)
+        sup_errors[which] = {str(n): float(e) for n, e in zip(grid.n_ladder, err.max(axis=1))}
+        argmax[which] = {n: float(t[j]) for n, j in zip(grid.n_ladder, err.argmax(axis=1))}
 
     for which in ("psi", "phi"):
         sups = [sup_errors[which][str(n)] for n in grid.n_ladder]
@@ -223,79 +219,68 @@ def check_monotone_in_n(pair: FunctionSequencePair, grid: SampleGrid) -> CheckRe
     """PASS iff psi_n <= psi_next and phi_n >= phi_next at every grid t for
     consecutive ladder entries, within the tie tolerance."""
     t = grid.t_values()
-    prev_psi = _seq_values(pair.psi_seq, t, grid.n_ladder[0])
-    prev_phi = _seq_values(pair.phi_seq, t, grid.n_ladder[0])
-    for k in range(1, len(grid.n_ladder)):
-        n_prev, n = grid.n_ladder[k - 1], grid.n_ladder[k]
-        cur_psi = _seq_values(pair.psi_seq, t, n)
-        cur_phi = _seq_values(pair.phi_seq, t, n)
-        bad_psi = np.nonzero(prev_psi > cur_psi + TIE_TOL)[0]
-        if bad_psi.size:
-            j = int(bad_psi[0])
-            return CheckReport(
-                "monotone_in_n",
-                FAIL,
-                counterexample={
-                    "which": "psi",
-                    "t": float(t[j]),
-                    "n": n_prev,
-                    "nNext": n,
-                    "value": float(prev_psi[j]),
-                    "valueNext": float(cur_psi[j]),
-                },
-                details={"reason": "psi_n must be nondecreasing in n"},
-            )
-        bad_phi = np.nonzero(prev_phi < cur_phi - TIE_TOL)[0]
-        if bad_phi.size:
-            j = int(bad_phi[0])
-            return CheckReport(
-                "monotone_in_n",
-                FAIL,
-                counterexample={
-                    "which": "phi",
-                    "t": float(t[j]),
-                    "n": n_prev,
-                    "nNext": n,
-                    "value": float(prev_phi[j]),
-                    "valueNext": float(cur_phi[j]),
-                },
-                details={"reason": "phi_n must be nonincreasing in n"},
-            )
-        prev_psi, prev_phi = cur_psi, cur_phi
-    return CheckReport("monotone_in_n", PASS)
+    psi, phi = pair_table(pair, t, grid.n_ladder)
+    # [k, which, j]: psi falling or phi rising from ladder entry k to k + 1
+    bad = np.stack((psi[:-1] > psi[1:] + TIE_TOL, phi[:-1] < phi[1:] - TIE_TOL), axis=1)
+    if not bad.any():
+        return CheckReport("monotone_in_n", PASS)
+    k, w, j = (int(x) for x in np.argwhere(bad)[0])
+    which, table, reason = (
+        ("psi", psi, "psi_n must be nondecreasing in n"),
+        ("phi", phi, "phi_n must be nonincreasing in n"),
+    )[w]
+    return CheckReport(
+        "monotone_in_n",
+        FAIL,
+        counterexample={
+            "which": which,
+            "t": float(t[j]),
+            "n": grid.n_ladder[k],
+            "nNext": grid.n_ladder[k + 1],
+            "value": float(table[k, j]),
+            "valueNext": float(table[k + 1, j]),
+        },
+        details={"reason": reason},
+    )
 
 
-def _per_n_hypothesis_mask(
-    pair: FunctionSequencePair, t: np.ndarray, ladder: tuple[int, ...]
-) -> np.ndarray:
-    """mask[i, j] true when psi_n(t_i) <= phi_n(t_j) for every ladder n."""
-    mask = np.ones((t.size, t.size), dtype=bool)
-    for n in ladder:
-        psi_n = _seq_values(pair.psi_seq, t, n)
-        phi_n = _seq_values(pair.phi_seq, t, n)
-        mask &= psi_n[:, None] <= phi_n[None, :]
-        if not mask.any():
-            break
-    return mask
+def _first_violation(
+    psi: np.ndarray, phi: np.ndarray, below: np.ndarray
+) -> tuple[int, int] | None:
+    """First (i, j) in row-major order with j < below[i] and
+    psi[n, i] <= phi[n, j] on every row n of the [n, t] tables.
+
+    No j before the latest first partner over the rows can qualify, so
+    only rows where that partner lies below ``below`` are scanned, each
+    over the columns in between: O(n * t) memory."""
+    start = np.max([first_partner(p, f) for p, f in zip(psi, phi)], axis=0)
+    for i in np.flatnonzero(start < below):
+        hits = (psi[:, i, None] <= phi[:, start[i]:below[i]]).all(axis=0)
+        if hits.any():
+            return int(i), int(start[i] + hits.argmax())
+    return None
+
+
+def _first_index(mask: np.ndarray) -> tuple[int] | None:
+    hits = np.flatnonzero(mask)
+    return (int(hits[0]),) if hits.size else None
 
 
 def _condition_report(
     name: str,
-    readings: dict[str, np.ndarray],
+    readings: dict[str, tuple[int, ...] | None],
     make_witness: Callable[..., dict],
 ) -> CheckReport:
-    """Verdict over the limit and per-n readings; the witness builder gets
-    the reading and the grid indices of the first violation."""
+    """Verdict over the limit and per-n readings, each given by the grid
+    indices of its first violation (None when there is none); the witness
+    builder gets the reading and those indices."""
     details: dict[str, str] = {}
     counterexample = None
     for reading in ("limit", "perN"):
-        viol = readings[reading]
-        if viol.any():
-            details[f"{reading}Reading"] = FAIL
-            if counterexample is None:
-                counterexample = make_witness(reading, *(int(x) for x in np.argwhere(viol)[0]))
-        else:
-            details[f"{reading}Reading"] = PASS
+        found = readings[reading]
+        details[f"{reading}Reading"] = PASS if found is None else FAIL
+        if found is not None and counterexample is None:
+            counterexample = make_witness(reading, *found)
     verdict = FAIL if counterexample is not None else PASS
     return CheckReport(name, verdict, counterexample=counterexample, details=details)
 
@@ -308,9 +293,11 @@ def check_condition_i(pair: FunctionSequencePair, grid: SampleGrid) -> CheckRepo
         psi_lim, phi_lim = _limits_on_grid(pair, t)
     except LimitDivergenceError as exc:
         return CheckReport("condition_i", UNDECIDED, details={"reason": str(exc)})
-    gap = t[:, None] > t[None, :] + TIE_TOL  # u > v
-    limit_viol = (psi_lim[:, None] <= phi_lim[None, :]) & gap
-    per_n_viol = _per_n_hypothesis_mask(pair, t, grid.n_ladder) & gap
+    below = np.searchsorted(t + TIE_TOL, t)  # u > v + tie exactly for v < t[below[u]]
+    readings = {
+        "limit": _first_violation(psi_lim[None], phi_lim[None], below),
+        "perN": _first_violation(*pair_table(pair, t, grid.n_ladder), below),
+    }
 
     def witness(reading: str, i: int, j: int) -> dict:
         u, v = float(t[i]), float(t[j])
@@ -320,9 +307,7 @@ def check_condition_i(pair: FunctionSequencePair, grid: SampleGrid) -> CheckRepo
             w["phiV"] = float(phi_lim[j])
         return w
 
-    return _condition_report(
-        "condition_i", {"limit": limit_viol, "perN": per_n_viol}, witness
-    )
+    return _condition_report("condition_i", readings, witness)
 
 
 def check_condition_ii(pair: FunctionSequencePair, grid: SampleGrid) -> CheckReport:
@@ -334,13 +319,11 @@ def check_condition_ii(pair: FunctionSequencePair, grid: SampleGrid) -> CheckRep
     except LimitDivergenceError as exc:
         return CheckReport("condition_ii", UNDECIDED, details={"reason": str(exc)})
     positive = t > TIE_TOL
-    limit_viol = (psi_lim <= phi_lim) & positive
-    per_n = np.ones(t.shape, dtype=bool)
-    for n in grid.n_ladder:
-        psi_n = _seq_values(pair.psi_seq, t, n)
-        phi_n = _seq_values(pair.phi_seq, t, n)
-        per_n &= psi_n <= phi_n
-    per_n_viol = per_n & positive
+    psi, phi = pair_table(pair, t, grid.n_ladder)
+    readings = {
+        "limit": _first_index((psi_lim <= phi_lim) & positive),
+        "perN": _first_index((psi <= phi).all(axis=0) & positive),
+    }
 
     def witness(reading: str, i: int) -> dict:
         return {
@@ -350,9 +333,7 @@ def check_condition_ii(pair: FunctionSequencePair, grid: SampleGrid) -> CheckRep
             "phiW": float(phi_lim[i]),
         }
 
-    return _condition_report(
-        "condition_ii", {"limit": limit_viol, "perN": per_n_viol}, witness
-    )
+    return _condition_report("condition_ii", readings, witness)
 
 
 def check_equality_only_at_zero(pair: FunctionSequencePair, grid: SampleGrid) -> CheckReport:

@@ -152,6 +152,25 @@ class TestCheckPair:
         assert run(["check-pair", "--config", cfg]) == EXIT_UNDECIDED
         capsys.readouterr()
 
+    def test_pair_constant_in_t_without_limits_writes_a_report(self, tmp_path, capsys):
+        # phi_n = 2 evaluates to a scalar; its limit estimate covers the grid
+        cfg = write_config(tmp_path, {"pair": {"psiSeq": "t", "phiSeq": "2"}})
+        out = tmp_path / "r.json"
+        assert run(["check-pair", "--config", cfg, "--out", str(out)]) == EXIT_FAIL
+        assert "Traceback" not in capsys.readouterr().err
+        checks = json.loads(out.read_text())["checks"]
+        assert checks["condition_i"]["counterexample"] == {
+            "reading": "limit", "u": 0.1, "v": 0.0, "psiU": 0.1, "phiV": 2.0,
+        }
+        assert checks["uniform_convergence"]["verdict"] == "PASS"
+
+    def test_pair_undefined_at_a_ladder_n_is_config_error(self, tmp_path, capsys):
+        # phi_4 divides by zero; every check sees the whole ladder, so the
+        # verdicts never depend on how far one check got before n = 4
+        cfg = write_config(tmp_path, {"pair": {"psiSeq": "0-n*t", "phiSeq": "t/(n-4)"}})
+        assert run(["check-pair", "--config", cfg]) == EXIT_CONFIG
+        assert "division by zero in 't/(n-4)'" in capsys.readouterr().err
+
     def test_missing_pair_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {})
         assert run(["check-pair", "--config", cfg]) == EXIT_CONFIG
@@ -209,6 +228,17 @@ class TestCertify:
         assert run(["certify", "--config", cfg2, "--mode", "weak"]) == EXIT_FAIL
         capsys.readouterr()
 
+    def test_weak_mode_with_psi_constant_in_t_writes_a_report(self, tmp_path, capsys):
+        pair = {"psiSeq": "1", "phiSeq": "1+t"}
+        cfg = write_config(tmp_path, {"set": UNIT_BOX, "operator": HALF_SCALING, "pair": pair})
+        out = tmp_path / "r.json"
+        assert run(["certify", "--config", cfg, "--mode", "weak", "--out", str(out)]) == EXIT_FAIL
+        capsys.readouterr()
+        cert = json.loads(out.read_text())["certificate"]
+        # psi(mu(TA)) = 1 > psi(mu(A)) - phi(mu(A)) = -1 at the first step
+        assert cert["outcome"] == "REFUTED"
+        assert cert["refutation"] == {"step": 0, "n": "limit", "lhs": 1.0, "rhs": -1.0}
+
     def test_identity_mode_uses_identity_psi(self, tmp_path, capsys):
         pair = {"psiSeq": "2*t", "phiSeq": "t/2", "psiLimit": "2*t", "phiLimit": "t/2"}
         cfg = write_config(tmp_path, {"set": UNIT_BOX, "operator": HALF_SCALING, "pair": pair})
@@ -255,6 +285,14 @@ class TestConfigValidation:
         report = json.loads(out.read_text())
         # quarter scaling reaches 1e-9 in 15 steps: 0.25**15 < 1e-9
         assert len(report["certificate"]["trace"]) == 16
+
+    def test_unused_head_length_key_still_loads_and_is_echoed(self, tmp_path, capsys):
+        space = {"horizon": 500, "headLength": 3}
+        cfg = certify_config(tmp_path, space=space)
+        out = tmp_path / "r.json"
+        assert run(["certify", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        assert json.loads(out.read_text())["config"]["space"] == space
 
     def test_bad_ratio_rejected(self, tmp_path, capsys):
         box = dict(UNIT_BOX)

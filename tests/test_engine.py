@@ -169,6 +169,15 @@ class TestExampleBound:
         assert 2 * ce["u"] - ce["v"] > ce["bound"] + 1e-12
 
 
+    def test_psi_constant_in_t(self):
+        # psi_n = 1 evaluates to a scalar; every row still sees the grid
+        pair = make_pair("1", "t", "1", "t")
+        rep = check_example_bound(pair, SampleGrid(t_max=10, step=0.5), (1, 10))
+        # admissible pairs need v >= 1, so the largest 2u - v is 20 - 1
+        assert rep.details["perN"]["1"]["maxLhs"] == 19.0
+        assert rep.counterexample == {"n": 1, "u": 10.0, "v": 1.0, "lhs": 19.0, "bound": 1.5}
+
+
 class TestClassicRun:
     def test_half_factor_on_half_scaling_certifies(self):
         cert = classic_darbo_run(scaling_operator(0.5), unit_box(), k=0.5, tol=1e-9)

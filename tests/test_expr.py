@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -115,6 +116,17 @@ class TestLimit:
     def test_divergent_family_raises(self):
         with pytest.raises(LimitDivergenceError):
             limit_in_n(parse_expr("n*t"), 1.0, 1e-9)
+
+    def test_array_of_t_gives_one_limit_per_point(self):
+        t = np.array([0.0, 1.0, 2.5])
+        got = limit_in_n(parse_expr("t+1/n"), t, 1e-9)
+        assert got.tolist() == [limit_in_n(parse_expr("t+1/n"), x, 1e-9) for x in t]
+        assert limit_in_n(parse_expr("3"), t, 1e-9).tolist() == [3.0, 3.0, 3.0]
+
+    def test_divergence_names_the_first_unsettled_t(self):
+        with pytest.raises(LimitDivergenceError) as info:
+            limit_in_n(parse_expr("n*t"), np.array([0.0, 1.0, 2.0]), 1e-9)
+        assert str(info.value) == "'n*t' does not stabilise in n at t=1.0 (tol=1e-09)"
 
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):

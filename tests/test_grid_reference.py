@@ -1,0 +1,270 @@
+"""The grid checks against direct T x T formulations.
+
+The references below evaluate every (u, v) grid pair as a full boolean
+matrix: condition (i), condition (ii) and the contraction-bound table as
+first written.  The checks under test answer the same questions with
+``first_partner`` in O(ladder * T) memory; their reports must equal the
+references' exactly, witnesses included.
+"""
+
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from darbocert.engine import check_example_bound
+from darbocert.expr import LimitDivergenceError, eval_expr, limit_in_n, parse_expr
+from darbocert.scenarios import broken_pair, demo_pair
+from darbocert.shifting import (
+    FAIL,
+    PASS,
+    TIE_TOL,
+    UNDECIDED,
+    CheckReport,
+    FunctionSequencePair,
+    SampleGrid,
+    _limits_on_grid,
+    check_condition_i,
+    check_condition_ii,
+    first_partner,
+)
+
+BOUND_NS = (1, 10, 100, 1_000, 1_000_000)
+
+
+def seq_values(e, t, n):
+    return np.broadcast_to(np.asarray(eval_expr(e, t, float(n)), dtype=float), t.shape)
+
+
+def condition_report(name, readings, make_witness):
+    details, counterexample = {}, None
+    for reading in ("limit", "perN"):
+        viol = readings[reading]
+        details[f"{reading}Reading"] = FAIL if viol.any() else PASS
+        if viol.any() and counterexample is None:
+            counterexample = make_witness(reading, *(int(x) for x in np.argwhere(viol)[0]))
+    verdict = FAIL if counterexample is not None else PASS
+    return CheckReport(name, verdict, counterexample=counterexample, details=details)
+
+
+def reference_condition_i(pair, grid):
+    t = grid.t_values()
+    psi_lim, phi_lim = _limits_on_grid(pair, t)
+    gap = t[:, None] > t[None, :] + TIE_TOL
+    mask = np.ones((t.size, t.size), dtype=bool)
+    for n in grid.n_ladder:
+        mask &= seq_values(pair.psi_seq, t, n)[:, None] <= seq_values(pair.phi_seq, t, n)[None, :]
+    readings = {"limit": (psi_lim[:, None] <= phi_lim[None, :]) & gap, "perN": mask & gap}
+
+    def witness(reading, i, j):
+        w = {"reading": reading, "u": float(t[i]), "v": float(t[j])}
+        if reading == "limit":
+            w["psiU"], w["phiV"] = float(psi_lim[i]), float(phi_lim[j])
+        return w
+
+    return condition_report("condition_i", readings, witness)
+
+
+def reference_condition_ii(pair, grid):
+    t = grid.t_values()
+    psi_lim, phi_lim = _limits_on_grid(pair, t)
+    positive = t > TIE_TOL
+    per_n = np.ones(t.shape, dtype=bool)
+    for n in grid.n_ladder:
+        per_n &= seq_values(pair.psi_seq, t, n) <= seq_values(pair.phi_seq, t, n)
+    readings = {"limit": (psi_lim <= phi_lim) & positive, "perN": per_n & positive}
+
+    def witness(reading, i):
+        return {"reading": reading, "w": float(t[i]),
+                "psiW": float(psi_lim[i]), "phiW": float(phi_lim[i])}
+
+    return condition_report("condition_ii", readings, witness)
+
+
+def reference_example_bound(pair, grid, n_list):
+    t = grid.t_values()
+    lhs_matrix = (2.0 * t)[:, None] - t[None, :]
+
+    def masked_max(psi, phi):
+        mask = psi[:, None] <= phi[None, :]
+        if not mask.any():
+            return float("-inf"), 0, 0
+        masked = np.where(mask, lhs_matrix, -np.inf)
+        i, j = np.unravel_index(int(masked.argmax()), masked.shape)
+        return float(masked[i, j]), i, j
+
+    per_n, counterexample, bounds = {}, None, []
+    for n in n_list:
+        bound = float(Fraction(2 * n + 1, n * (n + 1)))
+        bounds.append(bound)
+        lhs, i, j = masked_max(seq_values(pair.psi_seq, t, n), seq_values(pair.phi_seq, t, n))
+        per_n[str(n)] = {"bound": bound, "maxLhs": lhs, "margin": bound - lhs}
+        if counterexample is None and lhs > bound + TIE_TOL:
+            counterexample = {"n": int(n), "u": float(t[i]), "v": float(t[j]),
+                              "lhs": lhs, "bound": bound}
+    details = {"perN": per_n}
+    details["boundDecreasing"] = all(b2 <= b1 + TIE_TOL for b1, b2 in zip(bounds, bounds[1:]))
+    if not details["boundDecreasing"] and counterexample is None:
+        counterexample = {"reason": "bound not decreasing along n"}
+    if pair.psi_limit is not None and pair.phi_limit is not None:
+        lhs, i, j = masked_max(seq_values(pair.psi_limit, t, 1), seq_values(pair.phi_limit, t, 1))
+        details["limitMaxLhs"] = lhs
+        if counterexample is None and lhs > TIE_TOL:
+            counterexample = {"n": "limit", "u": float(t[i]), "v": float(t[j]),
+                              "lhs": lhs, "bound": 0.0}
+    verdict = FAIL if counterexample is not None else PASS
+    return CheckReport("contraction_bound", verdict, counterexample=counterexample, details=details)
+
+
+def assert_same_as_reference(pair, grid, n_list=BOUND_NS):
+    for check, reference in (
+        (check_condition_i, reference_condition_i),
+        (check_condition_ii, reference_condition_ii),
+    ):
+        got = check(pair, grid).to_dict()
+        try:
+            assert got == reference(pair, grid).to_dict()
+        except LimitDivergenceError as exc:
+            assert (got["verdict"], got["details"]) == (UNDECIDED, {"reason": str(exc)})
+    got = check_example_bound(pair, grid, n_list).to_dict()
+    assert got == reference_example_bound(pair, grid, n_list).to_dict()
+
+
+def pair_from(psi, phi, psi_lim=None, phi_lim=None):
+    return FunctionSequencePair(
+        psi_seq=parse_expr(psi),
+        phi_seq=parse_expr(phi),
+        psi_limit=parse_expr(psi_lim) if psi_lim else None,
+        phi_limit=parse_expr(phi_lim) if phi_lim else None,
+    )
+
+
+class TestDefaultGrid:
+    def test_demo_pair(self):
+        assert_same_as_reference(demo_pair(), SampleGrid())
+
+    def test_broken_pair(self):
+        assert_same_as_reference(broken_pair(), SampleGrid())
+
+    def test_pair_constant_in_t(self):
+        assert_same_as_reference(pair_from("1", "t", "1", "t"), SampleGrid())
+
+    def test_pair_non_monotone_in_t(self):
+        pair = pair_from("(t-10/n)*(t-10/n)", "t+1/n", "t*t", "t")
+        assert_same_as_reference(pair, SampleGrid())
+
+
+class TestPerNRowScan:
+    # psi_n = 16; phi_1 = (t-5)^2 reaches 16 at t <= 1 and t >= 9, phi_2 =
+    # 16t/5 only at t >= 5.  Every row's latest first partner is v = 5, where
+    # phi_1 < 16, so the per-n reading has to scan on to v = 9.
+    PAIR = pair_from("16", "(2-n)*(t-5)*(t-5)+(n-1)*16*t/5", "16", "t")
+    GRID = SampleGrid(t_max=12.0, step=1.0, n_ladder=(1, 2))
+
+    def test_first_partners_differ_per_n(self):
+        t = self.GRID.t_values()
+        psi = np.full(t.shape, 16.0)
+        starts = [
+            first_partner(psi, seq_values(self.PAIR.phi_seq, t, n)) for n in self.GRID.n_ladder
+        ]
+        assert [int(s[0]) for s in starts] == [0, 5]
+
+    def test_witness_lies_past_the_first_partners(self):
+        rep = check_condition_i(self.PAIR, self.GRID)
+        assert rep.details == {"limitReading": PASS, "perNReading": FAIL}
+        assert rep.counterexample == {"reading": "perN", "u": 10.0, "v": 9.0}
+        assert_same_as_reference(self.PAIR, self.GRID, (1, 2))
+
+
+class TestFirstPartner:
+    def test_first_index_with_psi_below_phi(self):
+        phi = np.array([3.0, 1.0, 5.0, 2.0, 7.0])
+        psi = np.array([0.0, 3.0, 4.0, 6.0, 8.0, np.nan])
+        assert first_partner(psi, phi).tolist() == [0, 0, 2, 4, 5, 5]
+
+    def test_nan_phi_is_never_a_partner_of_a_finite_psi(self):
+        phi = np.array([np.nan, 1.0, np.nan, 3.0])
+        assert first_partner(np.array([0.5, 2.0, 4.0]), phi).tolist() == [1, 3, 4]
+
+
+# constant in t, monotone and non-monotone in t, with dips that move with n
+_ATOMS = (
+    "t", "1", "t*t", "1/n", "t/n", "(t-10/n)*(t-10/n)", "n*t/(n+1)", "(t-3)*(t-3)",
+    "(t-n)*(t-n)/(n*n)", "(t-5)*(t-5)/n", "(n-1)*t/n",
+)
+
+
+@st.composite
+def sums(draw, atoms=_ATOMS):
+    parts = draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.sampled_from(atoms)), min_size=1, max_size=3
+    ))
+    return "+".join(f"({c})*{a}" if c < 0 else f"{c}*{a}" for c, a in parts)
+
+
+@st.composite
+def pairs(draw):
+    limits = draw(st.booleans())
+    limit_atoms = ("t", "1", "t*t", "(t-3)*(t-3)")
+    return pair_from(
+        draw(sums()), draw(sums()),
+        draw(sums(limit_atoms)) if limits else None,
+        draw(sums(limit_atoms)) if limits else None,
+    )
+
+
+grids = st.builds(
+    SampleGrid,
+    t_max=st.sampled_from((1.0, 5.0, 12.0, 20.0)),
+    step=st.sampled_from((0.1, 0.25, 0.5, 1.0)),
+    n_ladder=st.sampled_from(((1,), (1, 2, 4), (1, 3, 10, 100), tuple(2**j for j in range(12)))),
+)
+
+
+class TestRandomPairs:
+    @settings(deadline=None, max_examples=150)
+    @given(pairs(), grids)
+    def test_reports_equal_the_reference(self, pair, grid):
+        assert_same_as_reference(pair, grid, (1, 2, 10, 100))
+
+    @settings(deadline=None, max_examples=50)
+    @given(sums(), st.sampled_from((0.0, 0.5, 3.0, 7.25)))
+    def test_limit_on_an_array_equals_the_scalar_limits(self, src, x):
+        e = parse_expr(src)
+        t = np.array([0.0, x, 10.0])
+
+        def scalar(v):
+            try:
+                return limit_in_n(e, float(v), 1e-9)
+            except LimitDivergenceError as exc:
+                return str(exc)
+
+        want = [scalar(v) for v in t]
+        errors = [w for w in want if isinstance(w, str)]
+        if not errors:
+            assert limit_in_n(e, t, 1e-9).tolist() == want
+            return
+        with pytest.raises(LimitDivergenceError) as info:
+            limit_in_n(e, t, 1e-9)
+        assert str(info.value) == errors[0]
+
+
+class TestMemory:
+    GRID = SampleGrid(t_max=100.0, step=0.025)  # T = 4001
+
+    def peak_mb(self, fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_bound_table_stays_under_16_mb(self):
+        assert self.peak_mb(check_example_bound, demo_pair(), self.GRID, BOUND_NS) < 16
+
+    def test_condition_i_stays_under_16_mb(self):
+        assert self.peak_mb(check_condition_i, demo_pair(), self.GRID) < 16

@@ -91,6 +91,7 @@ class TestTailForm:
         for i in (1, 3, 10):
             assert s.value(i) == pytest.approx(f.value(i) + g.value(i), abs=1e-9)
             assert p.value(i) == pytest.approx(f.value(i) * g.value(i), abs=1e-8)
+        assert f - g == f + g.scale(-1.0)
 
 
 class TestSeq:
@@ -163,6 +164,19 @@ class TestSignMachinery:
     def test_beta_zero_mixed_early_negative(self):
         # 0.8**i - 2*0.9**i < 0 at i = 1
         assert not is_nonnegative(TailForm(((1.0, 0.8), (-2.0, 0.9)), 0.0))
+
+    def test_sign_definite_forms_need_no_dominance_index(self, monkeypatch):
+        def no_index(self, start=1):
+            raise AssertionError("dominance index computed")
+
+        # both would need an index far beyond the scan cap
+        tends_below = TailForm(((1e9, 0.999999999),), -1e-9)
+        positive = TailForm(((1e9, 0.999999999), (2.0, 0.5)), 1e-9)
+        monkeypatch.setattr(TailForm, "dominance_index", no_index)
+        assert not is_nonnegative(tends_below)
+        assert not is_nonnegative(TailForm((), -1.0))
+        assert is_nonnegative(positive)
+        assert is_nonnegative(TailForm((), 0.0))
 
     def test_eventual_sign(self):
         assert eventual_sign(TailForm((), 0.0)) == (0, 1)
