@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -71,36 +72,44 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+@contextmanager
+def _malformed(where: str):
+    """Report a value under ``where`` that fails to convert or validate
+    (TypeError, ValueError, OverflowError) as a ConfigError; a ConfigError
+    from a nested field keeps its own message."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _parse_tail_form(obj: Any, where: str) -> TailForm:
     _require(isinstance(obj, dict), f"{where}: tail form must be an object")
     terms = obj.get("terms", [])
     _require(isinstance(terms, list), f"{where}: terms must be a list")
-    pairs = []
     for k, term in enumerate(terms):
         _require(
             isinstance(term, dict) and "alpha" in term and "rho" in term,
             f"{where}: term {k} needs alpha and rho",
         )
-        pairs.append((float(term["alpha"]), float(term["rho"])))
-    try:
-        return TailForm(tuple(pairs), float(obj.get("beta", 0.0)))
-    except MncError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    with _malformed(where):
+        pairs = tuple((float(term["alpha"]), float(term["rho"])) for term in terms)
+        return TailForm(pairs, float(obj.get("beta", 0.0)))
 
 
 def _parse_box(obj: Any, where: str) -> TailBox:
     _require(isinstance(obj, dict), f"{where}: set descriptor must be an object")
     for key in ("tailLo", "tailHi"):
         _require(key in obj, f"{where}: missing {key}")
-    try:
+    with _malformed(where):
         return TailBox(
             tuple(float(x) for x in obj.get("headLo", [])),
             tuple(float(x) for x in obj.get("headHi", [])),
             _parse_tail_form(obj["tailLo"], f"{where}.tailLo"),
             _parse_tail_form(obj["tailHi"], f"{where}.tailHi"),
         )
-    except MncError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_operator(obj: Any, where: str) -> DiagonalAffineOperator:
@@ -110,15 +119,13 @@ def _parse_operator(obj: Any, where: str) -> DiagonalAffineOperator:
         _require(isinstance(parts, list) and parts, f"{where}: compose needs a nonempty list")
         ops = [_parse_operator(p, f"{where}.compose[{k}]") for k, p in enumerate(parts)]
         return as_operator(ops)
-    try:
+    with _malformed(where):
         return DiagonalAffineOperator(
             tuple(float(x) for x in obj.get("dHead", [])),
             _parse_tail_form(obj.get("dTail", {}), f"{where}.dTail"),
             tuple(float(x) for x in obj.get("eHead", [])),
             _parse_tail_form(obj.get("eTail", {}), f"{where}.eTail"),
         )
-    except (MncError, OperatorError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_pair(obj: Any, where: str) -> FunctionSequencePair:
@@ -130,10 +137,8 @@ def _parse_pair(obj: Any, where: str) -> FunctionSequencePair:
         text = obj.get(key)
         if text is None:
             return None
-        try:
+        with _malformed(f"{where}.{key}"):
             return parse_expr(text)
-        except ExprError as exc:
-            raise ConfigError(f"{where}.{key}: {exc}") from exc
 
     return FunctionSequencePair(
         psi_seq=parse_one("psiSeq"),
@@ -148,16 +153,14 @@ def _parse_grid(obj: Any, where: str) -> SampleGrid:
         return SampleGrid()
     _require(isinstance(obj, dict), f"{where}: grid must be an object")
     kwargs: dict = {}
-    if "tMax" in obj:
-        kwargs["t_max"] = float(obj["tMax"])
-    if "step" in obj:
-        kwargs["step"] = float(obj["step"])
-    if "nLadder" in obj:
-        kwargs["n_ladder"] = tuple(int(n) for n in obj["nLadder"])
-    try:
+    with _malformed(where):
+        if "tMax" in obj:
+            kwargs["t_max"] = float(obj["tMax"])
+        if "step" in obj:
+            kwargs["step"] = float(obj["step"])
+        if "nLadder" in obj:
+            kwargs["n_ladder"] = tuple(int(n) for n in obj["nLadder"])
         return SampleGrid(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -196,7 +199,8 @@ def parse_config(raw: dict) -> RunConfig:
     cfg = RunConfig(raw=raw)
     space = raw.get("space", {})
     _require(isinstance(space, dict), "space must be an object")
-    cfg.horizon = int(space.get("horizon", DEFAULT_HORIZON))
+    with _malformed("space.horizon"):
+        cfg.horizon = int(space.get("horizon", DEFAULT_HORIZON))
     _require(cfg.horizon >= 1, "space.horizon must be >= 1")
 
     if "set" in raw:
@@ -207,25 +211,30 @@ def parse_config(raw: dict) -> RunConfig:
         cfg.pair = _parse_pair(raw["pair"], "pair")
     cfg.grid = _parse_grid(raw.get("grid"), "grid")
 
-    cfg.uniform_tol = float(raw.get("uniformTol", 1e-6))
+    with _malformed("uniformTol"):
+        cfg.uniform_tol = float(raw.get("uniformTol", 1e-6))
     _require(cfg.uniform_tol > 0, "uniformTol must be positive")
-    cfg.tol = float(raw.get("tol", 1e-9))
+    with _malformed("tol"):
+        cfg.tol = float(raw.get("tol", 1e-9))
     _require(cfg.tol > 0, "tol must be positive")
-    cfg.max_iter = int(raw.get("maxIter", 10_000))
+    with _malformed("maxIter"):
+        cfg.max_iter = int(raw.get("maxIter", 10_000))
     _require(cfg.max_iter >= 1, "maxIter must be >= 1")
     if "nLadder" in raw:
-        ladder = tuple(int(n) for n in raw["nLadder"])
+        with _malformed("nLadder"):
+            ladder = tuple(int(n) for n in raw["nLadder"])
         _require(bool(ladder) and all(n >= 1 for n in ladder), "nLadder must hold integers >= 1")
         cfg.n_ladder = ladder
     if "classicK" in raw:
-        cfg.classic_k = float(raw["classicK"])
+        with _malformed("classicK"):
+            cfg.classic_k = float(raw["classicK"])
         _require(0.0 <= cfg.classic_k < 1.0, "classicK must lie in [0, 1)")
     cfg.enforce_pair_checks = bool(raw.get("enforcePairChecks", True))
 
     axioms = raw.get("axioms", {})
     _require(isinstance(axioms, dict), "axioms must be an object")
     defaults = AxiomCounts()
-    try:
+    with _malformed("axioms"):
         cfg.axiom_counts = AxiomCounts(
             m1=int(axioms.get("m1", defaults.m1)),
             m2=int(axioms.get("m2", defaults.m2)),
@@ -238,8 +247,6 @@ def parse_config(raw: dict) -> RunConfig:
             oracle_cut=int(axioms.get("oracleCut", defaults.oracle_cut)),
             homogeneity=int(axioms.get("homogeneity", defaults.homogeneity)),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"axioms: {exc}") from exc
     for name in ("m1", "m2", "m3", "m4", "m5", "m6_chains", "oracle", "homogeneity"):
         _require(getattr(cfg.axiom_counts, name) >= 0, f"axioms.{name} must be >= 0")
     _require(cfg.axiom_counts.m6_depth >= 1, "axioms.m6Depth must be >= 1")

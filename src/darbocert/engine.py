@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import BinOp, Expr, Num, Var, eval_expr, limit_in_n
+from .expr import BinOp, Expr, Num, Var, eval_expr
 from .mnc import (
     DEFAULT_HORIZON,
     TailBox,
@@ -50,10 +50,10 @@ from .shifting import (
     CheckReport,
     FunctionSequencePair,
     SampleGrid,
-    _limits_on_grid,
     check_equality_only_at_zero,
     first_partner,
     grid_table,
+    limit_values,
     pair_table,
     run_all_checks,
 )
@@ -172,12 +172,6 @@ def _decay_stats(mus: list[float]) -> dict:
     }
 
 
-def _limit_eval(limit_expr: Expr | None, seq_expr: Expr, x: float) -> float:
-    if limit_expr is not None:
-        return float(eval_expr(limit_expr, float(x), 1.0))
-    return limit_in_n(seq_expr, float(x), 1e-9)
-
-
 def _enforce_pair_checks(
     reports: dict[str, CheckReport], require: bool, context: str
 ) -> None:
@@ -215,6 +209,7 @@ def _run_chain(
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 
+    ns = np.array(n_ladder, dtype=float)
     current = domain
     mus = [hausdorff_mnc(current).value]
     trace = [IterationState(0, mus[0], {}, True, None, box=current)]
@@ -235,18 +230,20 @@ def _run_chain(
         if not nested:
             refutation = {"step": k, "n": "nesting", "lhs": mu_image, "rhs": mus[-1]}
 
-        lhs_lim = _limit_eval(lhs_limit, lhs_seq, mu_image)
-        rhs_lim = _limit_eval(rhs_limit, rhs_seq, mus[-1])
+        lhs_lim = float(limit_values(lhs_limit, lhs_seq, mu_image))
+        rhs_lim = float(limit_values(rhs_limit, rhs_seq, mus[-1]))
         margins["limit"] = rhs_lim - lhs_lim
         if refutation is None and lhs_lim > rhs_lim + TIE_TOL:
             refutation = {"step": k, "n": "limit", "lhs": lhs_lim, "rhs": rhs_lim}
 
-        for n in n_ladder:
-            lhs_n = float(eval_expr(lhs_seq, mu_image, float(n)))
-            rhs_n = float(eval_expr(rhs_seq, mus[-1], float(n)))
-            margins[f"n={n}"] = rhs_n - lhs_n
-            if refutation is None and lhs_n > rhs_n + TIE_TOL:
-                refutation = {"step": k, "n": n, "lhs": lhs_n, "rhs": rhs_n}
+        lhs_n = np.broadcast_to(eval_expr(lhs_seq, mu_image, ns), ns.shape)
+        rhs_n = np.broadcast_to(eval_expr(rhs_seq, mus[-1], ns), ns.shape)
+        margins.update((f"n={n}", float(r - l)) for n, l, r in zip(n_ladder, lhs_n, rhs_n))
+        violated = np.flatnonzero(lhs_n > rhs_n + TIE_TOL)
+        if refutation is None and violated.size:
+            i = violated[0]
+            lhs, rhs = float(lhs_n[i]), float(rhs_n[i])
+            refutation = {"step": k, "n": n_ladder[i], "lhs": lhs, "rhs": rhs}
 
         if refutation is None and mu_image > mus[-1] + TIE_TOL:
             refutation = {"step": k, "n": "monotone", "lhs": mu_image, "rhs": mus[-1]}
@@ -349,7 +346,10 @@ def check_example_bound(
         counterexample = {"reason": "bound not decreasing along n"}
 
     if pair.psi_limit is not None and pair.phi_limit is not None:
-        lhs, i, j = max_lhs(*_limits_on_grid(pair, t))
+        lhs, i, j = max_lhs(
+            limit_values(pair.psi_limit, pair.psi_seq, t),
+            limit_values(pair.phi_limit, pair.phi_seq, t),
+        )
         details["limitMaxLhs"] = lhs
         if counterexample is None and lhs > TIE_TOL:
             counterexample = {

@@ -65,7 +65,7 @@ __all__ = [
 DEFAULT_HORIZON = 10_000
 
 # Dominance indices beyond this are treated as out of practical range and
-# reported undecided rather than scanned.
+# reported undecided rather than scanned or materialised into a head.
 _DOMINANCE_CAP = 10_000_000
 
 _SCAN_CHUNK = 1 << 16
@@ -147,10 +147,6 @@ class TailForm:
     def max_ratio(self) -> float:
         return max((r for _, r in self.terms), default=0.0)
 
-    def geometric_bound(self, i: int) -> float:
-        """Upper bound on |f(i) - beta|: sum |alpha_j| * rho_j**i."""
-        return sum(abs(c) * r**i for c, r in self.terms)
-
     def __add__(self, other: "TailForm") -> "TailForm":
         return TailForm(self.terms + other.terms, self.constant + other.constant)
 
@@ -203,26 +199,26 @@ def eventual_sign(form: TailForm, start: int = 1) -> tuple[int, int]:
     index >= from_index, with sign in {-1, 0, +1} (+1 means >= 0, -1 means
     <= 0, 0 means identically zero).
 
-    Raises UndecidedComparisonError for beta = 0, mixed-sign forms whose
-    sign past the horizon cannot be certified.
+    This is the one sign classifier.  Sign-definite forms (beta and every
+    coefficient of one sign) hold their sign from ``start``; other forms
+    with beta != 0 take the sign of beta from the dominance index.  Raises
+    UndecidedComparisonError for mixed-sign beta = 0 forms and for a
+    dominance index more than ``_DOMINANCE_CAP`` past ``start``.
     """
     beta = form.constant
-    if not form.terms:
-        if beta > 0:
-            return (1, start)
-        if beta < 0:
-            return (-1, start)
-        return (0, start)
-    if beta > 0:
-        return (1, form.dominance_index(start))
-    if beta < 0:
-        return (-1, form.dominance_index(start))
     coeffs = [c for c, _ in form.terms]
-    if all(c > 0 for c in coeffs):
+    if beta == 0.0 and not coeffs:
+        return (0, start)
+    if beta >= 0.0 and all(c > 0 for c in coeffs):
         return (1, start)
-    if all(c < 0 for c in coeffs):
+    if beta <= 0.0 and all(c < 0 for c in coeffs):
         return (-1, start)
-    raise UndecidedComparisonError("sign of a mixed-sign beta=0 form is undecidable")
+    if beta == 0.0:
+        raise UndecidedComparisonError("sign of a mixed-sign beta=0 form is undecidable")
+    idx = form.dominance_index(start)
+    if idx - start > _DOMINANCE_CAP:
+        raise UndecidedComparisonError(f"dominance index {idx} exceeds practical range")
+    return (1 if beta > 0.0 else -1, idx)
 
 
 def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
@@ -242,34 +238,25 @@ def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
 def is_nonnegative(form: TailForm, start: int = 1, horizon: int = DEFAULT_HORIZON) -> bool:
     """Exactly decide form(i) >= 0 for every integer i >= start.
 
-    Sign-definite forms are decided at once: beta < 0 (the form tends to
-    beta), and beta >= 0 with every coefficient positive.  Other beta > 0
-    forms are decided via the dominance index; beta = 0 forms with negative
-    coefficients only are negative; beta = 0 forms with mixed signs are
+    beta < 0 is decided at once (the form tends to beta).  Otherwise
+    ``eventual_sign`` settles every index from its from_index on, and the
+    coordinates before it are scanned.  beta = 0 forms with mixed signs are
     scanned up to ``horizon`` and raise UndecidedComparisonError if nothing
     failed by then.
     """
-    beta = form.constant
-    if beta < 0.0:
+    if form.constant < 0.0:
         return False
-    coeffs = [c for c, _ in form.terms]
-    if all(c > 0 for c in coeffs):
-        return True
-    if beta > 0.0:
-        idx = form.dominance_index(start)
-        if idx - start > _DOMINANCE_CAP:
-            raise UndecidedComparisonError(
-                f"dominance index {idx} exceeds practical range"
-            )
-        return _first_negative(form, start, idx) is None
-    if all(c < 0 for c in coeffs):
-        return False
-    witness = _first_negative(form, start, horizon)
-    if witness is not None:
-        return False
-    raise UndecidedComparisonError(
-        f"mixed beta=0 form nonnegative up to horizon {horizon}, undecided beyond"
-    )
+    try:
+        sign, from_idx = eventual_sign(form, start)
+    except UndecidedComparisonError:
+        if form.constant > 0.0:
+            raise
+        if _first_negative(form, start, horizon) is not None:
+            return False
+        raise UndecidedComparisonError(
+            f"mixed beta=0 form nonnegative up to horizon {horizon}, undecided beyond"
+        ) from None
+    return sign >= 0 and _first_negative(form, start, from_idx - 1) is None
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,7 @@ __all__ = [
     "CheckReport",
     "grid_table",
     "pair_table",
+    "limit_values",
     "first_partner",
     "check_uniform_convergence",
     "check_monotone_in_n",
@@ -115,12 +116,11 @@ class CheckReport:
 
 
 def grid_table(e: Expr, t: np.ndarray, ns: tuple[int, ...]) -> np.ndarray:
-    """[n, t] table of e at every n of ``ns``, each row on the whole grid
-    (also for expressions constant in t)."""
-    table = np.empty((len(ns), t.size))
-    for row, n in zip(table, ns):
-        row[:] = eval_expr(e, t, float(n))
-    return table
+    """[n, t] table of e at every n of ``ns`` in one broadcast evaluation,
+    each row on the whole grid (also for expressions constant in t or n).
+    The table may be a read-only view."""
+    n_column = np.array(ns, dtype=float)[:, None]
+    return np.broadcast_to(eval_expr(e, t, n_column), (len(ns), t.size))
 
 
 def pair_table(
@@ -130,18 +130,21 @@ def pair_table(
     return grid_table(pair.psi_seq, t, ns), grid_table(pair.phi_seq, t, ns)
 
 
-def _limits_on_grid(
-    pair: FunctionSequencePair, t: np.ndarray, tol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray]:
-    """Limit values on the grid: declared expressions when present,
-    otherwise numerical estimates."""
+def limit_values(declared: Expr | None, seq: Expr, t):
+    """Limit in n of ``seq`` at t, a scalar or an array: the declared limit
+    expression broadcast to the shape of t when there is one, otherwise the
+    ``limit_in_n`` estimate (tolerance 1e-9)."""
+    if declared is None:
+        return limit_in_n(seq, t, 1e-9)
+    return np.broadcast_to(eval_expr(declared, t, 1.0), np.shape(t))
 
-    def limit(declared: Expr | None, seq: Expr) -> np.ndarray:
-        if declared is not None:
-            return grid_table(declared, t, (1,))[0]
-        return limit_in_n(seq, t, tol)
 
-    return limit(pair.psi_limit, pair.psi_seq), limit(pair.phi_limit, pair.phi_seq)
+def _limits_on_grid(pair: FunctionSequencePair, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Limit values of psi_n and phi_n on the grid."""
+    return (
+        limit_values(pair.psi_limit, pair.psi_seq, t),
+        limit_values(pair.phi_limit, pair.phi_seq, t),
+    )
 
 
 def first_partner(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -169,48 +172,33 @@ def check_uniform_convergence(
         psi_lim, phi_lim = _limits_on_grid(pair, t)
     except LimitDivergenceError as exc:
         return CheckReport("uniform_convergence", UNDECIDED, details={"reason": str(exc)})
-    sup_errors: dict[str, dict[str, float]] = {}
-    argmax: dict[str, dict[int, float]] = {}
-    for which, table, lim in zip(
-        ("psi", "phi"), pair_table(pair, t, grid.n_ladder), (psi_lim, phi_lim)
-    ):
-        err = np.abs(table - lim)
-        sup_errors[which] = {str(n): float(e) for n, e in zip(grid.n_ladder, err.max(axis=1))}
-        argmax[which] = {n: float(t[j]) for n, j in zip(grid.n_ladder, err.argmax(axis=1))}
+    ladder = grid.n_ladder
+    sups, argmax = {}, {}
+    for which, seq, lim in (("psi", pair.psi_seq, psi_lim), ("phi", pair.phi_seq, phi_lim)):
+        err = np.abs(grid_table(seq, t, ladder) - lim)
+        sups[which], argmax[which] = err.max(axis=1), t[err.argmax(axis=1)]
+    sup_errors = {
+        which: {str(n): float(e) for n, e in zip(ladder, sup)} for which, sup in sups.items()
+    }
 
-    for which in ("psi", "phi"):
-        sups = [sup_errors[which][str(n)] for n in grid.n_ladder]
-        for k in range(1, len(sups)):
-            if sups[k] > sups[k - 1] + TIE_TOL:
-                n_prev, n = grid.n_ladder[k - 1], grid.n_ladder[k]
-                return CheckReport(
-                    "uniform_convergence",
-                    FAIL,
-                    counterexample={
-                        "which": which,
-                        "nPrev": n_prev,
-                        "n": n,
-                        "supPrev": sups[k - 1],
-                        "sup": sups[k],
-                        "t": argmax[which][n],
-                    },
-                    sup_errors=sup_errors,
-                    details={"reason": "sup errors not nonincreasing"},
-                )
-        if sups[-1] >= tol:
-            n = grid.n_ladder[-1]
-            return CheckReport(
-                "uniform_convergence",
-                FAIL,
-                counterexample={
-                    "which": which,
-                    "n": n,
-                    "sup": sups[-1],
-                    "tol": tol,
-                    "t": argmax[which][n],
-                },
-                sup_errors=sup_errors,
-                details={"reason": "sup error above tol at largest ladder n"},
+    def fail(reason: str, **counterexample) -> CheckReport:
+        return CheckReport(
+            "uniform_convergence", FAIL, counterexample=counterexample,
+            sup_errors=sup_errors, details={"reason": reason},
+        )
+
+    for which, sup in sups.items():
+        rising = np.flatnonzero(sup[1:] > sup[:-1] + TIE_TOL)
+        if rising.size:
+            k = int(rising[0]) + 1
+            return fail(
+                "sup errors not nonincreasing", which=which, nPrev=ladder[k - 1], n=ladder[k],
+                supPrev=float(sup[k - 1]), sup=float(sup[k]), t=float(argmax[which][k]),
+            )
+        if sup[-1] >= tol:
+            return fail(
+                "sup error above tol at largest ladder n", which=which, n=ladder[-1],
+                sup=float(sup[-1]), tol=tol, t=float(argmax[which][-1]),
             )
     return CheckReport("uniform_convergence", PASS, sup_errors=sup_errors)
 

@@ -301,6 +301,28 @@ class TestConfigValidation:
         assert run(["check-axioms", "--config", cfg]) == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "payload, where",
+        [
+            ({"space": {"horizon": "lots"}}, "space.horizon"),
+            ({"set": dict(UNIT_BOX, headLo=["a"], headHi=[1.0])}, "set"),
+            (
+                {"set": dict(UNIT_BOX, tailHi={"terms": [{"alpha": None, "rho": 0.5}]})},
+                "set.tailHi",
+            ),
+            ({"grid": {"tMax": "x"}}, "grid"),
+            ({"tol": [1]}, "tol"),
+        ],
+        ids=["horizon", "headLo", "alpha", "tMax", "tol"],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, payload, where):
+        cfg = write_config(tmp_path, dict(payload, pair=RATIONAL_PAIR))
+        out = tmp_path / "r.json"
+        assert run(["check-pair", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: ")
+        assert not out.exists()
+
     def test_grid_settings_honoured(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

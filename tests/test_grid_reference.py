@@ -1,10 +1,12 @@
-"""The grid checks against direct T x T formulations.
+"""The grid checks against direct T x T formulations and per-n loops.
 
 The references below evaluate every (u, v) grid pair as a full boolean
 matrix: condition (i), condition (ii) and the contraction-bound table as
 first written.  The checks under test answer the same questions with
 ``first_partner`` in O(ladder * T) memory; their reports must equal the
-references' exactly, witnesses included.
+references' exactly, witnesses included.  Tables, ladder values and the
+uniform-convergence sups are checked against the scalar per-n loops that
+built them before every expression was evaluated once over the ladder.
 """
 
 import tracemalloc
@@ -15,9 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darbocert.engine import check_example_bound
-from darbocert.expr import LimitDivergenceError, eval_expr, limit_in_n, parse_expr
-from darbocert.scenarios import broken_pair, demo_pair
+from darbocert.engine import check_example_bound, darbo_iterate
+from darbocert.expr import (
+    DivisionByZeroError,
+    LimitDivergenceError,
+    eval_expr,
+    limit_in_n,
+    parse_expr,
+)
+from darbocert.scenarios import broken_pair, demo_pair, scaling_operator, unit_box
 from darbocert.shifting import (
     FAIL,
     PASS,
@@ -29,7 +37,11 @@ from darbocert.shifting import (
     _limits_on_grid,
     check_condition_i,
     check_condition_ii,
+    check_monotone_in_n,
+    check_uniform_convergence,
     first_partner,
+    grid_table,
+    limit_values,
 )
 
 BOUND_NS = (1, 10, 100, 1_000, 1_000_000)
@@ -37,6 +49,42 @@ BOUND_NS = (1, 10, 100, 1_000, 1_000_000)
 
 def seq_values(e, t, n):
     return np.broadcast_to(np.asarray(eval_expr(e, t, float(n)), dtype=float), t.shape)
+
+
+def loop_grid_table(e, t, ns):
+    """The [n, t] table built one ladder entry at a time."""
+    table = np.empty((len(ns), t.size))
+    for row, n in zip(table, ns):
+        row[:] = eval_expr(e, t, float(n))
+    return table
+
+
+def reference_uniform_convergence(pair, grid, tol):
+    t = grid.t_values()
+    psi_lim, phi_lim = _limits_on_grid(pair, t)
+    sup_errors, argmax = {}, {}
+    for which, seq, lim in (("psi", pair.psi_seq, psi_lim), ("phi", pair.phi_seq, phi_lim)):
+        err = np.abs(loop_grid_table(seq, t, grid.n_ladder) - lim)
+        sup_errors[which] = {str(n): float(e) for n, e in zip(grid.n_ladder, err.max(axis=1))}
+        argmax[which] = {n: float(t[j]) for n, j in zip(grid.n_ladder, err.argmax(axis=1))}
+    for which in ("psi", "phi"):
+        sups = [sup_errors[which][str(n)] for n in grid.n_ladder]
+        for k in range(1, len(sups)):
+            if sups[k] > sups[k - 1] + TIE_TOL:
+                n_prev, n = grid.n_ladder[k - 1], grid.n_ladder[k]
+                counterexample = {"which": which, "nPrev": n_prev, "n": n,
+                                  "supPrev": sups[k - 1], "sup": sups[k], "t": argmax[which][n]}
+                return CheckReport("uniform_convergence", FAIL, counterexample=counterexample,
+                                   sup_errors=sup_errors,
+                                   details={"reason": "sup errors not nonincreasing"})
+        if sups[-1] >= tol:
+            n = grid.n_ladder[-1]
+            counterexample = {"which": which, "n": n, "sup": sups[-1], "tol": tol,
+                              "t": argmax[which][n]}
+            return CheckReport("uniform_convergence", FAIL, counterexample=counterexample,
+                               sup_errors=sup_errors,
+                               details={"reason": "sup error above tol at largest ladder n"})
+    return CheckReport("uniform_convergence", PASS, sup_errors=sup_errors)
 
 
 def condition_report(name, readings, make_witness):
@@ -131,6 +179,11 @@ def assert_same_as_reference(pair, grid, n_list=BOUND_NS):
             assert (got["verdict"], got["details"]) == (UNDECIDED, {"reason": str(exc)})
     got = check_example_bound(pair, grid, n_list).to_dict()
     assert got == reference_example_bound(pair, grid, n_list).to_dict()
+    got = check_uniform_convergence(pair, grid, 1e-6).to_dict()
+    try:
+        assert got == reference_uniform_convergence(pair, grid, 1e-6).to_dict()
+    except LimitDivergenceError as exc:
+        assert (got["verdict"], got["details"]) == (UNDECIDED, {"reason": str(exc)})
 
 
 def pair_from(psi, phi, psi_lim=None, phi_lim=None):
@@ -250,6 +303,67 @@ class TestRandomPairs:
         with pytest.raises(LimitDivergenceError) as info:
             limit_in_n(e, t, 1e-9)
         assert str(info.value) == errors[0]
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestBroadcastEvaluation:
+    T = SampleGrid().t_values()
+    LADDER = SampleGrid().n_ladder
+
+    @pytest.mark.parametrize("src", [
+        "t", "t*t/3-t", "n", "1/n", "7", "0", "(2*n*(1+t)+2*t+1)/(n+1)", "(n*(2+t)+1)/n",
+    ])
+    def test_table_has_the_bits_of_the_per_n_loop(self, src):
+        e = parse_expr(src)
+        assert same_bits(grid_table(e, self.T, self.LADDER), loop_grid_table(e, self.T, self.LADDER))
+
+    @settings(deadline=None, max_examples=100)
+    @given(sums(), grids)
+    def test_random_tables_have_the_bits_of_the_per_n_loop(self, src, grid):
+        e, t = parse_expr(src), grid.t_values()
+        assert same_bits(grid_table(e, t, grid.n_ladder), loop_grid_table(e, t, grid.n_ladder))
+
+    @settings(deadline=None, max_examples=100)
+    @given(sums(), st.floats(0.0, 50.0), st.sampled_from(((1,), (1, 10, 100), LADDER)))
+    def test_ladder_values_equal_the_scalar_loop(self, src, mu, ladder):
+        e = parse_expr(src)
+        got = np.broadcast_to(eval_expr(e, mu, np.array(ladder, dtype=float)), (len(ladder),))
+        assert same_bits(got, [float(eval_expr(e, mu, float(n))) for n in ladder])
+
+    def test_division_by_zero_at_one_ladder_n_still_raises(self):
+        pair = pair_from("t", "t/(n-4)")
+        grid = SampleGrid(t_max=2.0, step=0.5, n_ladder=(1, 2, 4, 8))
+        with pytest.raises(DivisionByZeroError, match="t/\\(n-4\\)"):
+            check_monotone_in_n(pair, grid)
+        with pytest.raises(DivisionByZeroError, match="t/\\(n-4\\)"):
+            darbo_iterate(
+                scaling_operator(0.5), unit_box(), pair_from("t", "t+t/(n-4)", "t", "t"),
+                n_ladder=(1, 4), pair_reports={},
+            )
+
+    def test_first_failing_division_may_differ_from_the_loop(self):
+        # the loop fails at n = 1 in 1/(n-1); the broadcast meets 1/(n-4) first
+        e = parse_expr("1/(n-4)+1/(n-1)")
+        t, ladder = np.array([0.0, 1.0]), (1, 4)
+        with pytest.raises(DivisionByZeroError, match="1/\\(n-1\\)"):
+            loop_grid_table(e, t, ladder)
+        with pytest.raises(DivisionByZeroError, match="1/\\(n-4\\)"):
+            grid_table(e, t, ladder)
+
+    @settings(deadline=None, max_examples=50)
+    @given(sums(), st.one_of(st.none(), sums(("t", "1", "t*t"))), st.sampled_from((0.0, 0.5, 7.25)))
+    def test_scalar_limit_values_equal_the_array_result(self, seq, declared, x):
+        seq, declared = parse_expr(seq), declared and parse_expr(declared)
+        try:
+            on_grid = limit_values(declared, seq, np.array([0.0, x, 10.0]))
+        except LimitDivergenceError:
+            return
+        assert on_grid.shape == (3,)
+        assert same_bits(float(limit_values(declared, seq, x)), on_grid[1])
 
 
 class TestMemory:

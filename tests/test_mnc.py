@@ -177,6 +177,8 @@ class TestSignMachinery:
         assert not is_nonnegative(TailForm((), -1.0))
         assert is_nonnegative(positive)
         assert is_nonnegative(TailForm((), 0.0))
+        assert eventual_sign(positive, 3) == (1, 3)
+        assert eventual_sign(TailForm(((-2.0, 0.5),), -1.0)) == (-1, 1)
 
     def test_eventual_sign(self):
         assert eventual_sign(TailForm((), 0.0)) == (0, 1)
@@ -184,6 +186,15 @@ class TestSignMachinery:
         sign, idx = eventual_sign(form)
         assert sign == 1
         assert all(form.value(i) > 0 for i in range(idx, idx + 5))
+
+    def test_eventual_sign_past_the_cap_is_undecided(self):
+        # the dominance index of 0.5 - 1e6*0.9999999**i is about 1.45e8,
+        # far past the cap; is_nonnegative refuses the same form
+        form = TailForm(((-1e6, 0.9999999),), 0.5)
+        with pytest.raises(UndecidedComparisonError, match="exceeds practical range"):
+            eventual_sign(form)
+        with pytest.raises(UndecidedComparisonError, match="exceeds practical range"):
+            is_nonnegative(form)
 
 
 class TestBoxValidation:

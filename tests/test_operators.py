@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -69,6 +70,19 @@ class TestApplyToBox:
         op = diag(d_terms=((1.0, 0.9), (-1.0, 0.8)))
         with pytest.raises(UndecidedComparisonError):
             apply_to_box(op, UNIT)
+
+    def test_late_sign_settling_is_undecided_without_allocating(self):
+        # d(i) = 0.5 - 1e6*0.9999999**i settles its sign only near i = 1.45e8;
+        # materialising the head up to there would take over 1 GB
+        op = diag(d_terms=((-1e6, 0.9999999),), d_const=0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UndecidedComparisonError, match="exceeds practical range"):
+                apply_to_box(op, UNIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_sign_change_materialises_into_head(self):
         # d(i) = 1 - 4*0.5**i is negative at i = 1, positive beyond
