@@ -41,7 +41,7 @@ from .engine import (
     weak_contraction_run,
 )
 from .expr import ExprError, parse_expr
-from .mnc import DEFAULT_HORIZON, MncError, TailBox, TailForm, hausdorff_mnc
+from .mnc import _DOMINANCE_CAP, DEFAULT_HORIZON, MncError, TailBox, TailForm, hausdorff_mnc
 from .operators import DiagonalAffineOperator, OperatorError, as_operator
 from .scenarios import demo_pair, scaling_operator, unit_box
 from .shifting import (
@@ -201,7 +201,9 @@ def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(space, dict), "space must be an object")
     with _malformed("space.horizon"):
         cfg.horizon = int(space.get("horizon", DEFAULT_HORIZON))
-    _require(cfg.horizon >= 1, "space.horizon must be >= 1")
+    _require(
+        1 <= cfg.horizon <= _DOMINANCE_CAP, f"space.horizon must lie in [1, {_DOMINANCE_CAP}]"
+    )
 
     if "set" in raw:
         cfg.domain = _parse_box(raw["set"], "set")
@@ -264,7 +266,12 @@ def _base_report(command: str, cfg: RunConfig | None, seed: int | None) -> dict:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Write the report as strict JSON; a non-finite number in it (an
+    overflowed margin, say) is an input error and nothing is written."""
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ConfigError(f"report: {exc}") from exc
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

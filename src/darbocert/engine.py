@@ -13,7 +13,9 @@ Outcomes:
               certified set chain witnesses a fixed point, and for
               contractive operators an explicit one is attached.
 * REFUTED     a re-checkable violating tuple (step, n, lhs, rhs) exists.
-* INCONCLUSIVE the iteration budget ran out; decay statistics and a limit
+* INCONCLUSIVE the iteration budget ran out, or an undeclared limit did not
+              stabilise on the probe ladder (``details`` names the step and
+              the expression and t involved); decay statistics and a limit
               estimate of the mu sequence are reported so that a stall far
               from zero is distinguishable from slow decay.
 """
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import BinOp, Expr, Num, Var, eval_expr
+from .expr import BinOp, Expr, LimitDivergenceError, Num, Var, eval_expr
 from .mnc import (
     DEFAULT_HORIZON,
     TailBox,
@@ -154,7 +156,10 @@ def _aitken_estimate(mus: list[float]) -> float:
     denom = c - 2.0 * b + a
     if denom == 0.0:
         return c
-    p = c - (c - b) ** 2 / denom
+    try:
+        p = c - (c - b) ** 2 / denom
+    except OverflowError:  # a float square past 1.8e308 raises, not inf
+        return c
     if not np.isfinite(p):
         return c
     return max(0.0, p)
@@ -230,8 +235,17 @@ def _run_chain(
         if not nested:
             refutation = {"step": k, "n": "nesting", "lhs": mu_image, "rhs": mus[-1]}
 
-        lhs_lim = float(limit_values(lhs_limit, lhs_seq, mu_image))
-        rhs_lim = float(limit_values(rhs_limit, rhs_seq, mus[-1]))
+        try:
+            lhs_lim = float(limit_values(lhs_limit, lhs_seq, mu_image))
+            rhs_lim = float(limit_values(rhs_limit, rhs_seq, mus[-1]))
+        except LimitDivergenceError as exc:
+            # an undeclared limit that the ladder cannot estimate leaves the
+            # step undecided; the trace ends with the last complete step
+            return Certificate(
+                INCONCLUSIVE, trace,
+                p_estimate=_aitken_estimate(mus), decay=_decay_stats(mus),
+                details={**details, "step": k, "reason": str(exc)},
+            )
         margins["limit"] = rhs_lim - lhs_lim
         if refutation is None and lhs_lim > rhs_lim + TIE_TOL:
             refutation = {"step": k, "n": "limit", "lhs": lhs_lim, "rhs": rhs_lim}

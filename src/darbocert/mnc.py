@@ -70,6 +70,10 @@ _DOMINANCE_CAP = 10_000_000
 
 _SCAN_CHUNK = 1 << 16
 
+# Cells in one TailForm.values block: bounds its temporaries (32 KB) for
+# any term count and index count.
+_VALUES_BLOCK_CELLS = 4096
+
 
 class MncError(ValueError):
     """Base class for set-model failures."""
@@ -136,10 +140,29 @@ class TailForm:
         return sum(c * r**i for c, r in self.terms) + self.constant
 
     def values(self, indices: np.ndarray) -> np.ndarray:
-        out = np.full(indices.shape, self.constant, dtype=float)
-        for coeff, ratio in self.terms:
-            out += coeff * np.power(ratio, indices.astype(float))
-        return out
+        """f(i) at every index of ``indices``.
+
+        Each block of columns is one (terms + 1) x columns array: the
+        constant in row 0, term j at the block's indices in row j.  The
+        rows are summed with ``np.add.accumulate``, which adds them in
+        order (constant, then term 1, then term 2, ...) and so matches a
+        per-term loop bit for bit; ``np.add.reduce`` may sum pairwise.
+        A block holds at most ``_VALUES_BLOCK_CELLS`` cells (one column
+        when there are more terms than that)."""
+        idx = np.ravel(indices)
+        out = np.empty(idx.shape)
+        coeffs = np.array([c for c, _ in self.terms])[:, None]
+        ratios = np.array([r for _, r in self.terms])[:, None]
+        cols = max(1, _VALUES_BLOCK_CELLS // (len(self.terms) + 1))
+        block = np.empty((len(self.terms) + 1, min(cols, idx.size)))
+        for s in range(0, idx.size, cols):
+            x = idx[s:s + cols].astype(float)
+            b = block[:, :x.size]
+            b[0] = self.constant
+            np.power(ratios, x, out=b[1:])
+            b[1:] *= coeffs
+            out[s:s + x.size] = np.add.accumulate(b, axis=0)[-1]
+        return out.reshape(np.shape(indices))
 
     def coeff_abs_sum(self) -> float:
         return sum(abs(c) for c, _ in self.terms)
@@ -186,8 +209,11 @@ class TailForm:
         if total < beta:
             return start
         rho = self.max_ratio()
-        # total * rho**i < beta  <=>  i > log(beta/total)/log(rho)
-        raw = math.log(beta / total) / math.log(rho)
+        # total * rho**i < beta  <=>  i > log(beta/total)/log(rho), with a
+        # difference of logs where beta/total underflows to zero
+        ratio = beta / total
+        log_ratio = math.log(ratio) if ratio > 0.0 else math.log(beta) - math.log(total)
+        raw = log_ratio / math.log(rho)
         idx = int(math.floor(raw)) + 1
         while total * rho**idx >= beta:  # guard the float log estimate
             idx += 1

@@ -9,6 +9,8 @@ from darbocert.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_UNDECIDED,
+    ConfigError,
+    parse_config,
     run,
 )
 
@@ -266,6 +268,45 @@ class TestCertify:
         assert run(["certify", "--config", cfg]) == EXIT_CONFIG
         assert "does not map" in capsys.readouterr().err
 
+    def test_non_finite_report_value_is_config_error(self, tmp_path, capsys):
+        # phi_n = t*n**60 overflows to inf at n = 10**6, and so does its margin
+        phi = "*".join(["t"] + ["n"] * 60)
+        pair = {"psiSeq": "t", "phiSeq": phi, "psiLimit": "t", "phiLimit": "t"}
+        cfg = certify_config(tmp_path, pair=pair, enforcePairChecks=False)
+        out = tmp_path / "r.json"
+        with pytest.warns(UserWarning, match="checks overridden"):
+            assert run(["certify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: report: ") and "JSON compliant: inf" in err
+        assert not out.exists()
+
+    def test_huge_measure_keeps_a_finite_limit_estimate(self, tmp_path, capsys):
+        # the Aitken square (mu_2 - mu_1)**2 = (2.5e299)**2 is past the float range
+        box = dict(UNIT_BOX, tailHi={"terms": [], "beta": 1e300})
+        cfg = certify_config(tmp_path, set=box, classicK=0.5, maxIter=2)
+        out = tmp_path / "r.json"
+        code = run(["certify", "--config", cfg, "--mode", "classic", "--out", str(out)])
+        assert code == EXIT_UNDECIDED
+        capsys.readouterr()
+        assert json.loads(out.read_text())["certificate"]["pEstimate"] == 2.5e299
+
+    @pytest.mark.parametrize("mode", ["main", "weak"])
+    def test_limit_divergence_mid_run_is_inconclusive(self, tmp_path, capsys, mode):
+        # no declared limits, and t*n has no limit in n for t > 0
+        pair = {"psiSeq": "t*n", "phiSeq": "2*t*n"}
+        cfg = certify_config(tmp_path, pair=pair, enforcePairChecks=False)
+        out = tmp_path / "r.json"
+        with pytest.warns(UserWarning, match="checks overridden"):
+            code = run(["certify", "--config", cfg, "--mode", mode, "--out", str(out)])
+        assert code == EXIT_UNDECIDED
+        capsys.readouterr()
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["outcome"] == "INCONCLUSIVE"
+        assert len(cert["trace"]) == 1
+        assert cert["details"]["mode"] == mode
+        assert cert["details"]["step"] == 0
+        assert cert["details"]["reason"].startswith("'t*n' does not stabilise in n at t=0.5 ")
+
     def test_report_byte_identical(self, tmp_path, capsys):
         cfg = certify_config(tmp_path)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -322,6 +363,15 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", [10**7 + 1, 10**18])
+    def test_horizon_past_the_cap_is_config_error(self, horizon):
+        # rejected while parsing, before anything is sized by it
+        with pytest.raises(ConfigError, match=r"space.horizon must lie in \[1, 10000000\]"):
+            parse_config({"space": {"horizon": horizon}})
+
+    def test_horizon_at_the_cap_is_accepted(self):
+        assert parse_config({"space": {"horizon": 10**7}}).horizon == 10**7
 
     def test_grid_settings_honoured(self, tmp_path, capsys):
         cfg = write_config(

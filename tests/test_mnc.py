@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from darbocert.axioms import random_box
 from darbocert.mnc import (
@@ -23,6 +24,7 @@ from darbocert.mnc import (
     convex_combination,
     eventual_sign,
     hausdorff_mnc,
+    _VALUES_BLOCK_CELLS,
     is_nonnegative,
     mnc_union,
     scale_translate,
@@ -92,6 +94,55 @@ class TestTailForm:
             assert s.value(i) == pytest.approx(f.value(i) + g.value(i), abs=1e-9)
             assert p.value(i) == pytest.approx(f.value(i) * g.value(i), abs=1e-8)
         assert f - g == f + g.scale(-1.0)
+
+
+def loop_values(form, indices):
+    """The per-term loop that ``TailForm.values`` replaced: the reference it
+    must match bit for bit."""
+    out = np.full(indices.shape, form.constant, dtype=float)
+    for coeff, ratio in form.terms:
+        out += coeff * np.power(ratio, indices.astype(float))
+    return out
+
+
+@st.composite
+def wide_forms(draw, max_terms=300):
+    """Forms of 0..max_terms terms with coefficients over twelve decades;
+    numpy draws the terms from a seed hypothesis picks."""
+    n = draw(st.integers(0, max_terms))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
+    terms = tuple(zip(coeffs.tolist(), rng.random(n).tolist()))
+    return TailForm(terms, draw(st.floats(-1e3, 1e3)))
+
+
+class TestValuesKernel:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        wide_forms(),
+        st.one_of(st.integers(1, 100), st.integers(10**6 - 100, 10**6 + 100)),
+        st.data(),
+    )
+    def test_matches_the_per_term_loop(self, form, start, data):
+        cols = max(1, _VALUES_BLOCK_CELLS // (len(form.terms) + 1))
+        # one index, or none, or up to four blocks of columns
+        length = data.draw(st.one_of(st.just(1), st.integers(0, 3 * cols + 1)))
+        idx = np.arange(start, start + length, dtype=np.int64)
+        assert form.values(idx).tobytes() == loop_values(form, idx).tobytes()
+
+    def test_temporaries_stay_bounded(self):
+        # ratios near 1 keep every power a normal float over 1..10**5
+        form = TailForm(tuple((1.0 + k, 0.999 + k * 1e-6) for k in range(290)), 1.0)
+        idx = np.arange(1, 100_001, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            form.values(idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 800 KB result plus one block; the per-term loop holds three
+        # 800 KB arrays at once (2.4 MB)
+        assert peak < 2**20
 
 
 class TestSeq:
@@ -186,6 +237,13 @@ class TestSignMachinery:
         sign, idx = eventual_sign(form)
         assert sign == 1
         assert all(form.value(i) > 0 for i in range(idx, idx + 5))
+
+    def test_dominance_index_when_beta_over_total_underflows(self):
+        # 1e-300 / (1e30 + 1) is zero in float64; the form is positive
+        # everywhere since 0.5**i >= 0.25**i
+        form = TailForm(((1e30, 0.5), (-1.0, 0.25)), 1e-300)
+        assert eventual_sign(form)[0] == 1
+        assert is_nonnegative(form)
 
     def test_eventual_sign_past_the_cap_is_undecided(self):
         # the dominance index of 0.5 - 1e6*0.9999999**i is about 1.45e8,

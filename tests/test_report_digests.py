@@ -15,6 +15,12 @@ from darbocert.cli import run
 
 UNIT_BOX = {"tailLo": {"terms": [], "beta": -1.0}, "tailHi": {"terms": [], "beta": 1.0}}
 HALF_SCALING = {"dTail": {"terms": [], "beta": 0.5}, "eTail": {"terms": [], "beta": 0.0}}
+# d = 0.9 + 0.01*0.9**i: a 197-step chain whose nesting scans forms of
+# hundreds of terms
+SLOW_SCALING = {
+    "dTail": {"terms": [{"alpha": 0.01, "rho": 0.9}], "beta": 0.9},
+    "eTail": {"terms": [], "beta": 0.0},
+}
 DEMO_PAIR = {
     "psiSeq": "(2*n*(1+t)+2*t+1)/(n+1)",
     "phiSeq": "(n*(2+t)+1)/n",
@@ -44,6 +50,11 @@ CASES = {
         ["certify", "--mode", "classic"],
         {"set": UNIT_BOX, "operator": HALF_SCALING, "classicK": 0.6}, 0,
         "800851c3d0df309b4b421357b696596be195cd2d427577ecad0540ac811e076f",
+    ),
+    "certify_classic_long": (
+        ["certify", "--mode", "classic"],
+        {"set": UNIT_BOX, "operator": SLOW_SCALING, "classicK": 0.95}, 0,
+        "0b9468a1ffec8c91076b21346b36c06306b0dc7234a1095864f00e68068c9af5",
     ),
     "certify_weak": (
         ["certify", "--mode", "weak"],
