@@ -29,7 +29,9 @@ Everything here is immutable and pure; concurrent use needs no locks.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,6 +76,20 @@ _SCAN_CHUNK = 1 << 16
 # any term count and index count.
 _VALUES_BLOCK_CELLS = 4096
 
+# Forms with more normalised terms than this store them as two sorted
+# float64 arrays and build, merge and multiply them with numpy; smaller
+# forms keep a tuple of pairs and Python loops, since each numpy call costs
+# more than a short loop and tiny forms are built by the hundred thousand.
+_ARRAY_TERMS = 32
+
+# Array arithmetic that overflows as Python floats do, without a warning:
+# the normalisation then rejects a non-finite coefficient, as the loops do.
+_FLOAT_ARITHMETIC = functools.partial(np.errstate, over="ignore", invalid="ignore")
+
+# TailForm.values adds the terms of a form this short one at a time:
+# np.add.accumulate over a block's rows costs about 31 ns per coordinate.
+_LOOP_TERMS = 3
+
 
 class MncError(ValueError):
     """Base class for set-model failures."""
@@ -96,38 +112,144 @@ class UndecidedComparisonError(MncError):
     up to the horizon but cannot be certified beyond it."""
 
 
-@dataclass(frozen=True)
+def _normalise_pairs(terms) -> tuple[tuple[float, float], ...]:
+    """Validate, merge, drop and sort raw (coefficient, ratio) pairs: the
+    normalisation of a form built from at most ``_ARRAY_TERMS`` raw terms."""
+    merged: dict[float, float] = {}
+    for coeff, ratio in terms:
+        coeff = float(coeff)
+        ratio = float(ratio)
+        if not (0.0 <= ratio < 1.0):
+            raise InvalidTailFormError(f"ratio {ratio} outside [0, 1)")
+        if not (math.isfinite(coeff) and math.isfinite(ratio)):
+            raise InvalidTailFormError("non-finite term")
+        merged[ratio] = merged.get(ratio, 0.0) + coeff
+    return tuple(
+        (coeff, ratio)
+        for ratio, coeff in sorted(merged.items())
+        if coeff != 0.0 and ratio != 0.0
+    )
+
+
+def _normalise_arrays(coeffs: np.ndarray, ratios: np.ndarray):
+    """``_normalise_pairs`` on terms given as two float64 arrays in input
+    order, bit for bit and with the same errors.  Returns the storage of a
+    TailForm: (pairs, None, None) for at most ``_ARRAY_TERMS`` terms, else
+    (None, coeffs, ratios) as read-only arrays."""
+    ok = (ratios >= 0.0) & (ratios < 1.0) & np.isfinite(coeffs)
+    if not ok.all():
+        # the first bad term decides; its ratio is checked first
+        ratio = float(ratios[np.argmin(ok)])
+        if not (0.0 <= ratio < 1.0):
+            raise InvalidTailFormError(f"ratio {ratio} outside [0, 1)")
+        raise InvalidTailFormError("non-finite term")
+    order = np.argsort(ratios, kind="stable")
+    coeffs, ratios = coeffs[order], ratios[order]
+    first = np.empty(ratios.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ratios[1:], ratios[:-1], out=first[1:])
+    if not first.all():
+        # np.add.at adds in input order from 0.0, like the dict merge;
+        # np.add.reduceat and np.sum sum a run of 8 or more pairwise
+        merged = np.zeros(np.count_nonzero(first))
+        with _FLOAT_ARITHMETIC():
+            np.add.at(merged, np.cumsum(first) - 1, coeffs)
+        coeffs, ratios = merged, ratios[first]
+    keep = (coeffs != 0.0) & (ratios != 0.0)
+    if not keep.all():
+        coeffs, ratios = coeffs[keep], ratios[keep]
+    if coeffs.size <= _ARRAY_TERMS:
+        return tuple(zip(coeffs.tolist(), ratios.tolist())), None, None
+    coeffs.flags.writeable = False
+    ratios.flags.writeable = False
+    return None, coeffs, ratios
+
+
 class TailForm:
     """finite sum of geometric terms plus a constant, evaluated at i >= 1.
 
     ``terms`` is a tuple of (coefficient, ratio) pairs with 0 <= ratio < 1.
-    Terms are normalised on construction: equal ratios merge, zero
-    coefficients and ratio-zero terms drop (a ratio-zero term vanishes at
-    every index >= 1).
+    Terms are normalised on construction: equal ratios merge (coefficients
+    added in input order), zero coefficients and ratio-zero terms drop (a
+    ratio-zero term vanishes at every index >= 1), and the rest are sorted
+    by ratio.
+
+    A form of at most ``_ARRAY_TERMS`` normalised terms stores that tuple.
+    A longer one stores two sorted read-only float64 arrays (coefficients,
+    ratios), combines them with numpy and builds ``terms`` only when asked.
+    Both give the same terms bit for bit, and equal forms compare and hash
+    equal whichever way they were built.
     """
 
-    terms: tuple[tuple[float, float], ...] = ()
-    constant: float = 0.0
+    __slots__ = ("_pairs", "_coeffs", "_ratios", "constant")
 
-    def __post_init__(self):
-        merged: dict[float, float] = {}
-        for coeff, ratio in self.terms:
-            coeff = float(coeff)
-            ratio = float(ratio)
-            if not (0.0 <= ratio < 1.0):
-                raise InvalidTailFormError(f"ratio {ratio} outside [0, 1)")
-            if not (math.isfinite(coeff) and math.isfinite(ratio)):
-                raise InvalidTailFormError("non-finite term")
-            merged[ratio] = merged.get(ratio, 0.0) + coeff
-        norm = tuple(
-            (coeff, ratio)
-            for ratio, coeff in sorted(merged.items())
-            if coeff != 0.0 and ratio != 0.0
-        )
-        object.__setattr__(self, "terms", norm)
-        object.__setattr__(self, "constant", float(self.constant))
-        if not math.isfinite(self.constant):
+    def __init__(self, terms=(), constant: float = 0.0):
+        terms = tuple(terms)
+        if len(terms) > _ARRAY_TERMS:
+            coeffs = np.array([c for c, _ in terms], dtype=float)
+            ratios = np.array([r for _, r in terms], dtype=float)
+            self._init(*_normalise_arrays(coeffs, ratios), constant)
+        else:
+            self._init(_normalise_pairs(terms), None, None, constant)
+
+    def _init(self, pairs, coeffs, ratios, constant) -> None:
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_coeffs", coeffs)
+        object.__setattr__(self, "_ratios", ratios)
+        constant = float(constant)
+        if not math.isfinite(constant):
             raise InvalidTailFormError("non-finite constant")
+        object.__setattr__(self, "constant", constant)
+
+    @classmethod
+    def _from_arrays(cls, coeffs: np.ndarray, ratios: np.ndarray, constant: float) -> "TailForm":
+        """The form of raw terms given as two float64 arrays in input order."""
+        form = cls.__new__(cls)
+        form._init(*_normalise_arrays(coeffs, ratios), constant)
+        return form
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to TailForm.{name}: tail forms are immutable")
+
+    def __reduce__(self):
+        return (TailForm, (self.terms, self.constant))
+
+    @property
+    def terms(self) -> tuple[tuple[float, float], ...]:
+        """The normalised (coefficient, ratio) pairs, sorted by ratio.  An
+        array-backed form builds this tuple on every call and keeps none."""
+        if self._pairs is not None:
+            return self._pairs
+        return tuple(zip(self._coeffs.tolist(), self._ratios.tolist()))
+
+    @property
+    def n_terms(self) -> int:
+        return len(self._pairs) if self._pairs is not None else self._coeffs.size
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(coefficients, ratios) as float64 arrays."""
+        if self._pairs is None:
+            return self._coeffs, self._ratios
+        cols = np.array(self._pairs, dtype=float).reshape(-1, 2)
+        return cols[:, 0], cols[:, 1]
+
+    def __eq__(self, other):
+        if type(other) is not TailForm:
+            return NotImplemented
+        if self.constant != other.constant or self.n_terms != other.n_terms:
+            return False
+        if self._pairs is not None:
+            return self._pairs == other._pairs
+        return bool(
+            np.array_equal(self._coeffs, other._coeffs)
+            and np.array_equal(self._ratios, other._ratios)
+        )
+
+    def __hash__(self):
+        return hash((self.terms, self.constant))
+
+    def __repr__(self):
+        return f"TailForm(terms={self.terms!r}, constant={self.constant!r})"
 
     @property
     def asym(self) -> float:
@@ -137,24 +259,34 @@ class TailForm:
     def value(self, i: int) -> float:
         if i < 1:
             raise ValueError("tail forms are indexed from 1")
-        return sum(c * r**i for c, r in self.terms) + self.constant
+        pairs = self._pairs
+        if pairs is None:
+            pairs = zip(self._coeffs.tolist(), self._ratios.tolist())
+        return sum(c * r**i for c, r in pairs) + self.constant
 
     def values(self, indices: np.ndarray) -> np.ndarray:
         """f(i) at every index of ``indices``.
 
-        Each block of columns is one (terms + 1) x columns array: the
-        constant in row 0, term j at the block's indices in row j.  The
-        rows are summed with ``np.add.accumulate``, which adds them in
-        order (constant, then term 1, then term 2, ...) and so matches a
-        per-term loop bit for bit; ``np.add.reduce`` may sum pairwise.
-        A block holds at most ``_VALUES_BLOCK_CELLS`` cells (one column
-        when there are more terms than that)."""
+        A form of at most ``_LOOP_TERMS`` terms adds its terms to the
+        constant one at a time.  For a longer one each block of columns is
+        one (terms + 1) x columns array: the constant in row 0, term j at
+        the block's indices in row j.  The rows are summed with
+        ``np.add.accumulate``, which adds them in order (constant, then
+        term 1, then term 2, ...) and so matches the per-term loop bit for
+        bit; ``np.add.reduce`` may sum pairwise.  A block holds at most
+        ``_VALUES_BLOCK_CELLS`` cells (one column when there are more terms
+        than that)."""
         idx = np.ravel(indices)
+        if self.n_terms <= _LOOP_TERMS:
+            x = idx.astype(float)
+            out = np.full(idx.shape, self.constant)
+            for coeff, ratio in self._pairs:
+                out += coeff * np.power(ratio, x)
+            return out.reshape(np.shape(indices))
         out = np.empty(idx.shape)
-        coeffs = np.array([c for c, _ in self.terms])[:, None]
-        ratios = np.array([r for _, r in self.terms])[:, None]
-        cols = max(1, _VALUES_BLOCK_CELLS // (len(self.terms) + 1))
-        block = np.empty((len(self.terms) + 1, min(cols, idx.size)))
+        coeffs, ratios = (a[:, None] for a in self._columns())
+        cols = max(1, _VALUES_BLOCK_CELLS // (self.n_terms + 1))
+        block = np.empty((self.n_terms + 1, min(cols, idx.size)))
         for s in range(0, idx.size, cols):
             x = idx[s:s + cols].astype(float)
             b = block[:, :x.size]
@@ -165,42 +297,81 @@ class TailForm:
         return out.reshape(np.shape(indices))
 
     def coeff_abs_sum(self) -> float:
-        return sum(abs(c) for c, _ in self.terms)
+        if self._pairs is not None:
+            return sum(abs(c) for c, _ in self._pairs)
+        # a sequential sum, as the loop: dominance indices reach the reports
+        return float(np.add.accumulate(np.abs(self._coeffs))[-1])
 
     def max_ratio(self) -> float:
-        return max((r for _, r in self.terms), default=0.0)
+        if self._pairs is not None:
+            return max((r for _, r in self._pairs), default=0.0)
+        return float(self._ratios[-1])
+
+    def _all_coeffs(self, compare) -> bool:
+        """``compare(c, 0.0)`` holds for every coefficient c (vacuously
+        with no terms); ``compare`` is ``operator.gt`` or ``operator.lt``."""
+        if self._pairs is None:
+            return bool(compare(self._coeffs, 0.0).all())
+        return all(compare(c, 0.0) for c, _ in self._pairs)
+
+    def with_constant(self, constant: float) -> "TailForm":
+        """The same terms with another constant."""
+        form = TailForm.__new__(TailForm)
+        form._init(self._pairs, self._coeffs, self._ratios, constant)
+        return form
 
     def __add__(self, other: "TailForm") -> "TailForm":
-        return TailForm(self.terms + other.terms, self.constant + other.constant)
+        constant = self.constant + other.constant
+        if self.n_terms + other.n_terms <= _ARRAY_TERMS:
+            return TailForm(self._pairs + other._pairs, constant)
+        (c1, r1), (c2, r2) = self._columns(), other._columns()
+        return TailForm._from_arrays(np.concatenate((c1, c2)), np.concatenate((r1, r2)), constant)
 
     def __sub__(self, other: "TailForm") -> "TailForm":
         # negation is exact: the same form as self + other.scale(-1.0)
-        negated = tuple((-coeff, ratio) for coeff, ratio in other.terms)
-        return TailForm(self.terms + negated, self.constant - other.constant)
+        constant = self.constant - other.constant
+        if self.n_terms + other.n_terms <= _ARRAY_TERMS:
+            negated = tuple((-coeff, ratio) for coeff, ratio in other._pairs)
+            return TailForm(self._pairs + negated, constant)
+        (c1, r1), (c2, r2) = self._columns(), other._columns()
+        return TailForm._from_arrays(np.concatenate((c1, -c2)), np.concatenate((r1, r2)), constant)
 
     def scale(self, c: float) -> "TailForm":
         c = float(c)
-        return TailForm(
-            tuple((coeff * c, ratio) for coeff, ratio in self.terms),
-            self.constant * c,
-        )
+        if self._pairs is not None:
+            return TailForm(
+                tuple((coeff * c, ratio) for coeff, ratio in self._pairs),
+                self.constant * c,
+            )
+        with _FLOAT_ARITHMETIC():
+            coeffs = self._coeffs * c
+        return TailForm._from_arrays(coeffs, self._ratios, self.constant * c)
 
     def __mul__(self, other: "TailForm") -> "TailForm":
-        # (sum a r^i + b)(sum a' r'^i + b'): product ratios r*r' stay in [0,1)
-        terms: list[tuple[float, float]] = []
-        for c1, r1 in self.terms:
-            for c2, r2 in other.terms:
-                terms.append((c1 * c2, r1 * r2))
-        for c2, r2 in other.terms:
-            terms.append((self.constant * c2, r2))
-        for c1, r1 in self.terms:
-            terms.append((other.constant * c1, r1))
-        return TailForm(tuple(terms), self.constant * other.constant)
+        # (sum a r^i + b)(sum a' r'^i + b'): product ratios r*r' stay in [0,1);
+        # terms in this order: products, b*a' terms, b'*a terms
+        constant = self.constant * other.constant
+        n1, n2 = self.n_terms, other.n_terms
+        if n1 * n2 + n1 + n2 <= _ARRAY_TERMS:
+            terms: list[tuple[float, float]] = []
+            for c1, r1 in self._pairs:
+                for c2, r2 in other._pairs:
+                    terms.append((c1 * c2, r1 * r2))
+            for c2, r2 in other._pairs:
+                terms.append((self.constant * c2, r2))
+            for c1, r1 in self._pairs:
+                terms.append((other.constant * c1, r1))
+            return TailForm(tuple(terms), constant)
+        (c1, r1), (c2, r2) = self._columns(), other._columns()
+        with _FLOAT_ARITHMETIC():
+            coeffs = (np.multiply.outer(c1, c2).ravel(), self.constant * c2, other.constant * c1)
+        ratios = (np.multiply.outer(r1, r2).ravel(), r2, r1)
+        return TailForm._from_arrays(np.concatenate(coeffs), np.concatenate(ratios), constant)
 
     def dominance_index(self, start: int = 1) -> int:
         """Smallest index >= start from which the geometric part is
         strictly dominated by |beta|.  Only meaningful for beta != 0."""
-        if not self.terms:
+        if not self.n_terms:
             return start
         total = self.coeff_abs_sum()
         beta = abs(self.constant)
@@ -232,12 +403,11 @@ def eventual_sign(form: TailForm, start: int = 1) -> tuple[int, int]:
     dominance index more than ``_DOMINANCE_CAP`` past ``start``.
     """
     beta = form.constant
-    coeffs = [c for c, _ in form.terms]
-    if beta == 0.0 and not coeffs:
+    if beta == 0.0 and not form.n_terms:
         return (0, start)
-    if beta >= 0.0 and all(c > 0 for c in coeffs):
+    if beta >= 0.0 and form._all_coeffs(operator.gt):
         return (1, start)
-    if beta <= 0.0 and all(c < 0 for c in coeffs):
+    if beta <= 0.0 and form._all_coeffs(operator.lt):
         return (-1, start)
     if beta == 0.0:
         raise UndecidedComparisonError("sign of a mixed-sign beta=0 form is undecidable")

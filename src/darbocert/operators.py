@@ -138,7 +138,7 @@ def _check_contractive(op: DiagonalAffineOperator, horizon: int) -> None:
         raise NotContractiveError(f"|asym(d)| = {beta} >= 1")
     # beyond idx the geometric part is < 1 - |beta|, so |d(i)| < 1 there
     start = op.head_len + 1
-    idx = TailForm(op.d.tail.terms, 1.0 - beta).dominance_index(start)
+    idx = op.d.tail.with_constant(1.0 - beta).dominance_index(start)
     if idx - start > horizon:
         raise NotContractiveError(f"cannot certify sup|d_i| < 1 within horizon {horizon}")
     bad = np.flatnonzero(np.abs(op.d.pad(idx).head) >= 1.0)
@@ -172,7 +172,7 @@ def fixed_point_witness(
     """
     op = as_operator(spec)
     _check_contractive(op, horizon)
-    if op.d.tail.terms:
+    if op.d.tail.n_terms:
         solve_to = probe_to = max(op.head_len, horizon)
     else:
         solve_to, probe_to = op.head_len, max(op.head_len, 64)

@@ -51,6 +51,10 @@ TIE_TOL = 1e-12
 
 _DEFAULT_LADDER = tuple(2**j for j in range(21))
 
+# Largest [n, t] table (ladder length x grid points) a grid may ask for:
+# every check and weak mode's phi table holds a few tables of this size.
+_MAX_GRID_CELLS = 10_000_000
+
 
 @dataclass(frozen=True)
 class FunctionSequencePair:
@@ -80,6 +84,8 @@ class SampleGrid:
     n_ladder: tuple[int, ...] = _DEFAULT_LADDER
 
     def __post_init__(self):
+        if not (np.isfinite(self.t_max) and np.isfinite(self.step)):
+            raise ValueError(f"t_max and step must be finite, got {self.t_max} and {self.step}")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.t_max < self.step:
@@ -88,10 +94,19 @@ class SampleGrid:
         if not ladder or any(n < 1 for n in ladder) or list(ladder) != sorted(set(ladder)):
             raise ValueError("n ladder must be strictly increasing integers >= 1")
         object.__setattr__(self, "n_ladder", ladder)
+        points = self._point_count()
+        if len(ladder) * points > _MAX_GRID_CELLS:
+            raise ValueError(
+                f"{len(ladder)} ladder entries x {points:.0f} points "
+                f"is more than {_MAX_GRID_CELLS} table cells"
+            )
+
+    def _point_count(self) -> float:
+        # a float, so that a count past the int range still compares
+        return np.floor(self.t_max / self.step + 1e-9) + 1
 
     def t_values(self) -> np.ndarray:
-        count = int(np.floor(self.t_max / self.step + 1e-9)) + 1
-        return np.arange(count) * self.step
+        return np.arange(int(self._point_count())) * self.step
 
 
 @dataclass

@@ -373,6 +373,30 @@ class TestConfigValidation:
     def test_horizon_at_the_cap_is_accepted(self):
         assert parse_config({"space": {"horizon": 10**7}}).horizon == 10**7
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"step": float("nan")}, "t_max and step must be finite"),
+            ({"tMax": float("inf")}, "t_max and step must be finite"),
+            ({"tMax": 100, "step": 1e-9}, "more than 10000000 table cells"),
+        ],
+        ids=["nan-step", "infinite-tMax", "huge-grid"],
+    )
+    def test_unbounded_grid_is_config_error(self, tmp_path, capsys, grid, message):
+        # rejected while parsing: the huge grid would need about 745 GiB
+        cfg = write_config(tmp_path, {"pair": RATIONAL_PAIR, "grid": grid})
+        out = tmp_path / "r.json"
+        assert run(["check-pair", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid: ") and message in err
+        assert not out.exists()
+
+    def test_grid_at_the_cell_cap_is_accepted(self):
+        at_cap = {"tMax": 10**7 - 1, "step": 1, "nLadder": [1]}
+        assert len(parse_config({"grid": at_cap}).grid.n_ladder) == 1
+        with pytest.raises(ConfigError, match="^grid: 2 ladder entries x 10000000 points"):
+            parse_config({"grid": dict(at_cap, nLadder=[1, 2])})
+
     def test_grid_settings_honoured(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

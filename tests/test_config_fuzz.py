@@ -6,13 +6,17 @@ comes with an ``error:`` line and no report.
 Half the examples are well-formed configs; the other half are the same
 configs with one value, at any depth, replaced by junk.  The strategy stays
 small so every example runs in milliseconds: horizons up to 10**4, at most
-50 iterations, coarse grids and a handful of axiom instances.
+50 iterations, coarse grids and a handful of axiom instances.  Grids and
+junk also take non-finite, tiny and huge values; such a grid must be
+rejected (exit 3) before any table is sized by it, so no example starts a
+huge run.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -88,8 +92,8 @@ ladders = st.lists(st.integers(1, 10**6), min_size=1, max_size=3, unique=True).m
 grids = st.fixed_dictionaries(
     {},
     optional={
-        "tMax": st.sampled_from([0.5, 1.0, 2.0, 5.0]),
-        "step": st.sampled_from([0.25, 0.5, 1.0]),
+        "tMax": st.sampled_from([0.5, 1.0, 2.0, 5.0, 1e300, math.inf]),
+        "step": st.sampled_from([0.25, 0.5, 1.0, 1e-9, math.nan]),
         "nLadder": ladders,
     },
 )
@@ -124,7 +128,7 @@ junk = st.one_of(
     st.booleans(),
     st.text(max_size=3),
     st.lists(st.integers(-1, 3), max_size=2),
-    st.sampled_from([-1, 0, 1.0, -0.5, 1e300, -1e300, "t*", "x"]),
+    st.sampled_from([-1, 0, 1.0, -0.5, 1e300, -1e300, 1e-9, math.nan, math.inf, "t*", "x"]),
 )
 
 

@@ -1,5 +1,7 @@
+import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from darbocert.mnc import (
     convex_combination,
     eventual_sign,
     hausdorff_mnc,
+    _ARRAY_TERMS,
     _VALUES_BLOCK_CELLS,
     is_nonnegative,
     mnc_union,
@@ -108,8 +111,9 @@ def loop_values(form, indices):
 @st.composite
 def wide_forms(draw, max_terms=300):
     """Forms of 0..max_terms terms with coefficients over twelve decades;
-    numpy draws the terms from a seed hypothesis picks."""
-    n = draw(st.integers(0, max_terms))
+    numpy draws the terms from a seed hypothesis picks.  Forms of at most
+    four terms, on both sides of the per-term loop's limit, are drawn often."""
+    n = draw(st.one_of(st.integers(0, 4), st.integers(0, max_terms)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coeffs = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
     terms = tuple(zip(coeffs.tolist(), rng.random(n).tolist()))
@@ -496,3 +500,139 @@ class TestPoints:
     def test_zero_point_in_every_symmetric_box(self):
         for level in (0.1, 1.0, 3.0):
             assert contains_point(symmetric_box(level), Point())
+
+
+def loop_normalise(terms):
+    """The dict-merge normalisation that array-backed forms replaced: the
+    reference their terms must match bit for bit, with the same errors."""
+    merged = {}
+    for coeff, ratio in terms:
+        coeff = float(coeff)
+        ratio = float(ratio)
+        if not (0.0 <= ratio < 1.0):
+            raise InvalidTailFormError(f"ratio {ratio} outside [0, 1)")
+        if not (math.isfinite(coeff) and math.isfinite(ratio)):
+            raise InvalidTailFormError("non-finite term")
+        merged[ratio] = merged.get(ratio, 0.0) + coeff
+    return tuple((c, r) for r, c in sorted(merged.items()) if c != 0.0 and r != 0.0)
+
+
+def loop_product_terms(f, g):
+    """The raw term list of ``f * g`` as the Python loops built it."""
+    terms = [(c1 * c2, r1 * r2) for c1, r1 in f.terms for c2, r2 in g.terms]
+    terms += [(f.constant * c2, r2) for c2, r2 in g.terms]
+    terms += [(g.constant * c1, r1) for c1, r1 in f.terms]
+    return terms
+
+
+def bits(terms):
+    return [(c.hex(), r.hex()) for c, r in terms]
+
+
+@st.composite
+def raw_terms(draw, max_terms=600):
+    """0..max_terms raw terms, on both sides of the array threshold: ratios
+    from a small pool (long runs of equal ratios, signed zeros, powers of
+    two whose products meet other pool ratios, ratios whose products
+    underflow to 0) and coefficients over forty decades, some of them
+    signed zeros, so that any change in summation order shows."""
+    n = draw(st.one_of(st.integers(0, 2 * _ARRAY_TERMS), st.integers(0, max_terms)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = [0.0, -0.0, 0.5, 0.25, 0.125, 1e-200, 1e-170]
+    pool = np.concatenate((rng.random(draw(st.integers(1, 40))), special))
+    ratios = rng.choice(pool, n)
+    coeffs = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 21, n)
+    coeffs[rng.random(n) < 0.05] = 0.0
+    coeffs[rng.random(n) < 0.05] = -0.0
+    return list(zip(coeffs.tolist(), ratios.tolist()))
+
+
+class TestArrayBackedForms:
+    @settings(deadline=None, max_examples=200)
+    @given(raw_terms(), raw_terms(), st.floats(-3, 3), st.floats(-3, 3), st.floats(-1e3, 1e3))
+    def test_algebra_matches_the_python_loops(self, t1, t2, b1, b2, c):
+        f, g = TailForm(t1, b1), TailForm(t2, b2)
+        assert bits(f.terms) == bits(loop_normalise(t1))
+        small = TailForm(t2[:3], b2)  # a chain's d has one term
+        cases = [
+            (f + g, f.terms + g.terms),
+            (f - g, f.terms + tuple((-a, r) for a, r in g.terms)),
+            (f.scale(c), tuple((a * c, r) for a, r in f.terms)),
+            (f * small, loop_product_terms(f, small)),
+            (small * f, loop_product_terms(small, f)),
+        ]
+        if f.n_terms * g.n_terms <= 2000:
+            cases.append((f * g, loop_product_terms(f, g)))
+        for form, raw in cases:
+            assert bits(form.terms) == bits(loop_normalise(raw))
+            assert form.n_terms == len(form.terms)
+            # sequential sums and the largest ratio, as the tuple loops give them
+            assert form.coeff_abs_sum() == sum(abs(a) for a, _ in form.terms)
+            assert form.max_ratio() == max((r for _, r in form.terms), default=0.0)
+            # the constructor on the same terms gives an equal form
+            rebuilt = TailForm(form.terms, form.constant)
+            assert rebuilt == form and hash(rebuilt) == hash(form)
+            assert hash(form) == hash((form.terms, form.constant))
+        assert (f == g) == (f.terms == g.terms and b1 == b2)
+
+    @pytest.mark.parametrize("n", [5, 100])
+    @pytest.mark.parametrize(
+        "bad",
+        [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (1.0, 1.0), (1.0, -0.1), (1.0, math.nan)],
+        ids=["nan-coeff", "inf-coeff", "-inf-coeff", "ratio-one", "negative-ratio", "nan-ratio"],
+    )
+    def test_bad_term_raises_as_the_loop_does(self, n, bad):
+        for pos in (0, n // 2, n - 1):
+            terms = [(1.0 + k, 0.5 + k * 1e-3) for k in range(n)]
+            terms[pos] = bad
+            if pos < n - 1:
+                # a later bad term of the other kind never decides the message
+                terms[-1] = (1.0, 2.0) if bad[1] == 0.5 else (math.nan, 0.5)
+            with pytest.raises(InvalidTailFormError) as expected:
+                loop_normalise(terms)
+            with pytest.raises(InvalidTailFormError) as got:
+                TailForm(terms, 0.0)
+            assert str(got.value) == str(expected.value)
+
+    def test_overflow_in_an_operation_raises_as_the_loop_does(self):
+        # Python float arithmetic overflows without a warning; so must numpy's
+        form = TailForm(tuple((1e300 * (1 + k), 0.5 + k * 1e-3) for k in range(100)), 0.0)
+        big = TailForm(tuple((1.5e308, 0.5 + k * 1e-3) for k in range(40)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for overflowing in (lambda: form.scale(1e10), lambda: form * TailForm(((1e10, 0.5),))):
+                with pytest.raises(InvalidTailFormError, match="^non-finite term$"):
+                    overflowing()
+            # a merge that overflows keeps its infinite sum until the next construction
+            doubled = big + big
+            assert bits(doubled.terms) == bits(loop_normalise(big.terms + big.terms))
+            with pytest.raises(InvalidTailFormError, match="^non-finite term$"):
+                doubled - big
+        with pytest.raises(InvalidTailFormError, match="^non-finite constant$"):
+            form.with_constant(math.inf)
+
+    def test_representation_follows_the_normalised_term_count(self):
+        # 40 raw terms on 10 ratios normalise to 10: stored as a tuple
+        merged = TailForm(tuple((1.0, 0.1 * (k % 10 + 1) - 0.05) for k in range(40)), 1.0)
+        assert merged.n_terms == 10 and merged._pairs is not None
+        assert merged == TailForm(merged.terms, 1.0)
+        long = TailForm(tuple((1.0, (k + 1) / 100) for k in range(_ARRAY_TERMS + 1)))
+        assert long._pairs is None and not long._coeffs.flags.writeable
+        assert long.with_constant(2.0) == TailForm(long.terms, 2.0)
+        assert long.max_ratio() == max(r for _, r in long.terms)
+        assert long.coeff_abs_sum() == sum(abs(c) for c, _ in long.terms)
+        assert long.value(3) == sum(c * r**3 for c, r in long.terms)
+        assert repr(long).startswith("TailForm(terms=((1.0, 0.01), ")
+
+    def test_long_forms_hold_arrays_not_tuples(self):
+        base = TailForm(tuple((1.0 + k, 0.5 + k * 1e-3) for k in range(290)), 1.0)
+        tracemalloc.start()
+        try:
+            held = [base.scale(1.0 + k) for k in range(100)]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 100
+        # two float64 arrays take about 4.6 KB a form (0.5 MB for the
+        # hundred); a tuple of 290 (coefficient, ratio) pairs about 26 KB
+        assert peak < 1_000_000
