@@ -228,7 +228,12 @@ def eval_expr(e: Expr, t, n):
     """
     _check_domain(t, n)
     exact = isinstance(t, (int, Fraction)) and isinstance(n, (int, Fraction))
-    return _eval(e, t, n, exact)
+    if exact:
+        return _eval(e, t, n, exact)
+    # overflow gives inf and inf - inf gives nan, as with Python floats,
+    # and no RuntimeWarning reaches stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _eval(e, t, n, exact)
 
 
 def _eval(e: Expr, t, n, exact: bool):

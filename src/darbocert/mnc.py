@@ -18,11 +18,15 @@ factor and never contribute).  An independent truncation oracle
 ``truncation_tail_sup`` recovers the same number by explicitly maximising
 the envelopes over coordinates beyond a cut N.
 
-Pointwise tail comparisons are resolved exactly through a dominance index:
-once the geometric part of a form is smaller than |beta| the sign of the
-form equals the sign of beta, and only finitely many earlier coordinates
-need a direct check.  Forms with beta = 0 and mixed-sign coefficients are
-checked up to a configurable horizon and flagged undecided beyond it.
+Pointwise tail comparisons are resolved through a dominance index: once
+the geometric part of a form is smaller than |beta| the sign of the form
+equals the sign of beta.  The finitely many earlier coordinates are
+checked in float64 by blocks: a lower bound from the form's positive and
+negative parts, with a rigorous margin for rounding, clears whole blocks
+at once, and only blocks it cannot clear are evaluated coordinate by
+coordinate, so the verdict is the one a scan of every coordinate gives.
+Forms with beta = 0 and mixed-sign coefficients are checked the same way
+up to a configurable horizon and flagged undecided beyond it.
 
 Everything here is immutable and pure; concurrent use needs no locks.
 """
@@ -70,7 +74,19 @@ DEFAULT_HORIZON = 10_000
 # reported undecided rather than scanned or materialised into a head.
 _DOMINANCE_CAP = 10_000_000
 
+# affine_image materialises d's coordinates up to its sign-settling index
+# one scalar TailForm.value at a time; a longer head than this is refused.
+_HEAD_CAP = 100_000
+
+# _first_negative scans a range in windows of this many coordinates, so a
+# form negative early in a long horizon scan costs one window, and the
+# block arrays of a window stay small.
 _SCAN_CHUNK = 1 << 16
+
+# A block of more coordinates than this is first offered to the block
+# bound of _first_negative, and split into this many children if the bound
+# cannot clear it; a block of at most this many is evaluated pointwise.
+_SCAN_FANOUT = 8
 
 # Cells in one TailForm.values block: bounds its temporaries (32 KB) for
 # any term count and index count.
@@ -134,8 +150,7 @@ def _normalise_pairs(terms) -> tuple[tuple[float, float], ...]:
 def _normalise_arrays(coeffs: np.ndarray, ratios: np.ndarray):
     """``_normalise_pairs`` on terms given as two float64 arrays in input
     order, bit for bit and with the same errors.  Returns the storage of a
-    TailForm: (pairs, None, None) for at most ``_ARRAY_TERMS`` terms, else
-    (None, coeffs, ratios) as read-only arrays."""
+    TailForm (see ``_storage``)."""
     ok = (ratios >= 0.0) & (ratios < 1.0) & np.isfinite(coeffs)
     if not ok.all():
         # the first bad term decides; its ratio is checked first
@@ -158,6 +173,13 @@ def _normalise_arrays(coeffs: np.ndarray, ratios: np.ndarray):
     keep = (coeffs != 0.0) & (ratios != 0.0)
     if not keep.all():
         coeffs, ratios = coeffs[keep], ratios[keep]
+    return _storage(coeffs, ratios)
+
+
+def _storage(coeffs: np.ndarray, ratios: np.ndarray):
+    """The storage of a TailForm with these normalised terms: (pairs,
+    None, None) for at most ``_ARRAY_TERMS`` terms, else (None, coeffs,
+    ratios) as read-only arrays."""
     if coeffs.size <= _ARRAY_TERMS:
         return tuple(zip(coeffs.tolist(), ratios.tolist())), None, None
     coeffs.flags.writeable = False
@@ -206,6 +228,14 @@ class TailForm:
         """The form of raw terms given as two float64 arrays in input order."""
         form = cls.__new__(cls)
         form._init(*_normalise_arrays(coeffs, ratios), constant)
+        return form
+
+    def _select(self, mask: np.ndarray, constant: float) -> "TailForm":
+        """The terms that ``mask`` picks, with another constant.  A subset of
+        normalised terms is normalised, so nothing is merged or sorted."""
+        coeffs, ratios = self._columns()
+        form = TailForm.__new__(TailForm)
+        form._init(*_storage(coeffs[mask], ratios[mask]), constant)
         return form
 
     def __setattr__(self, name, value):
@@ -417,18 +447,115 @@ def eventual_sign(form: TailForm, start: int = 1) -> tuple[int, int]:
     return (1 if beta > 0.0 else -1, idx)
 
 
+class _BlockBound:
+    """Proves blocks of coordinates free of negative ``TailForm.values``
+    without evaluating the form at each of them.
+
+    The form splits into P, its positive terms (plus beta when beta >= 0),
+    and N, its negative terms (plus beta when beta < 0).  Every ratio lies
+    in (0, 1), so P is nonincreasing and N nondecreasing in i, and on a
+    block [a, b]
+
+        f(i) = P(i) + N(i) >= L = P(b + 1) + N(a).
+
+    A block is cleared when the computed L exceeds 2*(gamma*M + eta), with
+    M = P(a) - N(a) = |beta| + sum |c_j| r_j**a.  Why that makes the float
+    value of f at every i in the block nonnegative, with u = 2**-53:
+
+    - One evaluation of f, P or N at i (``TailForm.values``: each power
+      within 4 ulp, one product per term, then a sum in order from the
+      constant) is off by at most gamma_{n+9} M(i), where gamma_k =
+      ku / (1 - ku) and M(i) <= M(a) (Higham, Accuracy and Stability of
+      Numerical Algorithms, ch. 3-4).  A power or product that underflows
+      adds at most (4|c_j| + 1/2) 2**-1074; a sum of floats underflows
+      exactly.
+    - With e = gamma_{n+9} M(a) + n(4 max|c_j| + 1) 2**-1074 (P and N have
+      n terms together), fl(f(i)) >= f(i) - e >= L - e for i in [a, b],
+      and fl(L) <= L + e up to its last rounding.  So fl(L) > 2e gives
+      fl(f(i)) > 0.
+    - gamma = (n + 5) 2**-52 = (2n + 10)u exceeds gamma_{n+9} by a factor
+      of at least 1.3 for n >= 4, and eta = 4(n + 1)(1 + max|c_j|)
+      2**-1074 the underflow term by more; that slack absorbs the rounding
+      of M, of L and of the threshold itself.  An overflow makes M or the
+      threshold infinite, or L NaN, and clears nothing.
+
+    A cleared block therefore holds no index at which the pointwise scan
+    finds a negative value, and ``_first_negative`` returns the same index
+    as a scan of every coordinate.
+    """
+
+    def __init__(self, form: TailForm):
+        coeffs, ratios = form._columns()
+        beta = form.constant
+        pos = coeffs > 0.0
+        self.pos = form._select(pos, max(beta, 0.0))
+        self.neg = form._select(~pos, min(beta, 0.0))
+        n = form.n_terms
+        self.gamma = (n + 5) * 2.0**-52
+        self.eta = 4 * (n + 1) * 2.0**-1074 * (1.0 + float(np.abs(coeffs).max()))
+
+    def clears(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Which blocks [a_k, b_k - 1] are proved free of negative values."""
+        pa, pb = np.split(self.pos.values(np.concatenate((a, b))), 2)
+        q = self.neg.values(a)
+        with _FLOAT_ARITHMETIC():
+            return pb + q > 2.0 * (self.gamma * (pa - q) + self.eta)
+
+
+def _pointwise_first_negative(form: TailForm, idx: np.ndarray) -> int | None:
+    """First index of the sorted ``idx`` at which ``form.values`` is < 0."""
+    bad = np.flatnonzero(form.values(idx) < 0.0)
+    return int(idx[bad[0]]) if bad.size else None
+
+
 def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
-    """First index i in [start, stop] with form(i) < 0, scanning in chunks."""
-    i = start
-    while i <= stop:
-        hi = min(stop, i + _SCAN_CHUNK - 1)
-        idx = np.arange(i, hi + 1, dtype=np.int64)
-        vals = form.values(idx)
-        bad = np.nonzero(vals < 0.0)[0]
-        if bad.size:
-            return int(idx[bad[0]])
-        i = hi + 1
+    """First index i in [start, stop] with form(i) < 0 in float: the index
+    at which a pointwise scan of ``form.values`` first sees a negative.
+
+    The range is scanned in windows of ``_SCAN_CHUNK`` coordinates.  For a
+    form of more than ``_LOOP_TERMS`` terms a window is refined level by
+    level: ``_BlockBound`` clears whole blocks, each block it cannot clear
+    splits into ``_SCAN_FANOUT`` children, and blocks of at most
+    ``_SCAN_FANOUT`` coordinates are evaluated pointwise.  Blocks that
+    start past a negative already found are dropped."""
+    if start > stop:
+        return None
+    blocks = form.n_terms > _LOOP_TERMS and stop - start >= _SCAN_FANOUT
+    bound = _BlockBound(form) if blocks else None
+    for lo in range(start, stop + 1, _SCAN_CHUNK):
+        hi = min(stop, lo + _SCAN_CHUNK - 1)
+        if bound is None:
+            found = _pointwise_first_negative(form, np.arange(lo, hi + 1, dtype=np.int64))
+        else:
+            found = _first_negative_in_blocks(form, bound, lo, hi)
+        if found is not None:
+            return found
     return None
+
+
+def _first_negative_in_blocks(form: TailForm, bound: _BlockBound, lo: int, hi: int) -> int | None:
+    # blocks [a_k, b_k - 1], in index order
+    a = np.array([lo], dtype=np.int64)
+    b = np.array([hi + 1], dtype=np.int64)
+    steps = np.arange(_SCAN_FANOUT + 1)
+    found = None
+    while a.size:
+        sizes = b - a
+        leaf = sizes <= _SCAN_FANOUT
+        if leaf.any():
+            # the coordinates of every leaf, in index order
+            n = sizes[leaf]
+            offsets = np.repeat(np.cumsum(n) - n - a[leaf], n)
+            hit = _pointwise_first_negative(form, np.arange(n.sum()) - offsets)
+            if hit is not None:
+                found = hit if found is None else min(found, hit)
+        keep = ~leaf if found is None else ~leaf & (a < found)
+        if keep.any():
+            keep[keep] = ~bound.clears(a[keep], b[keep])
+        a, sizes = a[keep], sizes[keep]
+        cuts = a[:, None] + sizes[:, None] * steps // _SCAN_FANOUT
+        a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    return found
 
 
 def is_nonnegative(form: TailForm, start: int = 1, horizon: int = DEFAULT_HORIZON) -> bool:
@@ -436,9 +563,11 @@ def is_nonnegative(form: TailForm, start: int = 1, horizon: int = DEFAULT_HORIZO
 
     beta < 0 is decided at once (the form tends to beta).  Otherwise
     ``eventual_sign`` settles every index from its from_index on, and the
-    coordinates before it are scanned.  beta = 0 forms with mixed signs are
-    scanned up to ``horizon`` and raise UndecidedComparisonError if nothing
-    failed by then.
+    coordinates before it are checked by ``_first_negative``: block bounds
+    clear whole runs of coordinates, the rest are evaluated pointwise, and
+    the verdict is that of a float64 scan of every coordinate.  beta = 0
+    forms with mixed signs are checked up to ``horizon`` and raise
+    UndecidedComparisonError if nothing failed by then.
     """
     if form.constant < 0.0:
         return False
@@ -696,10 +825,15 @@ def affine_image(box: TailBox, d: Seq, e: Seq) -> TailBox:
     Coordinates before the eventual sign of d is settled are materialised
     into the head; beyond, the image tails are tail-form products with the
     envelopes swapped where d is negative.  Raises UndecidedComparisonError
-    when the sign of d is genuinely undecidable.
+    when the sign of d is genuinely undecidable, and when it settles only
+    past a head of ``_HEAD_CAP`` coordinates.
     """
     h = max(box.head_len, d.head_len, e.head_len)
     sign, from_idx = eventual_sign(d.tail, start=h + 1)
+    if from_idx - 1 > max(h, _HEAD_CAP):
+        raise UndecidedComparisonError(
+            f"sign of d settles only at index {from_idx}, past the head cap {_HEAD_CAP}"
+        )
     d = d.pad(from_idx - 1)
     x, y = d * box.lo, d * box.hi
     if sign < 0:

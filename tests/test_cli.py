@@ -280,6 +280,30 @@ class TestCertify:
         assert err.startswith("error: report: ") and "JSON compliant: inf" in err
         assert not out.exists()
 
+    def test_non_finite_report_leaves_one_line_on_stderr(self, tmp_path):
+        # the same run in a fresh interpreter: numpy's overflow in t*n*...*n
+        # must not print a RuntimeWarning; the expected override warning of
+        # the pair checks is silenced
+        phi = "*".join(["t"] + ["n"] * 60)
+        pair = {"psiSeq": "t", "phiSeq": phi, "psiLimit": "t", "phiLimit": "t"}
+        cfg = certify_config(tmp_path, pair=pair, enforcePairChecks=False)
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore::UserWarning", "-m", "darbocert", "certify",
+             "--config", cfg, "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == (
+            "error: report: Out of range float values are not JSON compliant: inf\n"
+        )
+
+    def test_late_settling_multiplier_is_config_error(self, tmp_path, capsys):
+        # d = 0.5 - 1e6*0.99999**i would pad a head of 1,450,858 coordinates
+        late = dict(HALF_SCALING, dTail={"terms": [{"alpha": -1e6, "rho": 0.99999}], "beta": 0.5})
+        cfg = certify_config(tmp_path, operator=late, classicK=0.6)
+        assert run(["certify", "--config", cfg, "--mode", "classic"]) == EXIT_CONFIG
+        assert "past the head cap" in capsys.readouterr().err
+
     def test_huge_measure_keeps_a_finite_limit_estimate(self, tmp_path, capsys):
         # the Aitken square (mu_2 - mu_1)**2 = (2.5e299)**2 is past the float range
         box = dict(UNIT_BOX, tailHi={"terms": [], "beta": 1e300})

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from darbocert.axioms import random_box
 from darbocert.mnc import (
+    DEFAULT_HORIZON,
     InvalidBoxError,
     InvalidPointError,
     InvalidTailFormError,
@@ -27,13 +29,18 @@ from darbocert.mnc import (
     eventual_sign,
     hausdorff_mnc,
     _ARRAY_TERMS,
+    _LOOP_TERMS,
+    _SCAN_CHUNK,
     _VALUES_BLOCK_CELLS,
+    _BlockBound,
+    _first_negative,
     is_nonnegative,
     mnc_union,
     scale_translate,
     subset,
     truncation_tail_sup,
 )
+from darbocert.operators import DiagonalAffineOperator, apply_to_box
 
 
 def symmetric_box(level, terms=()):
@@ -147,6 +154,194 @@ class TestValuesKernel:
         # the 800 KB result plus one block; the per-term loop holds three
         # 800 KB arrays at once (2.4 MB)
         assert peak < 2**20
+
+
+def loop_first_negative(form, start, stop):
+    """The pointwise scan that ``_first_negative`` replaced: every
+    coordinate of [start, stop] through ``TailForm.values``, in windows.
+    The block scan must return the same index."""
+    i = start
+    while i <= stop:
+        hi = min(stop, i + _SCAN_CHUNK - 1)
+        idx = np.arange(i, hi + 1, dtype=np.int64)
+        bad = np.nonzero(form.values(idx) < 0.0)[0]
+        if bad.size:
+            return int(idx[bad[0]])
+        i = hi + 1
+    return None
+
+
+def with_value_at(form, i, value):
+    """``form`` with the constant moved so that its float value at i is
+    about ``value``."""
+    return form.with_constant(form.constant - float(form.values(np.array([i]))[0]) + value)
+
+
+@st.composite
+def scan_cases(draw):
+    """(form, start, stop): wide forms over a range of up to 3,000
+    coordinates, often moved to within a few ulps of zero at one coordinate
+    of the range, or with beta = 0.  Most forms have more terms than the
+    per-term loop, so that the block bound decides."""
+    form = draw(st.one_of(wide_forms(), wide_forms().filter(lambda f: f.n_terms > _LOOP_TERMS)))
+    start = draw(st.one_of(st.integers(1, 50), st.integers(1, 10**6)))
+    stop = start + draw(st.integers(-1, 3000))
+    kind = draw(st.sampled_from(["plain", "near_zero", "beta_zero"]))
+    if kind == "near_zero" and form.n_terms:
+        pivot = draw(st.integers(start, max(start, stop)))
+        mass = abs(form.constant) + form.coeff_abs_sum()
+        form = with_value_at(form, pivot, draw(st.integers(-4, 4)) * np.spacing(mass))
+    elif kind == "beta_zero":
+        form = form.with_constant(0.0)
+    return form, start, stop
+
+
+def count_columns(monkeypatch):
+    """Count the columns passed to ``TailForm.values`` from now on."""
+    seen = [0]
+    values = TailForm.values
+
+    def counting(self, indices):
+        seen[0] += np.size(indices)
+        return values(self, indices)
+
+    monkeypatch.setattr(TailForm, "values", counting)
+    return seen
+
+
+def slow_chain_gaps(steps):
+    """The nesting gaps D - d*D, D = d**k for k in ``steps``, of a chain with
+    d = 0.98 + 0.01*0.9**i: the shape of the long classic chain's nesting
+    forms."""
+    d = TailForm(((0.01, 0.9),), 0.98)
+    power, gaps = TailForm((), 1.0), []
+    for k in range(1, max(steps) + 1):
+        power = power * d
+        if k in steps:
+            gaps.append(power - d * power)
+    return gaps
+
+
+class TestBlockScan:
+    @settings(deadline=None, max_examples=200)
+    @given(scan_cases())
+    def test_matches_the_pointwise_scan(self, case):
+        form, start, stop = case
+        assert _first_negative(form, start, stop) == loop_first_negative(form, start, stop)
+
+    @settings(deadline=None, max_examples=60)
+    @given(wide_forms(max_terms=40), st.floats(0.05, 0.95), st.integers(1, 200), st.data())
+    def test_one_minus_d_times_a_form(self, p, beta, start, data):
+        # (1 - d)*P with d near beta: mixed signs and long ranges near zero
+        d = TailForm(((data.draw(st.floats(-0.5, 0.5)), data.draw(st.floats(0.5, 0.999))),), beta)
+        form = (TailForm((), 1.0) - d) * p
+        stop = start + data.draw(st.integers(0, 2000))
+        assert _first_negative(form, start, stop) == loop_first_negative(form, start, stop)
+
+    @settings(deadline=None, max_examples=30)
+    @given(wide_forms(), st.integers(1, DEFAULT_HORIZON))
+    def test_mixed_beta_zero_forms_to_the_horizon(self, form, horizon):
+        form = form.with_constant(0.0)
+        assert _first_negative(form, 1, horizon) == loop_first_negative(form, 1, horizon)
+
+    def test_first_negative_past_the_first_window(self):
+        # positive up to about 70,000, then negative for a long stretch
+        form = TailForm(((1.0, 0.99999), (0.5, 0.9), (-1e-4, 0.3), (1e-6, 0.2)), -0.496)
+        stop = 2 * _SCAN_CHUNK + 10
+        found = _first_negative(form, 1, stop)
+        assert _SCAN_CHUNK < found == loop_first_negative(form, 1, stop)
+
+    def test_rounded_nesting_form_of_the_slow_chain(self):
+        # d = 0.3 - 0.5*0.999**i on the unit box: the float lower gap of
+        # nesting step 13 is negative at 511, the first coordinate after its
+        # head, and the block scan keeps that verdict
+        op = DiagonalAffineOperator((), TailForm(((-0.5, 0.999),), 0.3), (), TailForm((), 0.0))
+        box = symmetric_box(1.0)
+        for _ in range(13):
+            box = apply_to_box(op, box)
+        gap = apply_to_box(op, box).lo - box.lo
+        start = gap.head_len + 1
+        sign, idx = eventual_sign(gap.tail, start)
+        assert (sign, start) == (1, 511)
+        assert _first_negative(gap.tail, start, idx - 1) == 511
+        assert loop_first_negative(gap.tail, start, idx - 1) == 511
+
+    def test_long_chain_forms_need_a_tenth_of_the_columns(self, monkeypatch):
+        gaps = slow_chain_gaps((600, 800, 1000))
+        assert max(g.n_terms for g in gaps) >= 250
+        ranges = [(1, eventual_sign(g)[1] - 1) for g in gaps]
+        pointwise = sum(stop - start + 1 for start, stop in ranges)
+        seen = count_columns(monkeypatch)
+        for gap, (start, stop) in zip(gaps, ranges):
+            assert _first_negative(gap, start, stop) is None
+        assert seen[0] < pointwise / 10
+
+    def test_failing_blocks_cost_little_more_than_the_pointwise_scan(self, monkeypatch):
+        # 0.9**i - 0.899999**i + ...: positive everywhere, yet the bound
+        # clears no block of nine coordinates in [1, 20000]
+        form = TailForm(((1.0, 0.9), (-1.0, 0.899999), (1.0, 0.8), (-1.0, 0.799999)))
+        starts = np.arange(1, 20_000, 9)
+        assert not _BlockBound(form).clears(starts, starts + 9).any()
+        seen = count_columns(monkeypatch)
+        assert _first_negative(form, 1, 20_000) is None
+        assert seen[0] <= 1.35 * 20_000
+
+
+def gamma(k):
+    """Higham's gamma_k = k*u/(1 - k*u), u = 2**-53, exactly."""
+    u = Fraction(1, 2**53)
+    return k * u / (1 - k * u)
+
+
+def worst_rounding(form, a):
+    """An upper bound on |fl(g(a)) - g(a)| for ``form`` and for each of its
+    sign parts g, evaluated as ``TailForm.values`` does, with np.power
+    within 4 ulp: gamma_{n+9} times the mass at a, plus n times the
+    underflow of one term."""
+    n = form.n_terms
+    mass = abs(Fraction(form.constant)) + sum(abs(Fraction(c)) * Fraction(r) ** a for c, r in form.terms)
+    big = max(abs(Fraction(c)) for c, _ in form.terms)
+    tiny = Fraction(1, 2**1074)
+    return gamma(n + 9) * mass + n * (4 * big * (1 + gamma(1)) + Fraction(1, 2)) * (1 + gamma(n)) * tiny
+
+
+def placed_form(rng, n, scale, a, b, kappa):
+    """A form of n mixed-sign terms whose block bound over [a, b] is moved to
+    about kappa units of 2**-53 times the form's mass at a (or of 2**-1074
+    when the values underflow)."""
+    coeffs = rng.uniform(1.0, 2.0, n) * np.where(np.arange(n) % 2, -1.0, 1.0) * scale
+    form = TailForm(zip(coeffs.tolist(), rng.uniform(0.5, 0.6, n).tolist()))
+    bound = _BlockBound(form)
+    low = float(bound.pos.values(np.array([b + 1]))[0] + bound.neg.values(np.array([a]))[0])
+    mass = float(bound.pos.values(np.array([a]))[0] - bound.neg.values(np.array([a]))[0])
+    unit = max(mass * 2.0**-53, 2.0**-1074)
+    return form.with_constant(kappa * unit - low)
+
+
+class TestBlockBoundSoundness:
+    """A cleared block must leave room for the worst rounding of both float
+    evaluations the argument compares, checked in exact arithmetic: the
+    float lower bound, less its own worst error, less the worst error of a
+    pointwise value, stays positive.  Blocks are placed just above and below
+    the filter's threshold, in normal and in underflowing ranges."""
+
+    @pytest.mark.parametrize("scale, a", [(1.0, 20), (1e-300, 60)], ids=["normal", "underflow"])
+    def test_cleared_blocks_cover_the_worst_rounding(self, scale, a):
+        rng = np.random.default_rng(5)
+        b = a + 9
+        cleared = 0
+        for n in (4, 5, 8, 13):
+            for kappa in range(0, 6 * (n + 10)):
+                form = placed_form(rng, n, scale, a, b, kappa)
+                bound = _BlockBound(form)
+                if not bound.clears(np.array([a]), np.array([b + 1]))[0]:
+                    continue
+                cleared += 1
+                low = Fraction(float(bound.pos.values(np.array([b + 1]))[0])) + Fraction(
+                    float(bound.neg.values(np.array([a]))[0])
+                )
+                assert low - 2 * worst_rounding(form, a) > 0, (n, kappa)
+        assert cleared
 
 
 class TestSeq:

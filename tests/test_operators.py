@@ -84,6 +84,19 @@ class TestApplyToBox:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_head_past_the_cap_is_undecided_without_padding(self):
+        # d(i) = 0.5 - 1e6*0.99999**i settles its sign at i = 1,450,859,
+        # inside the dominance cap; its head would take 51 s and 122 MB
+        op = diag(d_terms=((-1e6, 0.99999),), d_const=0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(UndecidedComparisonError, match="at index 1450859, past the head cap"):
+                apply_to_box(op, UNIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_sign_change_materialises_into_head(self):
         # d(i) = 1 - 4*0.5**i is negative at i = 1, positive beyond
         op = diag(d_terms=((-4.0, 0.5),), d_const=1.0)
