@@ -83,10 +83,10 @@ _HEAD_CAP = 100_000
 # block arrays of a window stay small.
 _SCAN_CHUNK = 1 << 16
 
-# A block of more coordinates than this is first offered to the block
-# bound of _first_negative, and split into this many children if the bound
-# cannot clear it; a block of at most this many is evaluated pointwise.
-_SCAN_FANOUT = 8
+# A scan of more coordinates than this is first offered to the block bound
+# of _first_negative, which costs three columns; a shorter one is evaluated
+# pointwise.
+_BLOCK_MIN = 8
 
 # Cells in one TailForm.values block: bounds its temporaries (32 KB) for
 # any term count and index count.
@@ -496,9 +496,9 @@ class _BlockBound:
 
     def clears(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Which blocks [a_k, b_k - 1] are proved free of negative values."""
-        pa, pb = np.split(self.pos.values(np.concatenate((a, b))), 2)
-        q = self.neg.values(a)
         with _FLOAT_ARITHMETIC():
+            pa, pb = np.split(self.pos.values(np.concatenate((a, b))), 2)
+            q = self.neg.values(a)
             return pb + q > 2.0 * (self.gamma * (pa - q) + self.eta)
 
 
@@ -513,49 +513,21 @@ def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
     at which a pointwise scan of ``form.values`` first sees a negative.
 
     The range is scanned in windows of ``_SCAN_CHUNK`` coordinates.  For a
-    form of more than ``_LOOP_TERMS`` terms a window is refined level by
-    level: ``_BlockBound`` clears whole blocks, each block it cannot clear
-    splits into ``_SCAN_FANOUT`` children, and blocks of at most
-    ``_SCAN_FANOUT`` coordinates are evaluated pointwise.  Blocks that
-    start past a negative already found are dropped."""
+    form of more than ``_LOOP_TERMS`` terms over more than ``_BLOCK_MIN``
+    coordinates, ``_BlockBound`` is offered each window as one block, and
+    only a window it cannot clear is evaluated pointwise."""
     if start > stop:
         return None
-    blocks = form.n_terms > _LOOP_TERMS and stop - start >= _SCAN_FANOUT
+    blocks = form.n_terms > _LOOP_TERMS and stop - start >= _BLOCK_MIN
     bound = _BlockBound(form) if blocks else None
     for lo in range(start, stop + 1, _SCAN_CHUNK):
         hi = min(stop, lo + _SCAN_CHUNK - 1)
-        if bound is None:
-            found = _pointwise_first_negative(form, np.arange(lo, hi + 1, dtype=np.int64))
-        else:
-            found = _first_negative_in_blocks(form, bound, lo, hi)
+        if bound is not None and bound.clears(np.array([lo]), np.array([hi + 1]))[0]:
+            continue
+        found = _pointwise_first_negative(form, np.arange(lo, hi + 1, dtype=np.int64))
         if found is not None:
             return found
     return None
-
-
-def _first_negative_in_blocks(form: TailForm, bound: _BlockBound, lo: int, hi: int) -> int | None:
-    # blocks [a_k, b_k - 1], in index order
-    a = np.array([lo], dtype=np.int64)
-    b = np.array([hi + 1], dtype=np.int64)
-    steps = np.arange(_SCAN_FANOUT + 1)
-    found = None
-    while a.size:
-        sizes = b - a
-        leaf = sizes <= _SCAN_FANOUT
-        if leaf.any():
-            # the coordinates of every leaf, in index order
-            n = sizes[leaf]
-            offsets = np.repeat(np.cumsum(n) - n - a[leaf], n)
-            hit = _pointwise_first_negative(form, np.arange(n.sum()) - offsets)
-            if hit is not None:
-                found = hit if found is None else min(found, hit)
-        keep = ~leaf if found is None else ~leaf & (a < found)
-        if keep.any():
-            keep[keep] = ~bound.clears(a[keep], b[keep])
-        a, sizes = a[keep], sizes[keep]
-        cuts = a[:, None] + sizes[:, None] * steps // _SCAN_FANOUT
-        a, b = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-    return found
 
 
 def is_nonnegative(form: TailForm, start: int = 1, horizon: int = DEFAULT_HORIZON) -> bool:

@@ -251,6 +251,13 @@ class TestBlockScan:
         found = _first_negative(form, 1, stop)
         assert _SCAN_CHUNK < found == loop_first_negative(form, 1, stop)
 
+    def test_overflowing_sign_part_clears_nothing_and_warns_nothing(self):
+        # P(1) = 1.85e308 overflows, while the form's in-order sum at 1 is
+        # finite; RuntimeWarnings are errors in this suite
+        form = TailForm(((1e308, 0.9), (1e308, 0.95), (-1e308, 0.5), (-1e308, 0.6)))
+        assert not _BlockBound(form).clears(np.array([1]), np.array([20])).any()
+        assert _first_negative(form, 1, 5000) == loop_first_negative(form, 1, 5000)
+
     def test_rounded_nesting_form_of_the_slow_chain(self):
         # d = 0.3 - 0.5*0.999**i on the unit box: the float lower gap of
         # nesting step 13 is negative at 511, the first coordinate after its
