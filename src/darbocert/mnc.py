@@ -502,12 +502,6 @@ class _BlockBound:
             return pb + q > 2.0 * (self.gamma * (pa - q) + self.eta)
 
 
-def _pointwise_first_negative(form: TailForm, idx: np.ndarray) -> int | None:
-    """First index of the sorted ``idx`` at which ``form.values`` is < 0."""
-    bad = np.flatnonzero(form.values(idx) < 0.0)
-    return int(idx[bad[0]]) if bad.size else None
-
-
 def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
     """First index i in [start, stop] with form(i) < 0 in float: the index
     at which a pointwise scan of ``form.values`` first sees a negative.
@@ -516,17 +510,16 @@ def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
     form of more than ``_LOOP_TERMS`` terms over more than ``_BLOCK_MIN``
     coordinates, ``_BlockBound`` is offered each window as one block, and
     only a window it cannot clear is evaluated pointwise."""
-    if start > stop:
-        return None
     blocks = form.n_terms > _LOOP_TERMS and stop - start >= _BLOCK_MIN
     bound = _BlockBound(form) if blocks else None
     for lo in range(start, stop + 1, _SCAN_CHUNK):
         hi = min(stop, lo + _SCAN_CHUNK - 1)
         if bound is not None and bound.clears(np.array([lo]), np.array([hi + 1]))[0]:
             continue
-        found = _pointwise_first_negative(form, np.arange(lo, hi + 1, dtype=np.int64))
-        if found is not None:
-            return found
+        idx = np.arange(lo, hi + 1, dtype=np.int64)
+        bad = np.flatnonzero(form.values(idx) < 0.0)
+        if bad.size:
+            return int(idx[bad[0]])
     return None
 
 
