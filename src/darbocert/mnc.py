@@ -510,7 +510,9 @@ def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
     form of more than ``_LOOP_TERMS`` terms over more than ``_BLOCK_MIN``
     coordinates, ``_BlockBound`` is offered each window as one block, and
     only a window it cannot clear is evaluated pointwise."""
-    blocks = form.n_terms > _LOOP_TERMS and stop - start >= _BLOCK_MIN
+    if start > stop:
+        return None
+    blocks = stop - start >= _BLOCK_MIN and form.n_terms > _LOOP_TERMS
     bound = _BlockBound(form) if blocks else None
     for lo in range(start, stop + 1, _SCAN_CHUNK):
         hi = min(stop, lo + _SCAN_CHUNK - 1)
