@@ -150,7 +150,8 @@ def _normalise_pairs(terms) -> tuple[tuple[float, float], ...]:
 def _normalise_arrays(coeffs: np.ndarray, ratios: np.ndarray):
     """``_normalise_pairs`` on terms given as two float64 arrays in input
     order, bit for bit and with the same errors.  Returns the storage of a
-    TailForm (see ``_storage``)."""
+    TailForm: (pairs, None, None) for at most ``_ARRAY_TERMS`` terms, else
+    (None, coeffs, ratios) as read-only arrays."""
     ok = (ratios >= 0.0) & (ratios < 1.0) & np.isfinite(coeffs)
     if not ok.all():
         # the first bad term decides; its ratio is checked first
@@ -173,18 +174,31 @@ def _normalise_arrays(coeffs: np.ndarray, ratios: np.ndarray):
     keep = (coeffs != 0.0) & (ratios != 0.0)
     if not keep.all():
         coeffs, ratios = coeffs[keep], ratios[keep]
-    return _storage(coeffs, ratios)
-
-
-def _storage(coeffs: np.ndarray, ratios: np.ndarray):
-    """The storage of a TailForm with these normalised terms: (pairs,
-    None, None) for at most ``_ARRAY_TERMS`` terms, else (None, coeffs,
-    ratios) as read-only arrays."""
     if coeffs.size <= _ARRAY_TERMS:
         return tuple(zip(coeffs.tolist(), ratios.tolist())), None, None
     coeffs.flags.writeable = False
     ratios.flags.writeable = False
     return None, coeffs, ratios
+
+
+def _array_values(coeffs: np.ndarray, ratios: np.ndarray, constant: float, idx: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] * ratios[j]**i + constant at every i of the 1-D
+    ``idx``, summed in order from the constant; each block of columns is
+    one array of at most ``_VALUES_BLOCK_CELLS`` cells (one column when
+    there are more terms than that)."""
+    out = np.empty(idx.shape)
+    n = coeffs.size
+    coeffs, ratios = coeffs[:, None], ratios[:, None]
+    cols = max(1, _VALUES_BLOCK_CELLS // (n + 1))
+    block = np.empty((n + 1, min(cols, idx.size)))
+    for s in range(0, idx.size, cols):
+        x = idx[s:s + cols].astype(float)
+        b = block[:, :x.size]
+        b[0] = constant
+        np.power(ratios, x, out=b[1:])
+        b[1:] *= coeffs
+        out[s:s + x.size] = np.add.accumulate(b, axis=0)[-1]
+    return out
 
 
 class TailForm:
@@ -228,14 +242,6 @@ class TailForm:
         """The form of raw terms given as two float64 arrays in input order."""
         form = cls.__new__(cls)
         form._init(*_normalise_arrays(coeffs, ratios), constant)
-        return form
-
-    def _select(self, mask: np.ndarray, constant: float) -> "TailForm":
-        """The terms that ``mask`` picks, with another constant.  A subset of
-        normalised terms is normalised, so nothing is merged or sorted."""
-        coeffs, ratios = self._columns()
-        form = TailForm.__new__(TailForm)
-        form._init(*_storage(coeffs[mask], ratios[mask]), constant)
         return form
 
     def __setattr__(self, name, value):
@@ -303,9 +309,7 @@ class TailForm:
         the block's indices in row j.  The rows are summed with
         ``np.add.accumulate``, which adds them in order (constant, then
         term 1, then term 2, ...) and so matches the per-term loop bit for
-        bit; ``np.add.reduce`` may sum pairwise.  A block holds at most
-        ``_VALUES_BLOCK_CELLS`` cells (one column when there are more terms
-        than that)."""
+        bit; ``np.add.reduce`` may sum pairwise (``_array_values``)."""
         idx = np.ravel(indices)
         if self.n_terms <= _LOOP_TERMS:
             x = idx.astype(float)
@@ -313,18 +317,7 @@ class TailForm:
             for coeff, ratio in self._pairs:
                 out += coeff * np.power(ratio, x)
             return out.reshape(np.shape(indices))
-        out = np.empty(idx.shape)
-        coeffs, ratios = (a[:, None] for a in self._columns())
-        cols = max(1, _VALUES_BLOCK_CELLS // (self.n_terms + 1))
-        block = np.empty((self.n_terms + 1, min(cols, idx.size)))
-        for s in range(0, idx.size, cols):
-            x = idx[s:s + cols].astype(float)
-            b = block[:, :x.size]
-            b[0] = self.constant
-            np.power(ratios, x, out=b[1:])
-            b[1:] *= coeffs
-            out[s:s + x.size] = np.add.accumulate(b, axis=0)[-1]
-        return out.reshape(np.shape(indices))
+        return _array_values(*self._columns(), self.constant, idx).reshape(np.shape(indices))
 
     def coeff_abs_sum(self) -> float:
         if self._pairs is not None:
@@ -462,7 +455,7 @@ class _BlockBound:
     M = P(a) - N(a) = |beta| + sum |c_j| r_j**a.  Why that makes the float
     value of f at every i in the block nonnegative, with u = 2**-53:
 
-    - One evaluation of f, P or N at i (``TailForm.values``: each power
+    - One evaluation of f, P or N at i (``_array_values``: each power
       within 4 ulp, one product per term, then a sum in order from the
       constant) is off by at most gamma_{n+9} M(i), where gamma_k =
       ku / (1 - ku) and M(i) <= M(a) (Higham, Accuracy and Stability of
@@ -488,8 +481,9 @@ class _BlockBound:
         coeffs, ratios = form._columns()
         beta = form.constant
         pos = coeffs > 0.0
-        self.pos = form._select(pos, max(beta, 0.0))
-        self.neg = form._select(~pos, min(beta, 0.0))
+        # (coefficients, ratios, constant) of P and of N
+        self.pos = (coeffs[pos], ratios[pos], max(beta, 0.0))
+        self.neg = (coeffs[~pos], ratios[~pos], min(beta, 0.0))
         n = form.n_terms
         self.gamma = (n + 5) * 2.0**-52
         self.eta = 4 * (n + 1) * 2.0**-1074 * (1.0 + float(np.abs(coeffs).max()))
@@ -497,8 +491,8 @@ class _BlockBound:
     def clears(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Which blocks [a_k, b_k - 1] are proved free of negative values."""
         with _FLOAT_ARITHMETIC():
-            pa, pb = np.split(self.pos.values(np.concatenate((a, b))), 2)
-            q = self.neg.values(a)
+            pa, pb = np.split(_array_values(*self.pos, np.concatenate((a, b))), 2)
+            q = _array_values(*self.neg, a)
             return pb + q > 2.0 * (self.gamma * (pa - q) + self.eta)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darbocert import mnc
 from darbocert.axioms import random_box
 from darbocert.mnc import (
     DEFAULT_HORIZON,
@@ -33,6 +34,7 @@ from darbocert.mnc import (
     _SCAN_CHUNK,
     _VALUES_BLOCK_CELLS,
     _BlockBound,
+    _array_values,
     _first_negative,
     is_nonnegative,
     mnc_union,
@@ -197,15 +199,16 @@ def scan_cases(draw):
 
 
 def count_columns(monkeypatch):
-    """Count the columns passed to ``TailForm.values`` from now on."""
+    """Count the columns evaluated by ``_array_values`` from now on: every
+    evaluation of a form of more than three terms and of a block bound."""
     seen = [0]
-    values = TailForm.values
+    values = mnc._array_values
 
-    def counting(self, indices):
-        seen[0] += np.size(indices)
-        return values(self, indices)
+    def counting(coeffs, ratios, constant, idx):
+        seen[0] += idx.size
+        return values(coeffs, ratios, constant, idx)
 
-    monkeypatch.setattr(TailForm, "values", counting)
+    monkeypatch.setattr(mnc, "_array_values", counting)
     return seen
 
 
@@ -319,8 +322,8 @@ def placed_form(rng, n, scale, a, b, kappa):
     coeffs = rng.uniform(1.0, 2.0, n) * np.where(np.arange(n) % 2, -1.0, 1.0) * scale
     form = TailForm(zip(coeffs.tolist(), rng.uniform(0.5, 0.6, n).tolist()))
     bound = _BlockBound(form)
-    low = float(bound.pos.values(np.array([b + 1]))[0] + bound.neg.values(np.array([a]))[0])
-    mass = float(bound.pos.values(np.array([a]))[0] - bound.neg.values(np.array([a]))[0])
+    low = float(_array_values(*bound.pos, np.array([b + 1]))[0] + _array_values(*bound.neg, np.array([a]))[0])
+    mass = float(_array_values(*bound.pos, np.array([a]))[0] - _array_values(*bound.neg, np.array([a]))[0])
     unit = max(mass * 2.0**-53, 2.0**-1074)
     return form.with_constant(kappa * unit - low)
 
@@ -344,8 +347,8 @@ class TestBlockBoundSoundness:
                 if not bound.clears(np.array([a]), np.array([b + 1]))[0]:
                     continue
                 cleared += 1
-                low = Fraction(float(bound.pos.values(np.array([b + 1]))[0])) + Fraction(
-                    float(bound.neg.values(np.array([a]))[0])
+                low = Fraction(float(_array_values(*bound.pos, np.array([b + 1]))[0])) + Fraction(
+                    float(_array_values(*bound.neg, np.array([a]))[0])
                 )
                 assert low - 2 * worst_rounding(form, a) > 0, (n, kappa)
         assert cleared
