@@ -309,7 +309,8 @@ class TailForm:
         the block's indices in row j.  The rows are summed with
         ``np.add.accumulate``, which adds them in order (constant, then
         term 1, then term 2, ...) and so matches the per-term loop bit for
-        bit; ``np.add.reduce`` may sum pairwise (``_array_values``)."""
+        bit; ``np.add.reduce`` may sum pairwise.  ``_array_values`` is that
+        block loop."""
         idx = np.ravel(indices)
         if self.n_terms <= _LOOP_TERMS:
             x = idx.astype(float)
