@@ -211,10 +211,15 @@ def parse_expr(text: str) -> Expr:
     return node
 
 
+_SCALARS = (int, float, Fraction)
+
+
 def _check_domain(t, n) -> None:
-    if bool(np.any(np.asarray(t) < 0)):
+    """t >= 0 and n >= 1 everywhere; a NaN passes.  Python scalars are
+    compared directly, since a numpy conversion costs more than the check."""
+    if (t < 0) if isinstance(t, _SCALARS) else (np.asarray(t) < 0).any():
         raise ValueError("t must be nonnegative")
-    if bool(np.any(np.asarray(n) < 1)):
+    if (n < 1) if isinstance(n, _SCALARS) else (np.asarray(n) < 1).any():
         raise ValueError("n must be >= 1")
 
 

@@ -140,6 +140,8 @@ def _normalise_pairs(terms) -> tuple[tuple[float, float], ...]:
         if not (math.isfinite(coeff) and math.isfinite(ratio)):
             raise InvalidTailFormError("non-finite term")
         merged[ratio] = merged.get(ratio, 0.0) + coeff
+    if not all(map(math.isfinite, merged.values())):
+        raise InvalidTailFormError("non-finite term")
     return tuple(
         (coeff, ratio)
         for ratio, coeff in sorted(merged.items())
@@ -149,16 +151,7 @@ def _normalise_pairs(terms) -> tuple[tuple[float, float], ...]:
 
 def _normalise_arrays(coeffs: np.ndarray, ratios: np.ndarray):
     """``_normalise_pairs`` on terms given as two float64 arrays in input
-    order, bit for bit and with the same errors.  Returns the storage of a
-    TailForm: (pairs, None, None) for at most ``_ARRAY_TERMS`` terms, else
-    (None, coeffs, ratios) as read-only arrays."""
-    ok = (ratios >= 0.0) & (ratios < 1.0) & np.isfinite(coeffs)
-    if not ok.all():
-        # the first bad term decides; its ratio is checked first
-        ratio = float(ratios[np.argmin(ok)])
-        if not (0.0 <= ratio < 1.0):
-            raise InvalidTailFormError(f"ratio {ratio} outside [0, 1)")
-        raise InvalidTailFormError("non-finite term")
+    order, bit for bit, for ratios known to lie in [0, 1)."""
     order = np.argsort(ratios, kind="stable")
     coeffs, ratios = coeffs[order], ratios[order]
     first = np.empty(ratios.size, dtype=bool)
@@ -171,6 +164,15 @@ def _normalise_arrays(coeffs: np.ndarray, ratios: np.ndarray):
         with _FLOAT_ARITHMETIC():
             np.add.at(merged, np.cumsum(first) - 1, coeffs)
         coeffs, ratios = merged, ratios[first]
+    return _storage(coeffs, ratios)
+
+
+def _storage(coeffs: np.ndarray, ratios: np.ndarray):
+    """TailForm storage of merged terms with sorted ratios, less zero
+    coefficients and ratios; a non-finite coefficient raises.  (pairs, None,
+    None) for at most ``_ARRAY_TERMS`` terms, else read-only arrays."""
+    if not np.isfinite(coeffs).all():
+        raise InvalidTailFormError("non-finite term")
     keep = (coeffs != 0.0) & (ratios != 0.0)
     if not keep.all():
         coeffs, ratios = coeffs[keep], ratios[keep]
@@ -179,6 +181,28 @@ def _normalise_arrays(coeffs: np.ndarray, ratios: np.ndarray):
     coeffs.flags.writeable = False
     ratios.flags.writeable = False
     return None, coeffs, ratios
+
+
+def _merge_pairs(p1, p2, op):
+    """``op`` (``operator.add`` or ``operator.sub``) on two normalised term
+    tuples with at most ``_ARRAY_TERMS`` terms together."""
+    out, i, j = [], 0, 0
+    while i < len(p1) and j < len(p2):
+        (c1, r1), (c2, r2) = p1[i], p2[j]
+        if r1 < r2:
+            out.append(p1[i])
+            i += 1
+        elif r2 < r1:
+            out.append((op(0.0, c2), r2))
+            j += 1
+        else:
+            c = op(c1, c2)
+            if not math.isfinite(c):
+                raise InvalidTailFormError("non-finite term")
+            if c != 0.0:
+                out.append((c, r1))
+            i, j = i + 1, j + 1
+    return tuple(out + list(p1[i:]) + [(op(0.0, c), r) for c, r in p2[j:]])
 
 
 def _array_values(coeffs: np.ndarray, ratios: np.ndarray, constant: float, idx: np.ndarray) -> np.ndarray:
@@ -213,20 +237,28 @@ class TailForm:
     A form of at most ``_ARRAY_TERMS`` normalised terms stores that tuple.
     A longer one stores two sorted read-only float64 arrays (coefficients,
     ratios), combines them with numpy and builds ``terms`` only when asked.
-    Both give the same terms bit for bit, and equal forms compare and hash
-    equal whichever way they were built.
+    Sums, differences and scalings merge their operands' sorted terms and
+    do not normalise them again.  All give the constructor's terms bit for
+    bit, and equal forms compare and hash equal however they were built.
     """
 
     __slots__ = ("_pairs", "_coeffs", "_ratios", "constant")
 
     def __init__(self, terms=(), constant: float = 0.0):
         terms = tuple(terms)
-        if len(terms) > _ARRAY_TERMS:
-            coeffs = np.array([c for c, _ in terms], dtype=float)
-            ratios = np.array([r for _, r in terms], dtype=float)
-            self._init(*_normalise_arrays(coeffs, ratios), constant)
-        else:
+        if len(terms) <= _ARRAY_TERMS:
             self._init(_normalise_pairs(terms), None, None, constant)
+            return
+        coeffs = np.array([c for c, _ in terms], dtype=float)
+        ratios = np.array([r for _, r in terms], dtype=float)
+        ok = (ratios >= 0.0) & (ratios < 1.0) & np.isfinite(coeffs)
+        if not ok.all():
+            # the first bad term decides, as in _normalise_pairs; its ratio first
+            ratio = float(ratios[np.argmin(ok)])
+            if not (0.0 <= ratio < 1.0):
+                raise InvalidTailFormError(f"ratio {ratio} outside [0, 1)")
+            raise InvalidTailFormError("non-finite term")
+        self._init(*_normalise_arrays(coeffs, ratios), constant)
 
     def _init(self, pairs, coeffs, ratios, constant) -> None:
         object.__setattr__(self, "_pairs", pairs)
@@ -238,10 +270,10 @@ class TailForm:
         object.__setattr__(self, "constant", constant)
 
     @classmethod
-    def _from_arrays(cls, coeffs: np.ndarray, ratios: np.ndarray, constant: float) -> "TailForm":
-        """The form of raw terms given as two float64 arrays in input order."""
+    def _of(cls, storage, constant: float) -> "TailForm":
+        """The form with normalised storage (pairs, coeffs, ratios)."""
         form = cls.__new__(cls)
-        form._init(*_normalise_arrays(coeffs, ratios), constant)
+        form._init(*storage, constant)
         return form
 
     def __setattr__(self, name, value):
@@ -340,36 +372,39 @@ class TailForm:
 
     def with_constant(self, constant: float) -> "TailForm":
         """The same terms with another constant."""
-        form = TailForm.__new__(TailForm)
-        form._init(self._pairs, self._coeffs, self._ratios, constant)
-        return form
+        return TailForm._of((self._pairs, self._coeffs, self._ratios), constant)
+
+    def _combine(self, other: "TailForm", op) -> "TailForm":
+        """self op other, op ``operator.add`` or ``operator.sub``."""
+        constant = op(self.constant, other.constant)
+        n1, n2 = self.n_terms, other.n_terms
+        if not n2 or (not n1 and op is operator.add):
+            return (other if n2 else self).with_constant(constant)
+        if n1 + n2 <= _ARRAY_TERMS:
+            return TailForm._of((_merge_pairs(self._pairs, other._pairs, op), None, None), constant)
+        (c1, r1), (c2, r2) = self._columns(), other._columns()
+        if r1.size == r2.size and np.array_equal(r1, r2):
+            with _FLOAT_ARITHMETIC():
+                return TailForm._of(_storage(op(c1, c2), r1), constant)
+        coeffs = np.concatenate((c1, op(0.0, c2)))
+        return TailForm._of(_normalise_arrays(coeffs, np.concatenate((r1, r2))), constant)
 
     def __add__(self, other: "TailForm") -> "TailForm":
-        constant = self.constant + other.constant
-        if self.n_terms + other.n_terms <= _ARRAY_TERMS:
-            return TailForm(self._pairs + other._pairs, constant)
-        (c1, r1), (c2, r2) = self._columns(), other._columns()
-        return TailForm._from_arrays(np.concatenate((c1, c2)), np.concatenate((r1, r2)), constant)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "TailForm") -> "TailForm":
-        # negation is exact: the same form as self + other.scale(-1.0)
-        constant = self.constant - other.constant
-        if self.n_terms + other.n_terms <= _ARRAY_TERMS:
-            negated = tuple((-coeff, ratio) for coeff, ratio in other._pairs)
-            return TailForm(self._pairs + negated, constant)
-        (c1, r1), (c2, r2) = self._columns(), other._columns()
-        return TailForm._from_arrays(np.concatenate((c1, -c2)), np.concatenate((r1, r2)), constant)
+        return self._combine(other, operator.sub)
 
     def scale(self, c: float) -> "TailForm":
         c = float(c)
-        if self._pairs is not None:
-            return TailForm(
-                tuple((coeff * c, ratio) for coeff, ratio in self._pairs),
-                self.constant * c,
-            )
-        with _FLOAT_ARITHMETIC():
-            coeffs = self._coeffs * c
-        return TailForm._from_arrays(coeffs, self._ratios, self.constant * c)
+        if self._pairs is None:
+            with _FLOAT_ARITHMETIC():
+                coeffs = self._coeffs * c
+            return TailForm._of(_storage(coeffs, self._ratios), self.constant * c)
+        pairs = tuple(t for t in [(coeff * c, r) for coeff, r in self._pairs] if t[0] != 0.0)
+        if not all(math.isfinite(coeff) for coeff, _ in pairs):
+            raise InvalidTailFormError("non-finite term")
+        return TailForm._of((pairs, None, None), self.constant * c)
 
     def __mul__(self, other: "TailForm") -> "TailForm":
         # (sum a r^i + b)(sum a' r'^i + b'): product ratios r*r' stay in [0,1);
@@ -377,20 +412,15 @@ class TailForm:
         constant = self.constant * other.constant
         n1, n2 = self.n_terms, other.n_terms
         if n1 * n2 + n1 + n2 <= _ARRAY_TERMS:
-            terms: list[tuple[float, float]] = []
-            for c1, r1 in self._pairs:
-                for c2, r2 in other._pairs:
-                    terms.append((c1 * c2, r1 * r2))
-            for c2, r2 in other._pairs:
-                terms.append((self.constant * c2, r2))
-            for c1, r1 in self._pairs:
-                terms.append((other.constant * c1, r1))
-            return TailForm(tuple(terms), constant)
+            terms = [(c1 * c2, r1 * r2) for c1, r1 in self._pairs for c2, r2 in other._pairs]
+            terms += [(self.constant * c2, r2) for c2, r2 in other._pairs]
+            terms += [(other.constant * c1, r1) for c1, r1 in self._pairs]
+            return TailForm(terms, constant)
         (c1, r1), (c2, r2) = self._columns(), other._columns()
         with _FLOAT_ARITHMETIC():
             coeffs = (np.multiply.outer(c1, c2).ravel(), self.constant * c2, other.constant * c1)
         ratios = (np.multiply.outer(r1, r2).ravel(), r2, r1)
-        return TailForm._from_arrays(np.concatenate(coeffs), np.concatenate(ratios), constant)
+        return TailForm._of(_normalise_arrays(*map(np.concatenate, (coeffs, ratios))), constant)
 
     def dominance_index(self, start: int = 1) -> int:
         """Smallest index >= start from which the geometric part is

@@ -366,6 +366,13 @@ class TestConfigValidation:
         assert run(["check-axioms", "--config", cfg]) == EXIT_CONFIG
         capsys.readouterr()
 
+    def test_overflowing_merged_term_names_its_tail(self, tmp_path, capsys):
+        # two coefficients 1e308 on one ratio sum past the float range
+        terms = [{"alpha": 1e308, "rho": 0.5}, {"alpha": 1e308, "rho": 0.5}]
+        cfg = write_config(tmp_path, {"set": dict(UNIT_BOX, tailHi={"terms": terms, "beta": 1.0})})
+        assert run(["check-axioms", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: set.tailHi: non-finite term\n"
+
     @pytest.mark.parametrize(
         "payload, where",
         [

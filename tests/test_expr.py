@@ -77,10 +77,29 @@ class TestEval:
 
     def test_domain_validation(self):
         e = parse_expr("t")
-        with pytest.raises(ValueError):
-            eval_expr(e, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            eval_expr(e, 1.0, 0.5)
+        t_below = "^t must be nonnegative$"
+        n_below = "^n must be >= 1$"
+        cases = [
+            (-1.0, 1.0, t_below),
+            (-1, 1, t_below),
+            (Fraction(-1, 2), 1, t_below),
+            (np.float64(-1.0), 1.0, t_below),
+            (np.array([0.0, -1e-300]), 1.0, t_below),
+            (1.0, 0.5, n_below),
+            (1, 0, n_below),
+            (1.0, Fraction(1, 2), n_below),
+            (1.0, np.array([1.0, 0.5]), n_below),
+        ]
+        for t, n, message in cases:
+            with pytest.raises(ValueError, match=message):
+                eval_expr(e, t, n)
+
+    def test_nan_t_passes_the_domain_check(self):
+        e = parse_expr("t")
+        assert np.isnan(eval_expr(e, float("nan"), 1.0))
+        got = eval_expr(e, np.array([float("nan"), 0.0]), np.array([1.0, 2.0]))
+        assert np.isnan(got[0]) and got[1] == 0.0
+        assert eval_expr(e, 0, 1) == 0 and eval_expr(e, Fraction(1, 3), 1) == Fraction(1, 3)
 
     def test_float_path_matches_exact_path(self):
         e = parse_expr(PSI_SRC)

@@ -719,6 +719,8 @@ def loop_normalise(terms):
         if not (math.isfinite(coeff) and math.isfinite(ratio)):
             raise InvalidTailFormError("non-finite term")
         merged[ratio] = merged.get(ratio, 0.0) + coeff
+    if not all(math.isfinite(c) for c in merged.values()):
+        raise InvalidTailFormError("non-finite term")
     return tuple((c, r) for r, c in sorted(merged.items()) if c != 0.0 and r != 0.0)
 
 
@@ -808,11 +810,14 @@ class TestArrayBackedForms:
             for overflowing in (lambda: form.scale(1e10), lambda: form * TailForm(((1e10, 0.5),))):
                 with pytest.raises(InvalidTailFormError, match="^non-finite term$"):
                     overflowing()
-            # a merge that overflows keeps its infinite sum until the next construction
-            doubled = big + big
-            assert bits(doubled.terms) == bits(loop_normalise(big.terms + big.terms))
-            with pytest.raises(InvalidTailFormError, match="^non-finite term$"):
-                doubled - big
+            # equal ratios whose coefficients sum past the float range raise
+            small = ((1e308, 0.5), (1e308, 0.5))
+            for merging in (
+                lambda: big + big, lambda: big - big.scale(-1.0), lambda: TailForm(small),
+                lambda: TailForm(big.terms + big.terms), lambda: loop_normalise(small),
+            ):
+                with pytest.raises(InvalidTailFormError, match="^non-finite term$"):
+                    merging()
         with pytest.raises(InvalidTailFormError, match="^non-finite constant$"):
             form.with_constant(math.inf)
 
@@ -841,3 +846,121 @@ class TestArrayBackedForms:
         # two float64 arrays take about 4.6 KB a form (0.5 MB for the
         # hundred); a tuple of 290 (coefficient, ratio) pairs about 26 KB
         assert peak < 1_000_000
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two normalised forms and a scale factor.  The ratio sets are equal,
+    disjoint or partly overlapping, either form may be empty, and term
+    counts lie on both sides of ``_ARRAY_TERMS``.  On some shared ratios
+    the coefficients are equal up to sign, so that a sum or a difference
+    cancels them, or near the float maximum, so that one overflows.
+    Constants include signed zeros; scale factors underflow or overflow
+    some coefficients."""
+    n = _ARRAY_TERMS
+    sizes = st.sampled_from([0, 1, 4, n - 2, n, n + 1, n + 6, 2 * n + 1, 290])
+    relation = draw(st.sampled_from(["equal", "disjoint", "overlap"]))
+    n1 = draw(sizes)
+    n2 = n1 if relation == "equal" else draw(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.unique(np.concatenate(([0.5, 0.25], rng.uniform(1e-3, 1.0, 3 * (n1 + n2)))))
+    pool = rng.permutation(pool)
+    r1 = pool[:n1]
+    shared = n2 if relation == "equal" else 0
+    if relation == "overlap" and min(n1, n2):
+        shared = int(rng.integers(1, min(n1, n2) + 1))
+    r2 = np.concatenate((r1[:shared], pool[n1:n1 + n2 - shared]))
+    c1 = rng.standard_normal(n1) * 10.0 ** rng.integers(-20, 21, n1)
+    c2 = rng.standard_normal(n2) * 10.0 ** rng.integers(-20, 21, n2)
+    mode = draw(st.sampled_from(["free", "cancel", "overflow"]))
+    hit = np.flatnonzero(rng.random(shared) < draw(st.sampled_from([0.25, 1.0])))
+    sign = rng.choice([-1.0, 1.0], hit.size)
+    if mode == "cancel":
+        c2[hit] = sign * c1[hit]
+    elif mode == "overflow":
+        c1[hit], c2[hit] = 1.5e308, sign * 1.5e308
+    constants = st.sampled_from([0.0, -0.0, 1.0, -0.75])
+    f = TailForm(list(zip(c1.tolist(), r1.tolist())), draw(constants))
+    g = TailForm(list(zip(c2.tolist(), r2.tolist())), draw(constants))
+    return f, g, draw(st.sampled_from([-1.0, 0.0, -0.0, 0.3, 1e-305, 1e300]))
+
+
+def assert_matches_loop(operation, raw, constant):
+    """``operation()`` gives the form of ``loop_normalise(raw)`` bit for
+    bit, stored by its term count, with ``constant``; or raises as it."""
+    try:
+        want = loop_normalise(raw)
+    except InvalidTailFormError as exc:
+        with pytest.raises(InvalidTailFormError, match=f"^{exc}$"):
+            operation()
+        return
+    got = operation()
+    assert bits(got.terms) == bits(want)
+    assert got.constant.hex() == constant.hex()
+    assert (got._pairs is None) == (len(want) > _ARRAY_TERMS)
+    assert got == TailForm(raw, constant)
+
+
+def negated(form):
+    return tuple((-coeff, ratio) for coeff, ratio in form.terms)
+
+
+class TestMergedArithmetic:
+    """Sums, differences and scalings of normalised forms merge their
+    sorted terms; each must equal the normalisation of the concatenated
+    raw terms, as the dict merge gives it."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(operand_pairs())
+    def test_matches_the_loop_on_the_concatenated_terms(self, case):
+        f, g, c = case
+        assert_matches_loop(lambda: f + g, f.terms + g.terms, f.constant + g.constant)
+        assert_matches_loop(lambda: g + f, g.terms + f.terms, g.constant + f.constant)
+        assert_matches_loop(lambda: f - g, f.terms + negated(g), f.constant - g.constant)
+        assert_matches_loop(lambda: g - f, g.terms + negated(f), g.constant - f.constant)
+        assert_matches_loop(lambda: f.scale(c), [(a * c, r) for a, r in f.terms], f.constant * c)
+
+    def test_results_cross_the_array_threshold_both_ways(self):
+        n = _ARRAY_TERMS
+        low = TailForm(tuple((1.0 + k, 0.1 + k / 200) for k in range(n - 2)), 1.0)
+        high = TailForm(tuple((1.0 + k, 0.12 + k / 200) for k in range(n - 2)), -0.0)
+        wide = TailForm(tuple((1e-30 * (k % 2) + k % 3, 0.3 + k / 100) for k in range(1, n + 9)))
+        nudged = TailForm(tuple((c + (k < 5), r) for k, (c, r) in enumerate(wide.terms)))
+        partly = TailForm(wide.terms[:-3] + ((2.0, 0.99),))
+        cases = [
+            (low + high, low.terms + high.terms),  # two tuples, one array result
+            (wide - nudged, wide.terms + negated(nudged)),  # equal ratio arrays
+            (wide - partly, wide.terms + negated(partly)),  # a merge of arrays
+            (wide.scale(1e-300), [(c * 1e-300, r) for c, r in wide.terms]),  # underflow
+        ]
+        assert low.n_terms + high.n_terms > n and low._pairs is not None
+        assert wide.n_terms > n and wide._pairs is None
+        for form, raw in cases:
+            assert bits(form.terms) == bits(loop_normalise(raw))
+        assert [form._pairs is None for form, _ in cases] == [True, False, False, False]
+
+    def test_cancellation_and_signed_zero_constants(self):
+        wide = TailForm(tuple((1.0 + k, 0.3 + k / 100) for k in range(50)), -0.0)
+        for form in (wide - wide, wide + wide.scale(-1.0), TailForm() - TailForm()):
+            assert form.n_terms == 0 and form._pairs == ()
+        assert (wide - wide).constant.hex() == (0.0).hex()
+        assert (wide + wide).constant.hex() == (-0.0).hex()
+        assert (TailForm((), -0.0) - TailForm()).constant.hex() == (-0.0).hex()
+
+    def test_no_sort_for_an_empty_operand_or_equal_ratio_arrays(self, monkeypatch):
+        wide = TailForm(tuple((1.0 + k, 0.5 + k * 1e-3) for k in range(290)), 1.0)
+        small = TailForm(((1.0, 0.5), (-2.0, 0.25)), 0.5)
+        halved = wide.scale(0.5)
+        empty, two = TailForm(), TailForm((), 2.0)
+
+        def sorted_again(*args):
+            raise AssertionError("a normalised operand was normalised again")
+
+        monkeypatch.setattr(mnc, "_normalise_arrays", sorted_again)
+        monkeypatch.setattr(mnc, "_normalise_pairs", sorted_again)
+        for x in (wide, small):
+            assert x + empty == x and two + x == x.with_constant(x.constant + 2.0)
+            assert x - two == x.with_constant(x.constant - 2.0)
+        difference = wide - halved
+        assert difference._ratios is wide._ratios
+        assert bits(difference.terms) == bits((c - c * 0.5, r) for c, r in wide.terms)

@@ -21,6 +21,14 @@ SLOW_SCALING = {
     "dTail": {"terms": [{"alpha": 0.01, "rho": 0.9}], "beta": 0.9},
     "eTail": {"terms": [], "beta": 0.0},
 }
+# d and e with head values and e with a two-term tail: each step adds e's
+# terms to envelopes whose ratio sets partly overlap them
+SHIFTED_SCALING = {
+    "dHead": [0.5, -0.25],
+    "dTail": {"terms": [{"alpha": 0.01, "rho": 0.9}], "beta": 0.8},
+    "eHead": [0.125, -0.5],
+    "eTail": {"terms": [{"alpha": 0.25, "rho": 0.5}, {"alpha": -0.125, "rho": 0.75}], "beta": 0.0},
+}
 DEMO_PAIR = {
     "psiSeq": "(2*n*(1+t)+2*t+1)/(n+1)",
     "phiSeq": "(n*(2+t)+1)/n",
@@ -55,6 +63,11 @@ CASES = {
         ["certify", "--mode", "classic"],
         {"set": UNIT_BOX, "operator": SLOW_SCALING, "classicK": 0.95}, 0,
         "0b9468a1ffec8c91076b21346b36c06306b0dc7234a1095864f00e68068c9af5",
+    ),
+    "certify_classic_shifted": (
+        ["certify", "--mode", "classic"],
+        {"set": UNIT_BOX, "operator": SHIFTED_SCALING, "classicK": 0.9}, 0,
+        "8acd14123d3aa976eae322b0895792bc7eb79549beeb04a923356e54e80301a6",
     ),
     "certify_weak": (
         ["certify", "--mode", "weak"],
