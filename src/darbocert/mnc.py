@@ -183,28 +183,6 @@ def _storage(coeffs: np.ndarray, ratios: np.ndarray):
     return None, coeffs, ratios
 
 
-def _merge_pairs(p1, p2, op):
-    """``op`` (``operator.add`` or ``operator.sub``) on two normalised term
-    tuples with at most ``_ARRAY_TERMS`` terms together."""
-    out, i, j = [], 0, 0
-    while i < len(p1) and j < len(p2):
-        (c1, r1), (c2, r2) = p1[i], p2[j]
-        if r1 < r2:
-            out.append(p1[i])
-            i += 1
-        elif r2 < r1:
-            out.append((op(0.0, c2), r2))
-            j += 1
-        else:
-            c = op(c1, c2)
-            if not math.isfinite(c):
-                raise InvalidTailFormError("non-finite term")
-            if c != 0.0:
-                out.append((c, r1))
-            i, j = i + 1, j + 1
-    return tuple(out + list(p1[i:]) + [(op(0.0, c), r) for c, r in p2[j:]])
-
-
 def _array_values(coeffs: np.ndarray, ratios: np.ndarray, constant: float, idx: np.ndarray) -> np.ndarray:
     """sum_j coeffs[j] * ratios[j]**i + constant at every i of the 1-D
     ``idx``, summed in order from the constant; each block of columns is
@@ -237,9 +215,10 @@ class TailForm:
     A form of at most ``_ARRAY_TERMS`` normalised terms stores that tuple.
     A longer one stores two sorted read-only float64 arrays (coefficients,
     ratios), combines them with numpy and builds ``terms`` only when asked.
-    Sums, differences and scalings merge their operands' sorted terms and
-    do not normalise them again.  All give the constructor's terms bit for
-    bit, and equal forms compare and hash equal however they were built.
+    A sum or difference with an operand of no terms, or of array forms
+    with equal ratios, and a scaled array form are not normalised again.
+    All give the constructor's terms bit for bit, and equal forms compare
+    and hash equal however they were built.
     """
 
     __slots__ = ("_pairs", "_coeffs", "_ratios", "constant")
@@ -381,7 +360,8 @@ class TailForm:
         if not n2 or (not n1 and op is operator.add):
             return (other if n2 else self).with_constant(constant)
         if n1 + n2 <= _ARRAY_TERMS:
-            return TailForm._of((_merge_pairs(self._pairs, other._pairs, op), None, None), constant)
+            signed = other._pairs if op is operator.add else tuple((-c, r) for c, r in other._pairs)
+            return TailForm(self._pairs + signed, constant)
         (c1, r1), (c2, r2) = self._columns(), other._columns()
         if r1.size == r2.size and np.array_equal(r1, r2):
             with _FLOAT_ARITHMETIC():
@@ -397,14 +377,14 @@ class TailForm:
 
     def scale(self, c: float) -> "TailForm":
         c = float(c)
-        if self._pairs is None:
-            with _FLOAT_ARITHMETIC():
-                coeffs = self._coeffs * c
-            return TailForm._of(_storage(coeffs, self._ratios), self.constant * c)
-        pairs = tuple(t for t in [(coeff * c, r) for coeff, r in self._pairs] if t[0] != 0.0)
-        if not all(math.isfinite(coeff) for coeff, _ in pairs):
-            raise InvalidTailFormError("non-finite term")
-        return TailForm._of((pairs, None, None), self.constant * c)
+        if self._pairs is not None:
+            return TailForm(
+                tuple((coeff * c, ratio) for coeff, ratio in self._pairs),
+                self.constant * c,
+            )
+        with _FLOAT_ARITHMETIC():
+            coeffs = self._coeffs * c
+        return TailForm._of(_storage(coeffs, self._ratios), self.constant * c)
 
     def __mul__(self, other: "TailForm") -> "TailForm":
         # (sum a r^i + b)(sum a' r'^i + b'): product ratios r*r' stay in [0,1);
@@ -412,10 +392,15 @@ class TailForm:
         constant = self.constant * other.constant
         n1, n2 = self.n_terms, other.n_terms
         if n1 * n2 + n1 + n2 <= _ARRAY_TERMS:
-            terms = [(c1 * c2, r1 * r2) for c1, r1 in self._pairs for c2, r2 in other._pairs]
-            terms += [(self.constant * c2, r2) for c2, r2 in other._pairs]
-            terms += [(other.constant * c1, r1) for c1, r1 in self._pairs]
-            return TailForm(terms, constant)
+            terms: list[tuple[float, float]] = []
+            for c1, r1 in self._pairs:
+                for c2, r2 in other._pairs:
+                    terms.append((c1 * c2, r1 * r2))
+            for c2, r2 in other._pairs:
+                terms.append((self.constant * c2, r2))
+            for c1, r1 in self._pairs:
+                terms.append((other.constant * c1, r1))
+            return TailForm(tuple(terms), constant)
         (c1, r1), (c2, r2) = self._columns(), other._columns()
         with _FLOAT_ARITHMETIC():
             coeffs = (np.multiply.outer(c1, c2).ravel(), self.constant * c2, other.constant * c1)

@@ -906,9 +906,9 @@ def negated(form):
 
 
 class TestMergedArithmetic:
-    """Sums, differences and scalings of normalised forms merge their
-    sorted terms; each must equal the normalisation of the concatenated
-    raw terms, as the dict merge gives it."""
+    """Sums, differences and scalings of normalised forms, some of which
+    skip the second normalisation; each must equal the normalisation of
+    the concatenated raw terms, as the dict merge gives it."""
 
     @settings(deadline=None, max_examples=300)
     @given(operand_pairs())
