@@ -140,7 +140,8 @@ def _normalise_pairs(terms) -> tuple[tuple[float, float], ...]:
         if not (math.isfinite(coeff) and math.isfinite(ratio)):
             raise InvalidTailFormError("non-finite term")
         merged[ratio] = merged.get(ratio, 0.0) + coeff
-    if not all(map(math.isfinite, merged.values())):
+    # a finite sum that overflowed merged a repeated ratio
+    if len(merged) < len(terms) and not all(map(math.isfinite, merged.values())):
         raise InvalidTailFormError("non-finite term")
     return tuple(
         (coeff, ratio)
