@@ -140,7 +140,7 @@ def _normalise_pairs(terms) -> tuple[tuple[float, float], ...]:
         if not (math.isfinite(coeff) and math.isfinite(ratio)):
             raise InvalidTailFormError("non-finite term")
         merged[ratio] = merged.get(ratio, 0.0) + coeff
-    # a finite sum that overflowed merged a repeated ratio
+    # only a repeated ratio sums coefficients, so only it can overflow
     if len(merged) < len(terms) and not all(map(math.isfinite, merged.values())):
         raise InvalidTailFormError("non-finite term")
     return tuple(
