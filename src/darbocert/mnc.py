@@ -128,26 +128,43 @@ class UndecidedComparisonError(MncError):
     up to the horizon but cannot be certified beyond it."""
 
 
-def _normalise_pairs(terms) -> tuple[tuple[float, float], ...]:
-    """Validate, merge, drop and sort raw (coefficient, ratio) pairs: the
-    normalisation of a form built from at most ``_ARRAY_TERMS`` raw terms."""
-    merged: dict[float, float] = {}
-    for coeff, ratio in terms:
-        coeff = float(coeff)
-        ratio = float(ratio)
-        if not (0.0 <= ratio < 1.0):
-            raise InvalidTailFormError(f"ratio {ratio} outside [0, 1)")
-        if not (math.isfinite(coeff) and math.isfinite(ratio)):
-            raise InvalidTailFormError("non-finite term")
+def _normalise_pairs(pairs) -> tuple[tuple[float, float], ...]:
+    """Merge equal ratios (coefficients added in input order from 0.0),
+    drop zero coefficients and ratios and sort by ratio: the normalisation
+    of at most ``_ARRAY_TERMS`` float pairs with ratios in [0, 1).  A
+    non-finite merged coefficient raises."""
+    merged = {}
+    for coeff, ratio in pairs:
         merged[ratio] = merged.get(ratio, 0.0) + coeff
-    # only a repeated ratio sums coefficients, so only it can overflow
-    if len(merged) < len(terms) and not all(map(math.isfinite, merged.values())):
+    if not all(map(math.isfinite, merged.values())):
         raise InvalidTailFormError("non-finite term")
     return tuple(
         (coeff, ratio)
         for ratio, coeff in sorted(merged.items())
         if coeff != 0.0 and ratio != 0.0
     )
+
+
+def _merge_sorted(p1, p2) -> tuple[tuple[float, float], ...]:
+    """``_normalise_pairs(p1 + p2)`` for two normalised tuples, bit for bit,
+    in one pass: a ratio of one operand only keeps its coefficient (0.0 + c
+    == c for c != 0), a shared one sums them, and a zero sum drops."""
+    out = []
+    j = 0
+    for coeff, ratio in p1:
+        while j < len(p2) and p2[j][1] < ratio:
+            out.append(p2[j])
+            j += 1
+        if j < len(p2) and p2[j][1] == ratio:
+            coeff += p2[j][0]
+            j += 1
+            # only a shared ratio sums coefficients, so only it can overflow
+            if not math.isfinite(coeff):
+                raise InvalidTailFormError("non-finite term")
+            if coeff == 0.0:
+                continue
+        out.append((coeff, ratio))
+    return (*out, *p2[j:])
 
 
 def _normalise_arrays(coeffs: np.ndarray, ratios: np.ndarray):
@@ -216,29 +233,30 @@ class TailForm:
     A form of at most ``_ARRAY_TERMS`` normalised terms stores that tuple.
     A longer one stores two sorted read-only float64 arrays (coefficients,
     ratios), combines them with numpy and builds ``terms`` only when asked.
-    A sum or difference with an operand of no terms, or of array forms
-    with equal ratios, and a scaled array form are not normalised again.
-    All give the constructor's terms bit for bit, and equal forms compare
-    and hash equal however they were built.
+    Only the constructor checks terms; arithmetic starts from normalised
+    operands.  A sum or difference of tuple forms is one merge of the two
+    sorted tuples, one with an operand of no terms or of array forms with
+    equal ratios keeps the ratios, and a scaled form keeps its term order;
+    none is normalised again.  All give the constructor's terms bit for
+    bit, and equal forms compare and hash equal however they were built.
     """
 
     __slots__ = ("_pairs", "_coeffs", "_ratios", "constant")
 
     def __init__(self, terms=(), constant: float = 0.0):
-        terms = tuple(terms)
-        if len(terms) <= _ARRAY_TERMS:
-            self._init(_normalise_pairs(terms), None, None, constant)
-            return
-        coeffs = np.array([c for c, _ in terms], dtype=float)
-        ratios = np.array([r for _, r in terms], dtype=float)
-        ok = (ratios >= 0.0) & (ratios < 1.0) & np.isfinite(coeffs)
-        if not ok.all():
-            # the first bad term decides, as in _normalise_pairs; its ratio first
-            ratio = float(ratios[np.argmin(ok)])
+        pairs = []
+        for coeff, ratio in terms:
+            coeff = float(coeff)
+            ratio = float(ratio)
             if not (0.0 <= ratio < 1.0):
                 raise InvalidTailFormError(f"ratio {ratio} outside [0, 1)")
-            raise InvalidTailFormError("non-finite term")
-        self._init(*_normalise_arrays(coeffs, ratios), constant)
+            if not math.isfinite(coeff):
+                raise InvalidTailFormError("non-finite term")
+            pairs.append((coeff, ratio))
+        if len(pairs) <= _ARRAY_TERMS:
+            self._init(_normalise_pairs(pairs), None, None, constant)
+        else:
+            self._init(*_normalise_arrays(*np.array(pairs).T), constant)
 
     def _init(self, pairs, coeffs, ratios, constant) -> None:
         object.__setattr__(self, "_pairs", pairs)
@@ -278,20 +296,12 @@ class TailForm:
         """(coefficients, ratios) as float64 arrays."""
         if self._pairs is None:
             return self._coeffs, self._ratios
-        cols = np.array(self._pairs, dtype=float).reshape(-1, 2)
-        return cols[:, 0], cols[:, 1]
+        return np.array(self._pairs, dtype=float).reshape(-1, 2).T
 
     def __eq__(self, other):
         if type(other) is not TailForm:
             return NotImplemented
-        if self.constant != other.constant or self.n_terms != other.n_terms:
-            return False
-        if self._pairs is not None:
-            return self._pairs == other._pairs
-        return bool(
-            np.array_equal(self._coeffs, other._coeffs)
-            and np.array_equal(self._ratios, other._ratios)
-        )
+        return self.constant == other.constant and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.terms, self.constant))
@@ -307,10 +317,7 @@ class TailForm:
     def value(self, i: int) -> float:
         if i < 1:
             raise ValueError("tail forms are indexed from 1")
-        pairs = self._pairs
-        if pairs is None:
-            pairs = zip(self._coeffs.tolist(), self._ratios.tolist())
-        return sum(c * r**i for c, r in pairs) + self.constant
+        return sum(c * r**i for c, r in self.terms) + self.constant
 
     def values(self, indices: np.ndarray) -> np.ndarray:
         """f(i) at every index of ``indices``.
@@ -324,13 +331,14 @@ class TailForm:
         bit; ``np.add.reduce`` may sum pairwise.  ``_array_values`` is that
         block loop."""
         idx = np.ravel(indices)
-        if self.n_terms <= _LOOP_TERMS:
+        if self.n_terms > _LOOP_TERMS:
+            out = _array_values(*self._columns(), self.constant, idx)
+        else:
             x = idx.astype(float)
             out = np.full(idx.shape, self.constant)
             for coeff, ratio in self._pairs:
                 out += coeff * np.power(ratio, x)
-            return out.reshape(np.shape(indices))
-        return _array_values(*self._columns(), self.constant, idx).reshape(np.shape(indices))
+        return out.reshape(np.shape(indices))
 
     def coeff_abs_sum(self) -> float:
         if self._pairs is not None:
@@ -340,7 +348,7 @@ class TailForm:
 
     def max_ratio(self) -> float:
         if self._pairs is not None:
-            return max((r for _, r in self._pairs), default=0.0)
+            return self._pairs[-1][1] if self._pairs else 0.0
         return float(self._ratios[-1])
 
     def _all_coeffs(self, compare) -> bool:
@@ -362,7 +370,7 @@ class TailForm:
             return (other if n2 else self).with_constant(constant)
         if n1 + n2 <= _ARRAY_TERMS:
             signed = other._pairs if op is operator.add else tuple((-c, r) for c, r in other._pairs)
-            return TailForm(self._pairs + signed, constant)
+            return TailForm._of((_merge_sorted(self._pairs, signed), None, None), constant)
         (c1, r1), (c2, r2) = self._columns(), other._columns()
         if r1.size == r2.size and np.array_equal(r1, r2):
             with _FLOAT_ARITHMETIC():
@@ -379,10 +387,14 @@ class TailForm:
     def scale(self, c: float) -> "TailForm":
         c = float(c)
         if self._pairs is not None:
-            return TailForm(
-                tuple((coeff * c, ratio) for coeff, ratio in self._pairs),
-                self.constant * c,
-            )
+            pairs = []
+            for coeff, ratio in self._pairs:
+                coeff *= c
+                if not math.isfinite(coeff):
+                    raise InvalidTailFormError("non-finite term")
+                if coeff != 0.0:
+                    pairs.append((coeff, ratio))
+            return TailForm._of((tuple(pairs), None, None), self.constant * c)
         with _FLOAT_ARITHMETIC():
             coeffs = self._coeffs * c
         return TailForm._of(_storage(coeffs, self._ratios), self.constant * c)
@@ -393,7 +405,7 @@ class TailForm:
         constant = self.constant * other.constant
         n1, n2 = self.n_terms, other.n_terms
         if n1 * n2 + n1 + n2 <= _ARRAY_TERMS:
-            terms: list[tuple[float, float]] = []
+            terms = []
             for c1, r1 in self._pairs:
                 for c2, r2 in other._pairs:
                     terms.append((c1 * c2, r1 * r2))
@@ -401,7 +413,7 @@ class TailForm:
                 terms.append((self.constant * c2, r2))
             for c1, r1 in self._pairs:
                 terms.append((other.constant * c1, r1))
-            return TailForm(tuple(terms), constant)
+            return TailForm._of((_normalise_pairs(terms), None, None), constant)
         (c1, r1), (c2, r2) = self._columns(), other._columns()
         with _FLOAT_ARITHMETIC():
             coeffs = (np.multiply.outer(c1, c2).ravel(), self.constant * c2, other.constant * c1)
@@ -419,13 +431,16 @@ class TailForm:
             raise InvalidTailFormError("dominance index undefined for beta = 0")
         if total < beta:
             return start
+        if math.isinf(total):
+            # the sum overflows: scale by a power of two, exactly, until it fits
+            return self.scale(2.0 ** -(self.n_terms.bit_length() + 1)).dominance_index(start)
         rho = self.max_ratio()
         # total * rho**i < beta  <=>  i > log(beta/total)/log(rho), with a
         # difference of logs where beta/total underflows to zero
         ratio = beta / total
         log_ratio = math.log(ratio) if ratio > 0.0 else math.log(beta) - math.log(total)
         raw = log_ratio / math.log(rho)
-        idx = int(math.floor(raw)) + 1
+        idx = int(raw) + 1
         while total * rho**idx >= beta:  # guard the float log estimate
             idx += 1
         return max(start, idx)
@@ -508,7 +523,8 @@ class _BlockBound:
     def clears(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Which blocks [a_k, b_k - 1] are proved free of negative values."""
         with _FLOAT_ARITHMETIC():
-            pa, pb = np.split(_array_values(*self.pos, np.concatenate((a, b))), 2)
+            p = _array_values(*self.pos, np.concatenate((a, b)))
+            pa, pb = p[:a.size], p[a.size:]
             q = _array_values(*self.neg, a)
             return pb + q > 2.0 * (self.gamma * (pa - q) + self.eta)
 
@@ -570,7 +586,9 @@ class Seq:
     This is the one place that indexes, pads, combines and sign-decides
     such sequences.  Binary operations first pad both operands to a common
     head length; padded coordinates are scalar ``TailForm.value``s of the
-    operand's own tail.  Results are plain Seqs.
+    operand's own tail.  Results are plain Seqs.  The constructor copies
+    the head it is given; results built here own their fresh head array
+    instead, and every head is read-only.
     """
 
     head: np.ndarray = ()
@@ -580,6 +598,16 @@ class Seq:
         head = np.array(self.head, dtype=float)
         head.flags.writeable = False
         object.__setattr__(self, "head", head)
+
+    @classmethod
+    def _own(cls, head: np.ndarray, tail: TailForm) -> "Seq":
+        """The Seq that takes ownership of ``head``, a fresh float64 array
+        nothing else refers to, and marks it read-only instead of copying."""
+        seq = cls.__new__(cls)
+        head.flags.writeable = False
+        object.__setattr__(seq, "head", head)
+        object.__setattr__(seq, "tail", tail)
+        return seq
 
     @property
     def head_len(self) -> int:
@@ -602,32 +630,34 @@ class Seq:
         if h <= h0:
             return self
         extra = [self.tail.value(i) for i in range(h0 + 1, h + 1)]
-        return Seq(np.concatenate((self.head, extra)), self.tail)
+        return Seq._own(np.concatenate((self.head, extra)), self.tail)
 
-    def _heads(self, other: "Seq") -> tuple[np.ndarray, np.ndarray]:
-        h = max(len(self.head), len(other.head))
-        return self.pad(h).head, other.pad(h).head
+    def _combine(self, other: "Seq", op) -> "Seq":
+        """self op other, ``op`` an ``operator`` function, on heads padded
+        to one length."""
+        a, b = self.head, other.head
+        if len(a) != len(b):
+            h = max(len(a), len(b))
+            a, b = self.pad(h).head, other.pad(h).head
+        return Seq._own(op(a, b), op(self.tail, other.tail))
 
     def __add__(self, other: "Seq") -> "Seq":
-        a, b = self._heads(other)
-        return Seq(a + b, self.tail + other.tail)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Seq") -> "Seq":
-        a, b = self._heads(other)
-        return Seq(a - b, self.tail - other.tail)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other: "Seq") -> "Seq":
-        a, b = self._heads(other)
-        return Seq(a * b, self.tail * other.tail)
+        return self._combine(other, operator.mul)
 
     def scale(self, c: float) -> "Seq":
         c = float(c)
-        return Seq(self.head * c, self.tail.scale(c))
+        return Seq._own(self.head * c, self.tail.scale(c))
 
     def nonneg(self, start: int = 1, horizon: int = DEFAULT_HORIZON) -> bool:
         """Exactly decide x_i >= 0 for every i >= start: the head entries
         directly, the tail through ``is_nonnegative``."""
-        if not (self.head[start - 1:] >= 0.0).all():
+        if self.head.size and not (self.head[start - 1:] >= 0.0).all():
             return False
         return is_nonnegative(self.tail, max(start, len(self.head) + 1), horizon)
 
@@ -667,14 +697,18 @@ class TailBox:
         object.__setattr__(self, "hi", hi)
         if lo.head_len != hi.head_len:
             raise InvalidBoxError("head arrays differ in length")
-        if not (np.isfinite(lo.head).all() and np.isfinite(hi.head).all()):
+        if lo.head.size and not (np.isfinite(lo.head).all() and np.isfinite(hi.head).all()):
             raise InvalidBoxError("non-finite head interval")
         if not (lo.asym <= 0.0 <= hi.asym):
             raise InvalidBoxError(
                 "box is empty in the null-sequence space: needs "
                 f"asym(lo) <= 0 <= asym(hi), got {lo.asym} and {hi.asym}"
             )
-        if not ((hi.head >= lo.head).all() if _derived else (hi - lo).nonneg()):
+        if _derived:
+            ordered = not lo.head.size or (hi.head >= lo.head).all()
+        else:
+            ordered = (hi - lo).nonneg()
+        if not ordered:
             raise InvalidBoxError("lower envelope exceeds the upper one at some coordinate")
 
     @property
@@ -816,8 +850,8 @@ def affine_image(box: TailBox, d: Seq, e: Seq) -> TailBox:
     x, y = d * box.lo, d * box.hi
     if sign < 0:
         x, y = y, x
-    lo = Seq(np.minimum(x.head, y.head), x.tail) + e
-    hi = Seq(np.maximum(x.head, y.head), y.tail) + e
+    lo = Seq._own(np.minimum(x.head, y.head), x.tail) + e
+    hi = Seq._own(np.maximum(x.head, y.head), y.tail) + e
     return TailBox(_derived=(lo, hi))
 
 
@@ -831,7 +865,6 @@ def scale_translate(a: TailBox, c: float, shift: Point = ZERO_POINT) -> TailBox:
 
 
 _ORACLE_WINDOW = 4096
-_ORACLE_DYADIC_MAX = 62
 
 
 def _tail_abs_sup(form_lo: TailForm, form_hi: TailForm, n_cut: int) -> float:
@@ -841,12 +874,10 @@ def _tail_abs_sup(form_lo: TailForm, form_hi: TailForm, n_cut: int) -> float:
     idx = np.arange(n_cut + 1, n_cut + _ORACLE_WINDOW + 1, dtype=np.int64)
     window = np.maximum(np.abs(form_lo.values(idx)), np.abs(form_hi.values(idx)))
     best = max(best, float(window.max()))
-    probe = n_cut + _ORACLE_WINDOW
-    for _ in range(_ORACLE_DYADIC_MAX):
-        probe *= 2
-        if probe > 2**62:
-            break
+    probe = 2 * (n_cut + _ORACLE_WINDOW)
+    while probe <= 2**62:
         best = max(best, abs(form_lo.value(probe)), abs(form_hi.value(probe)))
+        probe *= 2
     return best
 
 

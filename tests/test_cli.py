@@ -373,6 +373,34 @@ class TestConfigValidation:
         assert run(["check-axioms", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: set.tailHi: non-finite term\n"
 
+    def test_overflowing_coefficient_sum_is_an_invalid_box(self, tmp_path, capsys):
+        # |1e308| + |-1e308| overflows; hi - lo is about -1e307 at i = 1
+        terms = [{"alpha": 1e308, "rho": 0.5}, {"alpha": -1e308, "rho": 0.6}]
+        cfg = write_config(tmp_path, {"set": dict(UNIT_BOX, tailHi={"terms": terms, "beta": 1.0})})
+        assert run(["check-axioms", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: set: lower envelope exceeds the upper one at some coordinate\n"
+        )
+
+    @pytest.mark.parametrize("cut", [-5000, -1, 2**62 + 1, 10**23])
+    def test_oracle_cut_out_of_range_is_config_error(self, tmp_path, capsys, cut):
+        axioms = dict(TestCheckAxioms.AXIOMS, oracleCut=cut)
+        cfg = write_config(tmp_path, {"axioms": axioms})
+        out = tmp_path / "r.json"
+        assert run(["check-axioms", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: axioms.oracleCut must lie in [0, {2**62}]\n"
+        assert not out.exists()
+
+    def test_oracle_cut_at_the_cap_is_accepted(self, tmp_path, capsys):
+        zeros = dict.fromkeys(TestCheckAxioms.AXIOMS, 0)
+        cfg = write_config(tmp_path, {"axioms": dict(zeros, m6Depth=1, oracle=3, oracleCut=2**62)})
+        out = tmp_path / "r.json"
+        assert run(["check-axioms", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        groups = {g["name"]: g for g in json.loads(out.read_text())["axioms"]}
+        assert groups["oracle_agreement"]["instances"] == 3
+        assert groups["oracle_agreement"]["violations"] == []
+
     @pytest.mark.parametrize(
         "payload, where",
         [

@@ -9,7 +9,8 @@ small so every example runs in milliseconds: horizons up to 10**4, at most
 50 iterations, coarse grids and a handful of axiom instances.  Grids and
 junk also take non-finite, tiny and huge values; such a grid must be
 rejected (exit 3) before any table is sized by it, so no example starts a
-huge run.
+huge run.  The truncation oracle's cut also takes negative values and
+values past int64, which must be rejected the same way.
 """
 
 import contextlib
@@ -103,7 +104,13 @@ axioms = st.fixed_dictionaries(
         name: st.integers(0, 2)
         for name in ("m1", "m2", "m3", "m4", "m5", "m6Chains", "oracle", "homogeneity")
     },
-    optional={"m6Depth": st.integers(1, 3), "oracleCut": st.integers(0, 10**4)},
+    optional={
+        "m6Depth": st.integers(1, 3),
+        # negative cuts and cuts past int64 must be refused while parsing
+        "oracleCut": st.one_of(
+            st.integers(0, 10**4), st.integers(-(10**4), -1), st.integers(2**62, 10**30)
+        ),
+    },
 )
 configs = st.fixed_dictionaries(
     {

@@ -23,6 +23,7 @@ from darbocert.mnc import (
     TailBox,
     TailForm,
     UndecidedComparisonError,
+    affine_image,
     closure,
     contains_point,
     conv_hull_mnc,
@@ -400,6 +401,32 @@ class TestSeq:
         with pytest.raises(ValueError):
             s.head[0] = 2.0
 
+    def test_public_constructor_copies_the_head(self):
+        arr = np.array([1.0, 2.0])
+        s = Seq(arr, self.GEOM)
+        arr[0] = 5.0
+        assert s.head.tolist() == [1.0, 2.0] and arr.flags.writeable
+
+    def test_derived_heads_are_read_only(self):
+        a = Seq((1.0, -2.0), TailForm((), 2.0))
+        b = Seq((), self.GEOM)
+        box = TailBox((-1.0,), (1.0,), TailForm((), -1.0), TailForm((), 1.0))
+        d, e = Seq((0.5,), TailForm((), -0.5)), Seq((), TailForm((), 0.0))
+        image = affine_image(box, d, e)
+        derived = [a + b, b + a, a - b, a * b, a.scale(3.0), a.pad(4), b.pad(2), image.lo, image.hi]
+        for seq in derived:
+            assert seq.head.dtype == np.float64 and not seq.head.flags.writeable
+            with pytest.raises(ValueError):
+                seq.head[:1] = 9.0
+        assert (a + b).head.tolist() == [1.5, -1.75]
+        assert (image.lo.head.tolist(), image.hi.head.tolist()) == ([-0.5], [0.5])
+
+    def test_no_head_is_shared_with_an_operand(self):
+        a = Seq((1.0, 2.0), self.GEOM)
+        zero = Seq((0.0, 0.0), TailForm())
+        for seq in (a + zero, a - zero, a * Seq((1.0, 1.0), TailForm((), 1.0)), a.scale(1.0)):
+            assert seq == a and not np.shares_memory(seq.head, a.head)
+
 
 class TestSignMachinery:
     def test_dominant_positive_constant(self):
@@ -453,6 +480,21 @@ class TestSignMachinery:
         form = TailForm(((1e30, 0.5), (-1.0, 0.25)), 1e-300)
         assert eventual_sign(form)[0] == 1
         assert is_nonnegative(form)
+
+    def test_dominance_index_when_the_coefficient_sum_overflows(self):
+        # |1e308| + |1e308| overflows; the form is about -1e307 at i = 1
+        form = TailForm(((1e308, 0.5), (-1e308, 0.6)), 1.0)
+        assert form.coeff_abs_sum() == math.inf
+        assert not is_nonnegative(form)
+        idx = form.dominance_index()
+        # a power-of-two scaling is exact and moves no index
+        assert idx == form.scale(2.0**-10).dominance_index() == form.scale(0.125).dominance_index()
+        # the first index at which (sum |c_j|) * max_j rho_j**i < |beta|, exactly
+        total = 2 * Fraction(1e308)
+        assert total * Fraction(0.6) ** (idx - 1) >= 1 > total * Fraction(0.6) ** idx
+        assert eventual_sign(form) == (1, idx)
+        # positive at every index, with the same overflowing sum
+        assert is_nonnegative(TailForm(((1e308, 0.5), (1e308, 0.6), (-1e300, 0.1)), 1.0))
 
     def test_eventual_sign_past_the_cap_is_undecided(self):
         # the dominance index of 0.5 - 1e6*0.9999999**i is about 1.45e8,
@@ -855,10 +897,11 @@ def operand_pairs(draw):
     counts lie on both sides of ``_ARRAY_TERMS``.  On some shared ratios
     the coefficients are equal up to sign, so that a sum or a difference
     cancels them, or near the float maximum, so that one overflows.
-    Constants include signed zeros; scale factors underflow or overflow
-    some coefficients."""
+    Constants include signed zeros; scale factors underflow some
+    coefficients to zero or to subnormals, overflow others, or are not
+    finite."""
     n = _ARRAY_TERMS
-    sizes = st.sampled_from([0, 1, 4, n - 2, n, n + 1, n + 6, 2 * n + 1, 290])
+    sizes = st.sampled_from([0, 1, 2, 3, 4, 8, n // 2, n - 2, n, n + 1, n + 6, 2 * n + 1, 290])
     relation = draw(st.sampled_from(["equal", "disjoint", "overlap"]))
     n1 = draw(sizes)
     n2 = n1 if relation == "equal" else draw(sizes)
@@ -882,16 +925,22 @@ def operand_pairs(draw):
     constants = st.sampled_from([0.0, -0.0, 1.0, -0.75])
     f = TailForm(list(zip(c1.tolist(), r1.tolist())), draw(constants))
     g = TailForm(list(zip(c2.tolist(), r2.tolist())), draw(constants))
-    return f, g, draw(st.sampled_from([-1.0, 0.0, -0.0, 0.3, 1e-305, 1e300]))
+    scales = [-1.0, 0.0, -0.0, 0.3, 1e-305, 1e-310, 5e-324, 1e300, math.nan, math.inf, -math.inf]
+    return f, g, draw(st.sampled_from(scales))
 
 
 def assert_matches_loop(operation, raw, constant):
     """``operation()`` gives the form of ``loop_normalise(raw)`` bit for
-    bit, stored by its term count, with ``constant``; or raises as it."""
+    bit, stored by its term count, with ``constant``; or raises as it, and
+    a bad term raises before a non-finite constant."""
     try:
         want = loop_normalise(raw)
     except InvalidTailFormError as exc:
         with pytest.raises(InvalidTailFormError, match=f"^{exc}$"):
+            operation()
+        return
+    if not math.isfinite(constant):
+        with pytest.raises(InvalidTailFormError, match="^non-finite constant$"):
             operation()
         return
     got = operation()
@@ -906,11 +955,13 @@ def negated(form):
 
 
 class TestMergedArithmetic:
-    """Sums, differences and scalings of normalised forms, some of which
-    skip the second normalisation; each must equal the normalisation of
+    """Sums, differences, scalings and small products of normalised forms,
+    none of which checks its terms again and some of which skip the second
+    normalisation (tuple sums and differences merge the sorted tuples,
+    scalings keep the term order); each must equal the normalisation of
     the concatenated raw terms, as the dict merge gives it."""
 
-    @settings(deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=500)
     @given(operand_pairs())
     def test_matches_the_loop_on_the_concatenated_terms(self, case):
         f, g, c = case
@@ -919,6 +970,29 @@ class TestMergedArithmetic:
         assert_matches_loop(lambda: f - g, f.terms + negated(g), f.constant - g.constant)
         assert_matches_loop(lambda: g - f, g.terms + negated(f), g.constant - f.constant)
         assert_matches_loop(lambda: f.scale(c), [(a * c, r) for a, r in f.terms], f.constant * c)
+        if f.n_terms * g.n_terms + f.n_terms + g.n_terms <= _ARRAY_TERMS:
+            assert_matches_loop(lambda: f * g, loop_product_terms(f, g), f.constant * g.constant)
+
+    def test_small_sums_differences_and_scalings_never_normalise(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        forms = [TailForm(), TailForm((), -0.0)]
+        for n in (1, 3, 8, 16):
+            ratios = rng.choice([0.25, 0.5, 0.75, 0.875, 0.9375] + list(rng.random(20)), n)
+            forms.append(TailForm(list(zip(rng.standard_normal(n).tolist(), ratios.tolist())), 0.5))
+        forms.append(forms[-1].scale(-1.0))  # cancels forms[-2] term by term
+
+        def normalised_again(*args):
+            raise AssertionError("a normalised operand was normalised again")
+
+        monkeypatch.setattr(mnc, "_normalise_pairs", normalised_again)
+        monkeypatch.setattr(mnc, "_normalise_arrays", normalised_again)
+        for f in forms:
+            for g in forms:
+                assert (f + g).n_terms <= f.n_terms + g.n_terms and (f - g)._pairs is not None
+            for c in (2.0, 0.0, 1e-320):
+                assert f.scale(c)._pairs is not None
+        cancelled = forms[-1] + forms[-2]
+        assert cancelled._pairs == () and cancelled.constant == 0.0
 
     def test_results_cross_the_array_threshold_both_ways(self):
         n = _ARRAY_TERMS
