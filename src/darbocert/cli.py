@@ -62,10 +62,6 @@ EXIT_FAIL = 1
 EXIT_UNDECIDED = 2
 EXIT_CONFIG = 3
 
-# The truncation oracle probes coordinates past its cut up to 2**62 and no
-# further; a larger cut would also overflow its int64 coordinate window.
-_ORACLE_CUT_MAX = 2**62
-
 
 class ConfigError(ValueError):
     pass
@@ -256,10 +252,9 @@ def parse_config(raw: dict) -> RunConfig:
     for name in ("m1", "m2", "m3", "m4", "m5", "m6_chains", "oracle", "homogeneity"):
         _require(getattr(cfg.axiom_counts, name) >= 0, f"axioms.{name} must be >= 0")
     _require(cfg.axiom_counts.m6_depth >= 1, "axioms.m6Depth must be >= 1")
-    _require(
-        0 <= cfg.axiom_counts.oracle_cut <= _ORACLE_CUT_MAX,
-        f"axioms.oracleCut must lie in [0, {_ORACLE_CUT_MAX}]",
-    )
+    # the truncation oracle probes no coordinate past 2**62; a larger cut
+    # would also overflow its int64 window
+    _require(0 <= cfg.axiom_counts.oracle_cut <= 2**62, "axioms.oracleCut must lie in [0, 2**62]")
     return cfg
 
 
