@@ -92,14 +92,7 @@ _BLOCK_MIN = 8
 # any term count and index count.
 _VALUES_BLOCK_CELLS = 4096
 
-# Forms with more normalised terms than this store them as two sorted
-# float64 arrays and build, merge and multiply them with numpy; smaller
-# forms keep a tuple of pairs and Python loops, since each numpy call costs
-# more than a short loop and tiny forms are built by the hundred thousand.
-_ARRAY_TERMS = 32
-
-# Array arithmetic that overflows as Python floats do, without a warning:
-# the normalisation then rejects a non-finite coefficient, as the loops do.
+# Array arithmetic that overflows as Python floats do, without a warning.
 _FLOAT_ARITHMETIC = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 # TailForm.values adds the terms of a form this short one at a time:
@@ -131,8 +124,8 @@ class UndecidedComparisonError(MncError):
 def _normalise_pairs(pairs) -> tuple[tuple[float, float], ...]:
     """Merge equal ratios (coefficients added in input order from 0.0),
     drop zero coefficients and ratios and sort by ratio: the normalisation
-    of at most ``_ARRAY_TERMS`` float pairs with ratios in [0, 1).  A
-    non-finite merged coefficient raises."""
+    of float pairs with ratios in [0, 1).  A non-finite merged coefficient
+    raises."""
     merged = {}
     for coeff, ratio in pairs:
         merged[ratio] = merged.get(ratio, 0.0) + coeff
@@ -167,40 +160,6 @@ def _merge_sorted(p1, p2) -> tuple[tuple[float, float], ...]:
     return (*out, *p2[j:])
 
 
-def _normalise_arrays(coeffs: np.ndarray, ratios: np.ndarray):
-    """``_normalise_pairs`` on terms given as two float64 arrays in input
-    order, bit for bit, for ratios known to lie in [0, 1)."""
-    order = np.argsort(ratios, kind="stable")
-    coeffs, ratios = coeffs[order], ratios[order]
-    first = np.empty(ratios.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ratios[1:], ratios[:-1], out=first[1:])
-    if not first.all():
-        # np.add.at adds in input order from 0.0, like the dict merge;
-        # np.add.reduceat and np.sum sum a run of 8 or more pairwise
-        merged = np.zeros(np.count_nonzero(first))
-        with _FLOAT_ARITHMETIC():
-            np.add.at(merged, np.cumsum(first) - 1, coeffs)
-        coeffs, ratios = merged, ratios[first]
-    return _storage(coeffs, ratios)
-
-
-def _storage(coeffs: np.ndarray, ratios: np.ndarray):
-    """TailForm storage of merged terms with sorted ratios, less zero
-    coefficients and ratios; a non-finite coefficient raises.  (pairs, None,
-    None) for at most ``_ARRAY_TERMS`` terms, else read-only arrays."""
-    if not np.isfinite(coeffs).all():
-        raise InvalidTailFormError("non-finite term")
-    keep = (coeffs != 0.0) & (ratios != 0.0)
-    if not keep.all():
-        coeffs, ratios = coeffs[keep], ratios[keep]
-    if coeffs.size <= _ARRAY_TERMS:
-        return tuple(zip(coeffs.tolist(), ratios.tolist())), None, None
-    coeffs.flags.writeable = False
-    ratios.flags.writeable = False
-    return None, coeffs, ratios
-
-
 def _array_values(coeffs: np.ndarray, ratios: np.ndarray, constant: float, idx: np.ndarray) -> np.ndarray:
     """sum_j coeffs[j] * ratios[j]**i + constant at every i of the 1-D
     ``idx``, summed in order from the constant; each block of columns is
@@ -230,18 +189,15 @@ class TailForm:
     ratio-zero term vanishes at every index >= 1), and the rest are sorted
     by ratio.
 
-    A form of at most ``_ARRAY_TERMS`` normalised terms stores that tuple.
-    A longer one stores two sorted read-only float64 arrays (coefficients,
-    ratios), combines them with numpy and builds ``terms`` only when asked.
     Only the constructor checks terms; arithmetic starts from normalised
-    operands.  A sum or difference of tuple forms is one merge of the two
-    sorted tuples, one with an operand of no terms or of array forms with
-    equal ratios keeps the ratios, and a scaled form keeps its term order;
-    none is normalised again.  All give the constructor's terms bit for
-    bit, and equal forms compare and hash equal however they were built.
+    operands.  A sum or difference is one merge of the two sorted tuples,
+    one with an operand of no terms keeps the other's terms, and a scaled
+    form keeps its term order; none is normalised again.  All give the
+    constructor's terms bit for bit, and equal forms compare and hash
+    equal however they were built.
     """
 
-    __slots__ = ("_pairs", "_coeffs", "_ratios", "constant")
+    __slots__ = ("terms", "constant")
 
     def __init__(self, terms=(), constant: float = 0.0):
         pairs = []
@@ -253,25 +209,20 @@ class TailForm:
             if not math.isfinite(coeff):
                 raise InvalidTailFormError("non-finite term")
             pairs.append((coeff, ratio))
-        if len(pairs) <= _ARRAY_TERMS:
-            self._init(_normalise_pairs(pairs), None, None, constant)
-        else:
-            self._init(*_normalise_arrays(*np.array(pairs).T), constant)
+        self._init(_normalise_pairs(pairs), constant)
 
-    def _init(self, pairs, coeffs, ratios, constant) -> None:
-        object.__setattr__(self, "_pairs", pairs)
-        object.__setattr__(self, "_coeffs", coeffs)
-        object.__setattr__(self, "_ratios", ratios)
+    def _init(self, terms, constant) -> None:
+        object.__setattr__(self, "terms", terms)
         constant = float(constant)
         if not math.isfinite(constant):
             raise InvalidTailFormError("non-finite constant")
         object.__setattr__(self, "constant", constant)
 
     @classmethod
-    def _of(cls, storage, constant: float) -> "TailForm":
-        """The form with normalised storage (pairs, coeffs, ratios)."""
+    def _of(cls, terms, constant: float) -> "TailForm":
+        """The form with normalised ``terms``."""
         form = cls.__new__(cls)
-        form._init(*storage, constant)
+        form._init(terms, constant)
         return form
 
     def __setattr__(self, name, value):
@@ -281,22 +232,12 @@ class TailForm:
         return (TailForm, (self.terms, self.constant))
 
     @property
-    def terms(self) -> tuple[tuple[float, float], ...]:
-        """The normalised (coefficient, ratio) pairs, sorted by ratio.  An
-        array-backed form builds this tuple on every call and keeps none."""
-        if self._pairs is not None:
-            return self._pairs
-        return tuple(zip(self._coeffs.tolist(), self._ratios.tolist()))
-
-    @property
     def n_terms(self) -> int:
-        return len(self._pairs) if self._pairs is not None else self._coeffs.size
+        return len(self.terms)
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
         """(coefficients, ratios) as float64 arrays."""
-        if self._pairs is None:
-            return self._coeffs, self._ratios
-        return np.array(self._pairs, dtype=float).reshape(-1, 2).T
+        return np.array(self.terms, dtype=float).reshape(-1, 2).T
 
     def __eq__(self, other):
         if type(other) is not TailForm:
@@ -336,47 +277,27 @@ class TailForm:
         else:
             x = idx.astype(float)
             out = np.full(idx.shape, self.constant)
-            for coeff, ratio in self._pairs:
+            for coeff, ratio in self.terms:
                 out += coeff * np.power(ratio, x)
         return out.reshape(np.shape(indices))
 
     def coeff_abs_sum(self) -> float:
-        if self._pairs is not None:
-            return sum(abs(c) for c, _ in self._pairs)
-        # a sequential sum, as the loop: dominance indices reach the reports
-        return float(np.add.accumulate(np.abs(self._coeffs))[-1])
+        return sum(abs(c) for c, _ in self.terms)
 
     def max_ratio(self) -> float:
-        if self._pairs is not None:
-            return self._pairs[-1][1] if self._pairs else 0.0
-        return float(self._ratios[-1])
-
-    def _all_coeffs(self, compare) -> bool:
-        """``compare(c, 0.0)`` holds for every coefficient c (vacuously
-        with no terms); ``compare`` is ``operator.gt`` or ``operator.lt``."""
-        if self._pairs is None:
-            return bool(compare(self._coeffs, 0.0).all())
-        return all(compare(c, 0.0) for c, _ in self._pairs)
+        return self.terms[-1][1] if self.terms else 0.0
 
     def with_constant(self, constant: float) -> "TailForm":
         """The same terms with another constant."""
-        return TailForm._of((self._pairs, self._coeffs, self._ratios), constant)
+        return TailForm._of(self.terms, constant)
 
     def _combine(self, other: "TailForm", op) -> "TailForm":
         """self op other, op ``operator.add`` or ``operator.sub``."""
         constant = op(self.constant, other.constant)
-        n1, n2 = self.n_terms, other.n_terms
-        if not n2 or (not n1 and op is operator.add):
-            return (other if n2 else self).with_constant(constant)
-        if n1 + n2 <= _ARRAY_TERMS:
-            signed = other._pairs if op is operator.add else tuple((-c, r) for c, r in other._pairs)
-            return TailForm._of((_merge_sorted(self._pairs, signed), None, None), constant)
-        (c1, r1), (c2, r2) = self._columns(), other._columns()
-        if r1.size == r2.size and np.array_equal(r1, r2):
-            with _FLOAT_ARITHMETIC():
-                return TailForm._of(_storage(op(c1, c2), r1), constant)
-        coeffs = np.concatenate((c1, op(0.0, c2)))
-        return TailForm._of(_normalise_arrays(coeffs, np.concatenate((r1, r2))), constant)
+        if not other.terms or (not self.terms and op is operator.add):
+            return (other if other.terms else self).with_constant(constant)
+        signed = other.terms if op is operator.add else tuple((-c, r) for c, r in other.terms)
+        return TailForm._of(_merge_sorted(self.terms, signed), constant)
 
     def __add__(self, other: "TailForm") -> "TailForm":
         return self._combine(other, operator.add)
@@ -386,39 +307,27 @@ class TailForm:
 
     def scale(self, c: float) -> "TailForm":
         c = float(c)
-        if self._pairs is not None:
-            pairs = []
-            for coeff, ratio in self._pairs:
-                coeff *= c
-                if not math.isfinite(coeff):
-                    raise InvalidTailFormError("non-finite term")
-                if coeff != 0.0:
-                    pairs.append((coeff, ratio))
-            return TailForm._of((tuple(pairs), None, None), self.constant * c)
-        with _FLOAT_ARITHMETIC():
-            coeffs = self._coeffs * c
-        return TailForm._of(_storage(coeffs, self._ratios), self.constant * c)
+        pairs = []
+        for coeff, ratio in self.terms:
+            coeff *= c
+            if not math.isfinite(coeff):
+                raise InvalidTailFormError("non-finite term")
+            if coeff != 0.0:
+                pairs.append((coeff, ratio))
+        return TailForm._of(tuple(pairs), self.constant * c)
 
     def __mul__(self, other: "TailForm") -> "TailForm":
         # (sum a r^i + b)(sum a' r'^i + b'): product ratios r*r' stay in [0,1);
         # terms in this order: products, b*a' terms, b'*a terms
-        constant = self.constant * other.constant
-        n1, n2 = self.n_terms, other.n_terms
-        if n1 * n2 + n1 + n2 <= _ARRAY_TERMS:
-            terms = []
-            for c1, r1 in self._pairs:
-                for c2, r2 in other._pairs:
-                    terms.append((c1 * c2, r1 * r2))
-            for c2, r2 in other._pairs:
-                terms.append((self.constant * c2, r2))
-            for c1, r1 in self._pairs:
-                terms.append((other.constant * c1, r1))
-            return TailForm._of((_normalise_pairs(terms), None, None), constant)
-        (c1, r1), (c2, r2) = self._columns(), other._columns()
-        with _FLOAT_ARITHMETIC():
-            coeffs = (np.multiply.outer(c1, c2).ravel(), self.constant * c2, other.constant * c1)
-        ratios = (np.multiply.outer(r1, r2).ravel(), r2, r1)
-        return TailForm._of(_normalise_arrays(*map(np.concatenate, (coeffs, ratios))), constant)
+        terms = []
+        for c1, r1 in self.terms:
+            for c2, r2 in other.terms:
+                terms.append((c1 * c2, r1 * r2))
+        for c2, r2 in other.terms:
+            terms.append((self.constant * c2, r2))
+        for c1, r1 in self.terms:
+            terms.append((other.constant * c1, r1))
+        return TailForm._of(_normalise_pairs(terms), self.constant * other.constant)
 
     def dominance_index(self, start: int = 1) -> int:
         """Smallest index >= start from which the geometric part is
@@ -460,9 +369,9 @@ def eventual_sign(form: TailForm, start: int = 1) -> tuple[int, int]:
     beta = form.constant
     if beta == 0.0 and not form.n_terms:
         return (0, start)
-    if beta >= 0.0 and form._all_coeffs(operator.gt):
+    if beta >= 0.0 and all(c > 0.0 for c, _ in form.terms):
         return (1, start)
-    if beta <= 0.0 and form._all_coeffs(operator.lt):
+    if beta <= 0.0 and all(c < 0.0 for c, _ in form.terms):
         return (-1, start)
     if beta == 0.0:
         raise UndecidedComparisonError("sign of a mixed-sign beta=0 form is undecidable")

@@ -401,6 +401,21 @@ class TestConfigValidation:
         assert groups["oracle_agreement"]["instances"] == 3
         assert groups["oracle_agreement"]["violations"] == []
 
+    @pytest.mark.parametrize("max_iter", [0, -3, 10**5 + 1, 10**30])
+    def test_max_iter_out_of_range_is_config_error(self, tmp_path, capsys, max_iter):
+        cfg = certify_config(tmp_path, classicK=0.6, maxIter=max_iter)
+        out = tmp_path / "r.json"
+        assert run(["certify", "--mode", "classic", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: maxIter must lie in [1, 10**5]\n"
+        assert not out.exists()
+
+    def test_max_iter_at_the_cap_is_accepted(self, tmp_path, capsys):
+        cfg = certify_config(tmp_path, classicK=0.6, maxIter=10**5)
+        out = tmp_path / "r.json"
+        assert run(["certify", "--mode", "classic", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        assert len(json.loads(out.read_text())["certificate"]["trace"]) == 31
+
     @pytest.mark.parametrize(
         "payload, where",
         [

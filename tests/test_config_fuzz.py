@@ -118,7 +118,10 @@ configs = st.fixed_dictionaries(
         "set": boxes,
         "operator": operators,
         "pair": pairs,
-        "maxIter": st.integers(1, 50),
+        # negative budgets and budgets past the cap must be refused while parsing
+        "maxIter": st.one_of(
+            st.integers(1, 50), st.integers(-(10**4), 0), st.integers(10**5 + 1, 10**30)
+        ),
         "classicK": st.sampled_from([0.0, 0.5, 0.6, 0.95]),
         "enforcePairChecks": st.booleans(),
     },

@@ -3,6 +3,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from darbocert.engine import (
     CERTIFIED,
@@ -17,7 +18,7 @@ from darbocert.engine import (
 )
 from darbocert.expr import eval_expr, parse_expr
 from darbocert.mnc import TailBox, TailForm, hausdorff_mnc, subset
-from darbocert.operators import DiagonalAffineOperator, apply_to_box
+from darbocert.operators import DiagonalAffineOperator, apply_to_box, verify_self_map
 from darbocert.scenarios import (
     broken_pair,
     compact_geometric_box,
@@ -93,11 +94,14 @@ class TestDarboIterate:
         assert lhs == 4.0 and rhs == 3.0 and lhs > rhs
 
     def test_nesting_holds_at_every_step(self):
-        cert = darbo_iterate(
-            scaling_operator(0.5), unit_box(), PAIR, tol=1e-6, pair_reports=PAIR_REPORTS
-        )
-        boxes = [state.box for state in cert.trace]
+        op = scaling_operator(0.5)
+        cert = darbo_iterate(op, unit_box(), PAIR, tol=1e-6, pair_reports=PAIR_REPORTS)
+        boxes = [unit_box()]
+        for _ in cert.trace[1:]:
+            boxes.append(apply_to_box(op, boxes[-1]))
+        assert [hausdorff_mnc(b).value for b in boxes] == cert.mu_trace
         assert all(subset(b2, b1) for b1, b2 in zip(boxes, boxes[1:]))
+        assert all(state.subset_ok for state in cert.trace)
 
     def test_offset_operator_certifies(self):
         op = DiagonalAffineOperator(
@@ -207,6 +211,16 @@ class TestClassicRun:
         assert cert.refutation["step"] == 0
         assert cert.refutation["n"] == "limit"
 
+    def test_rounded_nesting_form_does_not_refute_a_valid_chain(self):
+        # d = 0.3 - 0.5*0.999**i maps the unit box into itself, so every
+        # A_k nests; the expanded float gap of step 13 is negative at
+        # coordinate 511 and once refuted this chain
+        op = DiagonalAffineOperator((), TailForm(((-0.5, 0.999),), 0.3))
+        cert = classic_darbo_run(op, unit_box(), k=0.5)
+        assert cert.outcome == CERTIFIED and len(cert.trace) - 1 == 18
+        assert cert.mu_trace[:2] == [1.0, 0.3]
+        assert all(state.subset_ok for state in cert.trace)
+
     def test_identity_operator_refutes(self):
         cert = classic_darbo_run(identity_operator(), unit_box(), k=0.9)
         assert cert.outcome == REFUTED
@@ -299,3 +313,74 @@ class TestCertificateSoundness:
         assert data["witness"]["residual"] == 0.0
         assert [s["mu"] for s in data["trace"]] == cert.mu_trace
         assert "box" not in data["trace"][0]
+
+
+def short_forms(coeffs, constant):
+    """Tail forms of one to three terms with coefficients from ``coeffs``."""
+    terms = st.lists(st.tuples(coeffs, st.floats(0.05, 0.95)), min_size=1, max_size=3)
+    return st.builds(TailForm, terms, constant)
+
+
+@st.composite
+def self_mapping_chains(draw):
+    """(operator, domain, steps): a domain of heads of at most 3 entries and
+    short tails, and a map x_i -> d_i x_i + e_i that maps it into itself.
+    d is drawn smaller for asymmetric domains, d and e are mostly small
+    enough to keep the self-map, and draws that lose it are rejected."""
+    h = draw(st.integers(0, 3))
+    hi = draw(short_forms(st.floats(0.0, 0.5), st.floats(0.5, 2.0)))
+    head_hi = draw(st.lists(st.floats(0.5, 2.0), min_size=h, max_size=h))
+    symmetric = draw(st.booleans())
+    if symmetric:
+        lo, head_lo, reach = hi.scale(-1.0), [-x for x in head_hi], 0.2
+    else:
+        lo = draw(short_forms(st.floats(-0.5, 0.0), st.floats(-2.0, -0.5)))
+        head_lo = draw(st.lists(st.floats(-2.0, -0.5), min_size=h, max_size=h))
+        reach = 0.05
+    beta = draw(st.floats(reach / 4, 3.5 * reach)) * draw(st.sampled_from([1.0, -1.0]))
+    d = draw(short_forms(st.floats(-reach, reach), st.just(beta)))
+    d_head = draw(st.lists(st.floats(-4.5 * reach, 4.5 * reach), max_size=3))
+    e = draw(short_forms(st.floats(-0.01, 0.01), st.just(0.0)))
+    e_head = draw(st.lists(st.floats(-0.04, 0.04), max_size=3))
+    op = DiagonalAffineOperator(d_head, d, e_head, e)
+    domain = TailBox(head_lo, head_hi, lo, hi)
+    assume(verify_self_map(op, domain))
+    return op, domain, draw(st.integers(1, 15))
+
+
+def exact_interval_chain(op, domain, i, steps):
+    """[lo_i, hi_i] and its images under x -> d_i x + e_i, in Fraction."""
+    d, e = Fraction(op.d(i)), Fraction(op.e(i))
+    lo, hi = Fraction(domain.lo(i)), Fraction(domain.hi(i))
+    chain = [(lo, hi)]
+    for _ in range(steps):
+        lo, hi = sorted((d * lo + e, d * hi + e))
+        chain.append((lo, hi))
+    return chain
+
+
+class TestChainInduction:
+    """The chain decides nesting once, by the self-map at step 0, and
+    carries the measure as |asym d| * mu; the box iteration it replaced is
+    the reference here."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(self_mapping_chains())
+    def test_scalar_trace_matches_the_box_iteration(self, case):
+        op, domain, steps = case
+        cert = classic_darbo_run(
+            op, domain, k=0.99, tol=1e-300, max_iter=steps, grid=SampleGrid(step=0.5)
+        )
+        assert cert.outcome == INCONCLUSIVE and len(cert.trace) == steps + 1
+        boxes = [domain]
+        for _ in range(steps):
+            boxes.append(apply_to_box(op, boxes[-1]))
+        # bit for bit: hex strings tell -0.0 and signed rounding apart
+        assert [mu.hex() for mu in cert.mu_trace] == [hausdorff_mnc(b).value.hex() for b in boxes]
+        assert all(m2 <= m1 for m1, m2 in zip(cert.mu_trace, cert.mu_trace[1:]))
+        for i in range(1, 201):
+            chain = exact_interval_chain(op, domain, i, steps)
+            (lo0, hi0), (lo1, hi1) = chain[0], chain[1]
+            if lo0 <= lo1 and hi1 <= hi0:
+                # T A_0 within A_0 gives T A_k within A_k at every later step
+                assert all(a <= c and d <= b for (a, b), (c, d) in zip(chain, chain[1:]))

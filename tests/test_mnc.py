@@ -30,7 +30,6 @@ from darbocert.mnc import (
     convex_combination,
     eventual_sign,
     hausdorff_mnc,
-    _ARRAY_TERMS,
     _LOOP_TERMS,
     _SCAN_CHUNK,
     _VALUES_BLOCK_CELLS,
@@ -780,12 +779,12 @@ def bits(terms):
 
 @st.composite
 def raw_terms(draw, max_terms=600):
-    """0..max_terms raw terms, on both sides of the array threshold: ratios
-    from a small pool (long runs of equal ratios, signed zeros, powers of
+    """0..max_terms raw terms, often at most 64: ratios from a small pool
+    (long runs of equal ratios, signed zeros, powers of
     two whose products meet other pool ratios, ratios whose products
     underflow to 0) and coefficients over forty decades, some of them
     signed zeros, so that any change in summation order shows."""
-    n = draw(st.one_of(st.integers(0, 2 * _ARRAY_TERMS), st.integers(0, max_terms)))
+    n = draw(st.one_of(st.integers(0, 64), st.integers(0, max_terms)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     special = [0.0, -0.0, 0.5, 0.25, 0.125, 1e-200, 1e-170]
     pool = np.concatenate((rng.random(draw(st.integers(1, 40))), special))
@@ -797,6 +796,8 @@ def raw_terms(draw, max_terms=600):
 
 
 class TestArrayBackedForms:
+    """Forms of up to hundreds of terms against the Python loops."""
+
     @settings(deadline=None, max_examples=200)
     @given(raw_terms(), raw_terms(), st.floats(-3, 3), st.floats(-3, 3), st.floats(-1e3, 1e3))
     def test_algebra_matches_the_python_loops(self, t1, t2, b1, b2, c):
@@ -844,7 +845,7 @@ class TestArrayBackedForms:
             assert str(got.value) == str(expected.value)
 
     def test_overflow_in_an_operation_raises_as_the_loop_does(self):
-        # Python float arithmetic overflows without a warning; so must numpy's
+        # an overflow raises non-finite term, and warns nothing
         form = TailForm(tuple((1e300 * (1 + k), 0.5 + k * 1e-3) for k in range(100)), 0.0)
         big = TailForm(tuple((1.5e308, 0.5 + k * 1e-3) for k in range(40)))
         with warnings.catch_warnings():
@@ -863,44 +864,18 @@ class TestArrayBackedForms:
         with pytest.raises(InvalidTailFormError, match="^non-finite constant$"):
             form.with_constant(math.inf)
 
-    def test_representation_follows_the_normalised_term_count(self):
-        # 40 raw terms on 10 ratios normalise to 10: stored as a tuple
-        merged = TailForm(tuple((1.0, 0.1 * (k % 10 + 1) - 0.05) for k in range(40)), 1.0)
-        assert merged.n_terms == 10 and merged._pairs is not None
-        assert merged == TailForm(merged.terms, 1.0)
-        long = TailForm(tuple((1.0, (k + 1) / 100) for k in range(_ARRAY_TERMS + 1)))
-        assert long._pairs is None and not long._coeffs.flags.writeable
-        assert long.with_constant(2.0) == TailForm(long.terms, 2.0)
-        assert long.max_ratio() == max(r for _, r in long.terms)
-        assert long.coeff_abs_sum() == sum(abs(c) for c, _ in long.terms)
-        assert long.value(3) == sum(c * r**3 for c, r in long.terms)
-        assert repr(long).startswith("TailForm(terms=((1.0, 0.01), ")
-
-    def test_long_forms_hold_arrays_not_tuples(self):
-        base = TailForm(tuple((1.0 + k, 0.5 + k * 1e-3) for k in range(290)), 1.0)
-        tracemalloc.start()
-        try:
-            held = [base.scale(1.0 + k) for k in range(100)]
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(held) == 100
-        # two float64 arrays take about 4.6 KB a form (0.5 MB for the
-        # hundred); a tuple of 290 (coefficient, ratio) pairs about 26 KB
-        assert peak < 1_000_000
-
 
 @st.composite
 def operand_pairs(draw):
     """Two normalised forms and a scale factor.  The ratio sets are equal,
     disjoint or partly overlapping, either form may be empty, and term
-    counts lie on both sides of ``_ARRAY_TERMS``.  On some shared ratios
-    the coefficients are equal up to sign, so that a sum or a difference
+    counts run from 0 to 290.  On some shared ratios the coefficients are
+    equal up to sign, so that a sum or a difference
     cancels them, or near the float maximum, so that one overflows.
     Constants include signed zeros; scale factors underflow some
     coefficients to zero or to subnormals, overflow others, or are not
     finite."""
-    n = _ARRAY_TERMS
+    n = 32
     sizes = st.sampled_from([0, 1, 2, 3, 4, 8, n // 2, n - 2, n, n + 1, n + 6, 2 * n + 1, 290])
     relation = draw(st.sampled_from(["equal", "disjoint", "overlap"]))
     n1 = draw(sizes)
@@ -931,8 +906,8 @@ def operand_pairs(draw):
 
 def assert_matches_loop(operation, raw, constant):
     """``operation()`` gives the form of ``loop_normalise(raw)`` bit for
-    bit, stored by its term count, with ``constant``; or raises as it, and
-    a bad term raises before a non-finite constant."""
+    bit, with ``constant``; or raises as it, and a bad term raises before
+    a non-finite constant."""
     try:
         want = loop_normalise(raw)
     except InvalidTailFormError as exc:
@@ -946,7 +921,6 @@ def assert_matches_loop(operation, raw, constant):
     got = operation()
     assert bits(got.terms) == bits(want)
     assert got.constant.hex() == constant.hex()
-    assert (got._pairs is None) == (len(want) > _ARRAY_TERMS)
     assert got == TailForm(raw, constant)
 
 
@@ -970,7 +944,7 @@ class TestMergedArithmetic:
         assert_matches_loop(lambda: f - g, f.terms + negated(g), f.constant - g.constant)
         assert_matches_loop(lambda: g - f, g.terms + negated(f), g.constant - f.constant)
         assert_matches_loop(lambda: f.scale(c), [(a * c, r) for a, r in f.terms], f.constant * c)
-        if f.n_terms * g.n_terms + f.n_terms + g.n_terms <= _ARRAY_TERMS:
+        if f.n_terms * g.n_terms + f.n_terms + g.n_terms <= 32:
             assert_matches_loop(lambda: f * g, loop_product_terms(f, g), f.constant * g.constant)
 
     def test_small_sums_differences_and_scalings_never_normalise(self, monkeypatch):
@@ -985,38 +959,19 @@ class TestMergedArithmetic:
             raise AssertionError("a normalised operand was normalised again")
 
         monkeypatch.setattr(mnc, "_normalise_pairs", normalised_again)
-        monkeypatch.setattr(mnc, "_normalise_arrays", normalised_again)
         for f in forms:
             for g in forms:
-                assert (f + g).n_terms <= f.n_terms + g.n_terms and (f - g)._pairs is not None
+                assert (f + g).n_terms <= f.n_terms + g.n_terms
+                assert (f - g).n_terms <= f.n_terms + g.n_terms
             for c in (2.0, 0.0, 1e-320):
-                assert f.scale(c)._pairs is not None
+                assert f.scale(c).n_terms <= f.n_terms
         cancelled = forms[-1] + forms[-2]
-        assert cancelled._pairs == () and cancelled.constant == 0.0
-
-    def test_results_cross_the_array_threshold_both_ways(self):
-        n = _ARRAY_TERMS
-        low = TailForm(tuple((1.0 + k, 0.1 + k / 200) for k in range(n - 2)), 1.0)
-        high = TailForm(tuple((1.0 + k, 0.12 + k / 200) for k in range(n - 2)), -0.0)
-        wide = TailForm(tuple((1e-30 * (k % 2) + k % 3, 0.3 + k / 100) for k in range(1, n + 9)))
-        nudged = TailForm(tuple((c + (k < 5), r) for k, (c, r) in enumerate(wide.terms)))
-        partly = TailForm(wide.terms[:-3] + ((2.0, 0.99),))
-        cases = [
-            (low + high, low.terms + high.terms),  # two tuples, one array result
-            (wide - nudged, wide.terms + negated(nudged)),  # equal ratio arrays
-            (wide - partly, wide.terms + negated(partly)),  # a merge of arrays
-            (wide.scale(1e-300), [(c * 1e-300, r) for c, r in wide.terms]),  # underflow
-        ]
-        assert low.n_terms + high.n_terms > n and low._pairs is not None
-        assert wide.n_terms > n and wide._pairs is None
-        for form, raw in cases:
-            assert bits(form.terms) == bits(loop_normalise(raw))
-        assert [form._pairs is None for form, _ in cases] == [True, False, False, False]
+        assert cancelled.terms == () and cancelled.constant == 0.0
 
     def test_cancellation_and_signed_zero_constants(self):
         wide = TailForm(tuple((1.0 + k, 0.3 + k / 100) for k in range(50)), -0.0)
         for form in (wide - wide, wide + wide.scale(-1.0), TailForm() - TailForm()):
-            assert form.n_terms == 0 and form._pairs == ()
+            assert form.n_terms == 0 and form.terms == ()
         assert (wide - wide).constant.hex() == (0.0).hex()
         assert (wide + wide).constant.hex() == (-0.0).hex()
         assert (TailForm((), -0.0) - TailForm()).constant.hex() == (-0.0).hex()
@@ -1030,11 +985,9 @@ class TestMergedArithmetic:
         def sorted_again(*args):
             raise AssertionError("a normalised operand was normalised again")
 
-        monkeypatch.setattr(mnc, "_normalise_arrays", sorted_again)
         monkeypatch.setattr(mnc, "_normalise_pairs", sorted_again)
         for x in (wide, small):
             assert x + empty == x and two + x == x.with_constant(x.constant + 2.0)
             assert x - two == x.with_constant(x.constant - 2.0)
         difference = wide - halved
-        assert difference._ratios is wide._ratios
         assert bits(difference.terms) == bits((c - c * 0.5, r) for c, r in wide.terms)

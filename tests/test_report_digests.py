@@ -29,6 +29,17 @@ SHIFTED_SCALING = {
     "eHead": [0.125, -0.5],
     "eTail": {"terms": [{"alpha": 0.25, "rho": 0.5}, {"alpha": -0.125, "rho": 0.75}], "beta": 0.0},
 }
+# d = 0.98 + 0.01*0.9**i: the 1026-step chain the benchmark times
+LONG_SCALING = {
+    "dTail": {"terms": [{"alpha": 0.01, "rho": 0.9}], "beta": 0.98},
+    "eTail": {"terms": [], "beta": 0.0},
+}
+# d = 0.3 - 0.5*0.999**i: its rounded step-13 nesting form is negative at
+# coordinate 511, so a chain that re-decided nesting at every step refuted it
+ROUNDED_NESTING_SCALING = {
+    "dTail": {"terms": [{"alpha": -0.5, "rho": 0.999}], "beta": 0.3},
+    "eTail": {"terms": [], "beta": 0.0},
+}
 DEMO_PAIR = {
     "psiSeq": "(2*n*(1+t)+2*t+1)/(n+1)",
     "phiSeq": "(n*(2+t)+1)/n",
@@ -68,6 +79,16 @@ CASES = {
         ["certify", "--mode", "classic"],
         {"set": UNIT_BOX, "operator": SHIFTED_SCALING, "classicK": 0.9}, 0,
         "8acd14123d3aa976eae322b0895792bc7eb79549beeb04a923356e54e80301a6",
+    ),
+    "certify_classic_chain_long": (
+        ["certify", "--mode", "classic"],
+        {"set": UNIT_BOX, "operator": LONG_SCALING, "classicK": 0.99}, 0,
+        "a8cb64d981f3b0ee0caeb4eda92e65fc052f4ae3a4447027c7e6d2ed7dfac409",
+    ),
+    "certify_classic_rounded_nesting": (
+        ["certify", "--mode", "classic"],
+        {"set": UNIT_BOX, "operator": ROUNDED_NESTING_SCALING, "classicK": 0.5}, 0,
+        "d4aa159f2bbdd3eb24e0205ac5506802ef25a47916f5f0f5ee594f0cf27ad6b4",
     ),
     "certify_weak": (
         ["certify", "--mode", "weak"],
