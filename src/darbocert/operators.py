@@ -147,16 +147,18 @@ def _check_contractive(op: DiagonalAffineOperator, horizon: int) -> None:
         raise NotContractiveError(f"|d_{i}| = {abs(op.d(i))} >= 1")
 
 
-def _residual(op: DiagonalAffineOperator, point: Point, probe_to: int) -> float:
-    x, d, e = (s.pad(probe_to).head for s in (point, op.d, op.e))
-    best = float(np.abs(d * x + e - x).max())
+def _residual(d: Seq, e: Seq, point: Point, probe_to: int) -> float:
+    """sup |d_i x_i + e_i - x_i| over 1..probe_to, the head length of ``d``
+    and ``e``, and at doubling probes beyond."""
+    x = point.pad(probe_to).head
+    best = float(np.abs(d.head * x + e.head - x).max())
     probe = probe_to
     for _ in range(40):
         probe *= 2
         if probe > 2**62:
             break
         xi = point(probe)
-        best = max(best, abs(op.d(probe) * xi + op.e(probe) - xi))
+        best = max(best, abs(d(probe) * xi + e(probe) - xi))
     return best
 
 
@@ -176,7 +178,10 @@ def fixed_point_witness(
         solve_to = probe_to = max(op.head_len, horizon)
     else:
         solve_to, probe_to = op.head_len, max(op.head_len, 64)
-    d, e = op.d.pad(solve_to), op.e.pad(solve_to)
+    d, e = op.d.pad(probe_to), op.e.pad(probe_to)
     tail = op.e.tail.scale(1.0 / (1.0 - op.d.asym))
-    point = Point(e.head / (1.0 - d.head), tail)
-    return FixedPointWitness(point, _residual(op, point, probe_to))
+    head = e.head[:solve_to] / (1.0 - d.head[:solve_to])
+    # trailing entries equal to the tail's own values add nothing
+    differs = np.flatnonzero(head != Seq((), tail).pad(solve_to).head)
+    point = Point(head[:differs[-1] + 1 if differs.size else 0], tail)
+    return FixedPointWitness(point, _residual(d, e, point, probe_to))

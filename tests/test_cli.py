@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -381,6 +382,24 @@ class TestConfigValidation:
         assert capsys.readouterr().err == (
             "error: set: lower envelope exceeds the upper one at some coordinate\n"
         )
+
+    def test_heads_whose_difference_overflows_warn_nothing(self, tmp_path, capsys):
+        # hi - lo overflows at coordinate 1; the box is valid all the same
+        box = dict(UNIT_BOX, headLo=[-1e308], headHi=[1e308])
+        cfg = certify_config(tmp_path, set=box, classicK=0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["certify", "--mode", "classic", "--config", cfg]) == EXIT_PASS
+        assert "Warning" not in capsys.readouterr().err
+
+    def test_an_overflowing_image_head_is_an_input_error_without_a_warning(self, tmp_path, capsys):
+        # d_1 * hi_1 = 1e600 overflows in the image of the box
+        box = dict(UNIT_BOX, headLo=[-1e300], headHi=[1e300])
+        cfg = certify_config(tmp_path, operator=dict(HALF_SCALING, dHead=[1e300]), set=box, classicK=0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["certify", "--mode", "classic", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: non-finite head interval\n"
 
     @pytest.mark.parametrize("cut", [-5000, -1, 2**62 + 1, 10**23])
     def test_oracle_cut_out_of_range_is_config_error(self, tmp_path, capsys, cut):

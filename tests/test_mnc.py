@@ -381,11 +381,27 @@ class TestSeq:
         assert (a * b).tail == TailForm(((2.0, 0.5),), 0.0)
         assert a.scale(-2.0) == Seq((-2.0,), TailForm((), -4.0))
 
-    def test_nonneg_checks_head_then_tail(self):
+    def test_pad_of_a_constant_tail_is_the_scalar_value(self):
+        for constant in (0.0, -0.0, 5e-324, -1.5, 1e308):
+            s = Seq((7.0,), TailForm((), constant))
+            padded = s.pad(4).head.tolist()
+            assert [x.hex() for x in padded] == [(7.0).hex()] + [(sum(()) + constant).hex()] * 3
+            assert padded[1:] == [s.tail.value(i) for i in (2, 3, 4)]
+
+    def test_le_checks_head_then_tail(self):
         s = Seq((-1.0, 0.0), TailForm(((-1.0, 0.5),), 0.5))
-        assert not s.nonneg()
-        assert s.nonneg(start=2)
-        assert not Seq((), TailForm(((-2.0, 0.5),), 0.5)).nonneg()
+        assert not Seq().le(s)
+        # padded to [-1.0, 0.0], equal heads; the tail gap is decided from 3
+        assert Seq((-1.0,)).le(s)
+        assert not Seq().le(Seq((), TailForm(((-2.0, 0.5),), 0.5)))
+        assert s.le(Seq((-1.0, 0.0), TailForm((), 0.5)))
+
+    def test_le_forms_the_tail_gap_before_reading_heads(self):
+        # the heads alone refute x <= y, yet the overflowing gap raises
+        x = Seq((1.0,), TailForm(((1e308, 0.5),), 0.0))
+        y = Seq((0.0,), TailForm(((-1e308, 0.5),), 0.0))
+        with pytest.raises(InvalidTailFormError, match="^non-finite term$"):
+            x.le(y)
 
     def test_equality_and_hash_over_array_heads(self):
         assert Seq((1.0,), self.GEOM) == Seq([1.0], self.GEOM)
@@ -746,6 +762,109 @@ class TestPoints:
     def test_zero_point_in_every_symmetric_box(self):
         for level in (0.1, 1.0, 3.0):
             assert contains_point(symmetric_box(level), Point())
+
+
+# signed zeros, subnormals, magnitudes near the ends of the float range
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300,
+               1.0, -1.0, 1e300, -1e300, 1e308, -1e308]
+
+
+def edge_floats():
+    return st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-10.0, 10.0))
+
+
+def edge_terms():
+    """At most two terms of |coefficient| <= 1e308 on distinct ratios <= 0.75:
+    every value of such a form plus a constant of at most 2 is finite."""
+    ratios = st.sampled_from([0.1, 0.25, 0.5, 0.6, 0.75])
+    return st.lists(st.tuples(edge_floats(), ratios), max_size=2, unique_by=lambda t: t[1])
+
+
+@st.composite
+def edge_seqs(draw):
+    head = draw(st.lists(edge_floats(), max_size=4))
+    beta = draw(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, -1.0, -2.0]))
+    return Seq(head, TailForm(draw(edge_terms()), beta))
+
+
+@st.composite
+def scaling_cases(draw):
+    """A valid box (random_box's forms scaled to near 1e+-300, heads with
+    edge values), a factor c and a shift with head and tail."""
+    box = random_box(random.Random(draw(st.integers(0, 2**32 - 1))))
+    m = draw(st.sampled_from([1.0, 1e300, 1e-300]))
+    pairs = draw(st.lists(st.tuples(edge_floats(), edge_floats()), max_size=3))
+    box = TailBox(
+        [min(p) for p in pairs], [max(p) for p in pairs],
+        box.tail_lo.scale(m), box.tail_hi.scale(m),
+    )
+    c = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e10, -1e10, 5e-324, -5e-324,
+                         math.nan, math.inf, -math.inf]),
+        st.floats(-3.0, 3.0),
+    ))
+    shift = Point(draw(st.lists(edge_floats(), max_size=5)),
+                  TailForm(draw(edge_terms()), draw(st.sampled_from([0.0, -0.0]))))
+    return box, c, shift
+
+
+def outcome(call):
+    """(True, result) or (False, error type, message)."""
+    try:
+        return (True, call())
+    except MncError as exc:
+        return (False, type(exc), str(exc))
+
+
+def box_bits(box, signed_zero_heads=True):
+    """Hex of both envelopes; with ``signed_zero_heads`` false a zero head
+    entry reads +0.0 whatever its sign."""
+    return [
+        (
+            [(x if signed_zero_heads else x + 0.0).hex() for x in env.head.tolist()],
+            bits(env.tail.terms),
+            env.tail.constant.hex(),
+        )
+        for env in (box.lo, box.hi)
+    ]
+
+
+class TestOrderAndScalingParity:
+    """``Seq.le`` and ``scale_translate`` against the difference Seqs and
+    the constant-sequence ``affine_image`` that they replace."""
+
+    @staticmethod
+    def reference_le(x, y):
+        h = max(x.head_len, y.head_len)
+        a = np.array([x(i) for i in range(1, h + 1)], dtype=float)
+        b = np.array([y(i) for i in range(1, h + 1)], dtype=float)
+        gap = y.tail - x.tail
+        with np.errstate(over="ignore"):
+            heads = bool((b - a >= 0.0).all())
+        return heads and is_nonnegative(gap, h + 1)
+
+    @settings(deadline=None, max_examples=150)
+    @given(edge_seqs(), edge_seqs())
+    def test_le_matches_the_difference_sign(self, x, y):
+        assert outcome(lambda: x.le(y)) == outcome(lambda: self.reference_le(x, y))
+
+    @settings(deadline=None, max_examples=150)
+    @given(scaling_cases())
+    def test_scale_translate_matches_the_constant_affine_image(self, case):
+        box, c, shift = case
+        got = outcome(lambda: scale_translate(box, c, shift))
+        want = outcome(lambda: affine_image(box, Seq((), TailForm((), c)), shift))
+        if got[0] and want[0]:
+            # affine_image takes the min and max of the scaled heads, and
+            # np.minimum and np.maximum keep their second operand on a tie
+            # of signed zeros; c * lo keeps its own zero.  Adding the shift
+            # makes the two zeros one, unless the shift's entry is -0.0
+            # itself.  Such a zero may then differ in sign, and both boxes
+            # are the same set.
+            strict = not any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in shift.head.tolist())
+            assert box_bits(got[1], strict) == box_bits(want[1], strict)
+        else:
+            assert got == want
 
 
 def loop_normalise(terms):

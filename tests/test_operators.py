@@ -251,6 +251,38 @@ class TestFixedPointWitness:
             assert op.d(i) * x + op.e(i) == pytest.approx(x, abs=1e-12)
             assert x == op.e(i) / (1.0 - op.d(i))
 
+    @pytest.mark.parametrize(
+        "op, head_len",
+        [
+            # e = 0: every solved entry is the zero tail's value
+            (diag(d_terms=((0.01, 0.9),), d_const=0.98), 0),
+            (diag(d_const=0.5, e_head=(0.25, 0.0, 0.0)), 1),
+            # the tail's terms underflow to zero near coordinate 2590, and
+            # so do the solved entries
+            (
+                DiagonalAffineOperator(
+                    (0.5, -0.25), TailForm(((0.01, 0.9),), 0.8),
+                    (0.125, -0.5), TailForm(((0.25, 0.5), (-0.125, 0.75)), 0.0),
+                ),
+                2590,
+            ),
+        ],
+    )
+    def test_trailing_head_entries_equal_to_the_tail_are_trimmed(self, op, head_len):
+        horizon = 3000
+        witness = fixed_point_witness(op, horizon)
+        assert witness.point.head_len == head_len
+        solve_to = horizon if op.d.tail.n_terms else op.head_len
+        probe_to = horizon if op.d.tail.n_terms else 64
+        full = Point(
+            [op.e(i) / (1.0 - op.d(i)) for i in range(1, solve_to + 1)], witness.point.tail
+        )
+        assert all(witness.point(i) == full(i) for i in range(1, horizon + 65))
+        # the residual of the untrimmed point, one scalar coordinate at a time
+        probes = list(range(1, probe_to + 1)) + [probe_to * 2**k for k in range(1, 41)]
+        residual = max(abs(op.d(i) * full(i) + op.e(i) - full(i)) for i in probes if i <= 2**62)
+        assert witness.residual == residual
+
     def test_identity_rejected(self):
         with pytest.raises(NotContractiveError):
             fixed_point_witness(identity_operator())

@@ -15,8 +15,8 @@ from darbocert.cli import run
 
 UNIT_BOX = {"tailLo": {"terms": [], "beta": -1.0}, "tailHi": {"terms": [], "beta": 1.0}}
 HALF_SCALING = {"dTail": {"terms": [], "beta": 0.5}, "eTail": {"terms": [], "beta": 0.0}}
-# d = 0.9 + 0.01*0.9**i: a 197-step chain whose nesting scans forms of
-# hundreds of terms
+# d = 0.9 + 0.01*0.9**i: a 197-step chain, and a witness solved
+# numerically up to the horizon
 SLOW_SCALING = {
     "dTail": {"terms": [{"alpha": 0.01, "rho": 0.9}], "beta": 0.9},
     "eTail": {"terms": [], "beta": 0.0},
@@ -50,6 +50,10 @@ BROKEN_PAIR = {"psiSeq": "t", "phiSeq": "t+1", "psiLimit": "t", "phiLimit": "t+1
 WEAK_PAIR = {"psiSeq": "t", "phiSeq": "t/2", "psiLimit": "t", "phiLimit": "t/2"}
 SMALL_AXIOMS = {"m1": 20, "m2": 40, "m3": 20, "m4": 40, "m5": 40,
                 "m6Chains": 4, "m6Depth": 20, "oracle": 5, "homogeneity": 20}
+# the default counts, as the benchmark's axiom_suite workload writes them
+DEFAULT_AXIOMS = {"m1": 500, "m2": 1000, "m3": 1000, "m4": 1000, "m5": 1000,
+                  "m6Chains": 100, "m6Depth": 50, "oracle": 100,
+                  "oracleCut": 1_000_000, "homogeneity": 500}
 
 # name: (argv before --config/--out, config or None, exit code, sha256 of the report)
 CASES = {
@@ -73,22 +77,22 @@ CASES = {
     "certify_classic_long": (
         ["certify", "--mode", "classic"],
         {"set": UNIT_BOX, "operator": SLOW_SCALING, "classicK": 0.95}, 0,
-        "0b9468a1ffec8c91076b21346b36c06306b0dc7234a1095864f00e68068c9af5",
+        "1bb8b20ae6a896fc056329a460273651b4473e7df67849df42960d293b31c720",
     ),
     "certify_classic_shifted": (
         ["certify", "--mode", "classic"],
         {"set": UNIT_BOX, "operator": SHIFTED_SCALING, "classicK": 0.9}, 0,
-        "8acd14123d3aa976eae322b0895792bc7eb79549beeb04a923356e54e80301a6",
+        "504de134aef0402edf123a5fa7cb3ade7b990f7ef44fbb9254ae9e57cd22acf6",
     ),
     "certify_classic_chain_long": (
         ["certify", "--mode", "classic"],
         {"set": UNIT_BOX, "operator": LONG_SCALING, "classicK": 0.99}, 0,
-        "a8cb64d981f3b0ee0caeb4eda92e65fc052f4ae3a4447027c7e6d2ed7dfac409",
+        "bdbe2327aef4b62bacd56c4542d231275d0147494561a9f18222546ef68f3062",
     ),
     "certify_classic_rounded_nesting": (
         ["certify", "--mode", "classic"],
         {"set": UNIT_BOX, "operator": ROUNDED_NESTING_SCALING, "classicK": 0.5}, 0,
-        "d4aa159f2bbdd3eb24e0205ac5506802ef25a47916f5f0f5ee594f0cf27ad6b4",
+        "9527c9b90a62e4fc869be43b26e8ab2c6deded67bf487b100df680c5688c2b81",
     ),
     "certify_weak": (
         ["certify", "--mode", "weak"],
@@ -98,6 +102,10 @@ CASES = {
     "check_axioms": (
         ["check-axioms", "--seed", "42"], {"axioms": SMALL_AXIOMS}, 0,
         "3a9ad3e4bb4889a897f0adcdd78ce1f6df5a292798855789161ed6de3b35f298",
+    ),
+    "check_axioms_default_counts": (
+        ["check-axioms", "--seed", "7"], {"axioms": DEFAULT_AXIOMS}, 0,
+        "c0e239465425a5d7d09f53ff803c8a407c1713a76c710f3b4946a5b7294cd17d",
     ),
 }
 
