@@ -45,6 +45,7 @@ from .mnc import _DOMINANCE_CAP, DEFAULT_HORIZON, MncError, TailBox, TailForm, h
 from .operators import DiagonalAffineOperator, OperatorError, as_operator
 from .scenarios import demo_pair, scaling_operator, unit_box
 from .shifting import (
+    _MAX_GRID_CELLS,
     FAIL,
     PASS,
     UNDECIDED,
@@ -148,6 +149,16 @@ def _parse_pair(obj: Any, where: str) -> FunctionSequencePair:
     )
 
 
+def _parse_ladder(obj: Any, where: str) -> tuple[int, ...]:
+    """An n ladder as ints.  Every check evaluates n in double precision, so
+    an entry past the float range (2**1100, say) is an input error."""
+    with _malformed(where):
+        ladder = tuple(int(n) for n in obj)
+        for n in ladder:
+            float(n)  # raises OverflowError past the float range
+    return ladder
+
+
 def _parse_grid(obj: Any, where: str) -> SampleGrid:
     if obj is None:
         return SampleGrid()
@@ -159,7 +170,7 @@ def _parse_grid(obj: Any, where: str) -> SampleGrid:
         if "step" in obj:
             kwargs["step"] = float(obj["step"])
         if "nLadder" in obj:
-            kwargs["n_ladder"] = tuple(int(n) for n in obj["nLadder"])
+            kwargs["n_ladder"] = _parse_ladder(obj["nLadder"], f"{where}.nLadder")
         return SampleGrid(**kwargs)
 
 
@@ -224,10 +235,14 @@ def parse_config(raw: dict) -> RunConfig:
     # a step costs about 0.1 ms and 0.5 KB of report
     _require(1 <= cfg.max_iter <= 10**5, "maxIter must lie in [1, 10**5]")
     if "nLadder" in raw:
-        with _malformed("nLadder"):
-            ladder = tuple(int(n) for n in raw["nLadder"])
+        ladder = _parse_ladder(raw["nLadder"], "nLadder")
         _require(bool(ladder) and all(n >= 1 for n in ladder), "nLadder must hold integers >= 1")
         cfg.n_ladder = ladder
+    # the chain decides one margin per ladder entry and step, and reports it
+    _require(
+        len(cfg.n_ladder) * cfg.max_iter <= _MAX_GRID_CELLS,
+        f"nLadder entries x maxIter must be at most {_MAX_GRID_CELLS} margin cells",
+    )
     if "classicK" in raw:
         with _malformed("classicK"):
             cfg.classic_k = float(raw["classicK"])

@@ -7,8 +7,8 @@ computable in closed form.  Nesting is decided once, at step 0, by the
 self-map check T A_0 within A_0; by induction A_{k+1} = T A_k within
 T A_{k-1} = A_k holds after (Banas & Goebel, Measures of Noncompactness in
 Banach Spaces, 1980, ch. 5).  Every step asserts the per-n contraction
-inequality lhs_n(mu(TA)) <= rhs_n(mu(A)) on a ladder of n values, and the
-same inequality for the limit functions.
+inequality lhs_n(mu(TA)) <= rhs_n(mu(A)) on a ladder of n values and for
+the limit functions, each side evaluated once for a whole block of steps.
 
 Outcomes:
 
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import BinOp, Expr, LimitDivergenceError, Num, Var, eval_expr
+from .expr import BinOp, DivisionByZeroError, Expr, LimitDivergenceError, Num, Var
 from .mnc import DEFAULT_HORIZON, TailBox, UndecidedComparisonError, hausdorff_mnc
 from .operators import (
     FixedPointWitness,
@@ -57,18 +57,9 @@ from .shifting import (
 )
 
 __all__ = [
-    "CERTIFIED",
-    "REFUTED",
-    "INCONCLUSIVE",
-    "DEFAULT_ENGINE_LADDER",
-    "PreconditionError",
-    "IterationState",
-    "Certificate",
-    "darbo_iterate",
-    "check_example_bound",
-    "classic_darbo_run",
-    "identity_pair",
-    "weak_contraction_run",
+    "CERTIFIED", "REFUTED", "INCONCLUSIVE", "DEFAULT_ENGINE_LADDER", "PreconditionError",
+    "IterationState", "Certificate", "darbo_iterate", "check_example_bound",
+    "classic_darbo_run", "identity_pair", "weak_contraction_run",
 ]
 
 CERTIFIED = "CERTIFIED"
@@ -192,16 +183,13 @@ def _attach_witness(op) -> FixedPointWitness | None:
         return None
 
 
+# Most margin cells, steps x (ladder entries + 1), evaluated as one block.
+_BLOCK_CELLS = 1 << 14
+
+
 def _run_chain(
-    op,
-    domain: TailBox,
-    lhs_seq: Expr,
-    rhs_seq: Expr,
-    lhs_limit: Expr | None,
-    rhs_limit: Expr | None,
-    tol: float,
-    max_iter: int,
-    n_ladder: tuple[int, ...],
+    op, domain: TailBox, lhs_seq: Expr, rhs_seq: Expr, lhs_limit: Expr | None,
+    rhs_limit: Expr | None, tol: float, max_iter: int, n_ladder: tuple[int, ...],
     details: dict,
 ) -> Certificate:
     """The chain A_{k+1} = T A_k from a domain that ``verify_self_map``
@@ -210,68 +198,80 @@ def _run_chain(
     the image envelopes have asymptotic values d_beta * (lo_beta, hi_beta)
     (swapped when d is eventually negative; offsets tend to 0), so
     mu_{k+1} = |d_beta| * mu_k, bit for bit the measure of the image box,
-    since float rounding is monotone and symmetric in sign."""
+    since float rounding is monotone and symmetric in sign.
+
+    Steps are decided in blocks of at most ``_BLOCK_CELLS`` margin cells:
+    the measures up to the first mu below ``tol`` or the budget, then one
+    evaluation per side, the limit row above the ladder rows, all bit for
+    bit a single step's values.  The first violating column refutes at its
+    first violating row.  A block that raises is decided as its two halves
+    in turn, so the first failing single step raises or ends the run
+    INCONCLUSIVE as it would alone, after any earlier refutation or stop."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 
-    ns = np.array(n_ladder, dtype=float)
-    factor = abs(op.d.asym)
     mus = [hausdorff_mnc(domain).value]
     trace = [IterationState(0, mus[0], {}, True, None)]
+
+    def finish(outcome: str, **extra) -> Certificate:
+        extra = {"details": details, "p_estimate": _aitken_estimate(mus), **extra}
+        return Certificate(outcome, trace, decay=_decay_stats(mus), **extra)
+
     if mus[0] < tol:
         # relatively compact entry case: certified without iterating
-        return Certificate(
-            CERTIFIED, trace, witness=_attach_witness(op),
-            p_estimate=mus[0], decay=_decay_stats(mus), details=details,
-        )
+        return finish(CERTIFIED, witness=_attach_witness(op))
 
-    for k in range(max_iter):
-        # Conv(TA) = TA: the image of a box is a closed convex box
-        mu_image = factor * mus[-1]
-        margins: dict[str, float] = {}
-        refutation: dict | None = None
+    keys = ["limit", *(f"n={n}" for n in n_ladder)]
+
+    def decide(mu: np.ndarray) -> Certificate | None:
+        """Decide the steps on from mu[0] = mu_k, k = len(mus) - 1; a returned
+        certificate ends the run."""
         try:
-            lhs_lim = float(limit_values(lhs_limit, lhs_seq, mu_image))
-            rhs_lim = float(limit_values(rhs_limit, rhs_seq, mus[-1]))
-        except LimitDivergenceError as exc:
+            # Conv(TA) = TA: the image of a box is a closed convex box
+            lhs_lim = limit_values(lhs_limit, lhs_seq, mu[1:])
+            rhs_lim = limit_values(rhs_limit, rhs_seq, mu[:-1])
+            lhs = np.vstack((lhs_lim, grid_table(lhs_seq, mu[1:], n_ladder)))
+            rhs = np.vstack((rhs_lim, grid_table(rhs_seq, mu[:-1], n_ladder)))
+        except (DivisionByZeroError, LimitDivergenceError) as exc:
+            if mu.size > 2:
+                half = mu.size // 2
+                return decide(mu[: half + 1]) or decide(mu[half:])
+            if isinstance(exc, DivisionByZeroError):
+                raise
             # an undeclared limit that the ladder cannot estimate leaves the
             # step undecided; the trace ends with the last complete step
-            return Certificate(
-                INCONCLUSIVE, trace,
-                p_estimate=_aitken_estimate(mus), decay=_decay_stats(mus),
-                details={**details, "step": k, "reason": str(exc)},
-            )
-        margins["limit"] = rhs_lim - lhs_lim
-        if lhs_lim > rhs_lim + TIE_TOL:
-            refutation = {"step": k, "n": "limit", "lhs": lhs_lim, "rhs": rhs_lim}
+            reason = {"step": len(mus) - 1, "reason": str(exc)}
+            return finish(INCONCLUSIVE, details={**details, **reason})
+        violated = lhs > rhs + TIE_TOL
+        bad = np.flatnonzero(violated.any(axis=0))
+        end = bad[0] + 1 if bad.size else mu.size - 1
+        margins = (rhs - lhs)[:, :end].T.tolist()
+        for mu_image, row in zip(mu[1 : end + 1].tolist(), margins):
+            mus.append(mu_image)
+            p = _aitken_estimate(mus)
+            trace.append(IterationState(len(mus) - 1, mu_image, dict(zip(keys, row)), True, p))
+        if not bad.size:
+            return None
+        j = bad[0]
+        i = int(violated[:, j].argmax())
+        refutation = {"step": len(mus) - 2, "n": n_ladder[i - 1] if i else "limit",
+                      "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
+        return finish(REFUTED, refutation=refutation)
 
-        lhs_n = np.broadcast_to(eval_expr(lhs_seq, mu_image, ns), ns.shape)
-        rhs_n = np.broadcast_to(eval_expr(rhs_seq, mus[-1], ns), ns.shape)
-        margins.update((f"n={n}", float(r - l)) for n, l, r in zip(n_ladder, lhs_n, rhs_n))
-        violated = np.flatnonzero(lhs_n > rhs_n + TIE_TOL)
-        if refutation is None and violated.size:
-            i = violated[0]
-            lhs, rhs = float(lhs_n[i]), float(rhs_n[i])
-            refutation = {"step": k, "n": n_ladder[i], "lhs": lhs, "rhs": rhs}
-
-        mus.append(mu_image)
-        trace.append(IterationState(k + 1, mu_image, margins, True, _aitken_estimate(mus)))
-        if refutation is not None:
-            return Certificate(
-                REFUTED, trace, refutation=refutation,
-                p_estimate=_aitken_estimate(mus), decay=_decay_stats(mus), details=details,
-            )
-        if mu_image < tol:
-            return Certificate(
-                CERTIFIED, trace, witness=_attach_witness(op),
-                p_estimate=_aitken_estimate(mus), decay=_decay_stats(mus), details=details,
-            )
-    return Certificate(
-        INCONCLUSIVE, trace,
-        p_estimate=_aitken_estimate(mus), decay=_decay_stats(mus), details=details,
-    )
+    factor = abs(op.d.asym)
+    span = max(1, _BLOCK_CELLS // len(keys))
+    while len(mus) <= max_iter:
+        # the measures in sequence, mu_{k+1} = factor * mu_k as a loop would
+        mu = np.multiply.accumulate([mus[-1]] + [factor] * min(span, max_iter + 1 - len(mus)))
+        low = np.flatnonzero(mu[1:] < tol)
+        cert = decide(mu[: low[0] + 2] if low.size else mu)
+        if cert is not None:
+            return cert
+        if low.size:
+            return finish(CERTIFIED, witness=_attach_witness(op))
+    return finish(INCONCLUSIVE)
 
 
 def darbo_iterate(

@@ -484,6 +484,42 @@ class TestConfigValidation:
         assert err.startswith("error: grid: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, payload, where",
+        [
+            (["certify", "--mode", "classic"], {"classicK": 0.6, "nLadder": [1, 2**1100]}, "nLadder"),
+            (["check-pair"], {"grid": {"step": 0.5, "nLadder": [1, 2**1100]}}, "grid.nLadder"),
+        ],
+        ids=["nLadder", "grid.nLadder"],
+    )
+    def test_ladder_entry_past_the_float_range_is_config_error(
+        self, tmp_path, capsys, command, payload, where
+    ):
+        # the checks evaluate n in double precision, where 2**1100 overflows
+        cfg = certify_config(tmp_path, **payload)
+        out = tmp_path / "r.json"
+        assert run(command + ["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {where}: int too large to convert to float\n"
+        assert not out.exists()
+
+    def test_ladder_times_budget_at_the_cap_is_accepted(self, tmp_path, capsys):
+        # 100 entries x 10**5 steps = 10**7 margin cells; the chain stops at 30
+        cfg = certify_config(tmp_path, classicK=0.6, maxIter=10**5, nLadder=list(range(1, 101)))
+        out = tmp_path / "r.json"
+        assert run(["certify", "--mode", "classic", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        trace = json.loads(out.read_text())["certificate"]["trace"]
+        assert len(trace) == 31 and len(trace[-1]["margins"]) == 101
+
+    def test_ladder_times_budget_past_the_cap_is_config_error(self, tmp_path, capsys):
+        cfg = certify_config(tmp_path, classicK=0.6, maxIter=10**5, nLadder=list(range(1, 102)))
+        out = tmp_path / "r.json"
+        assert run(["certify", "--mode", "classic", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: nLadder entries x maxIter must be at most 10000000 margin cells\n"
+        )
+        assert not out.exists()
+
     def test_grid_at_the_cell_cap_is_accepted(self):
         at_cap = {"tMax": 10**7 - 1, "step": 1, "nLadder": [1]}
         assert len(parse_config({"grid": at_cap}).grid.n_ladder) == 1

@@ -10,7 +10,8 @@ small so every example runs in milliseconds: horizons up to 10**4, at most
 junk also take non-finite, tiny and huge values; such a grid must be
 rejected (exit 3) before any table is sized by it, so no example starts a
 huge run.  The truncation oracle's cut also takes negative values and
-values past int64, which must be rejected the same way.
+values past int64, and ladders take entries past the float range, which
+must be rejected the same way.
 """
 
 import contextlib
@@ -89,7 +90,11 @@ texts = st.sampled_from(
 pairs = st.fixed_dictionaries(
     {"psiSeq": texts, "phiSeq": texts}, optional={"psiLimit": texts, "phiLimit": texts}
 )
-ladders = st.lists(st.integers(1, 10**6), min_size=1, max_size=3, unique=True).map(sorted)
+# entries past the float range (2**1100) must be refused while parsing
+ladders = st.lists(
+    st.one_of(st.integers(1, 10**6), st.integers(2**1023, 2**1100)),
+    min_size=1, max_size=3, unique=True,
+).map(sorted)
 grids = st.fixed_dictionaries(
     {},
     optional={

@@ -2,8 +2,11 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darbocert.mnc import (
+    DEFAULT_HORIZON,
     Point,
     TailBox,
     TailForm,
@@ -32,6 +35,24 @@ def diag(d_terms=(), d_const=0.0, e_terms=(), e_const=0.0, d_head=(), e_head=())
 
 
 UNIT = unit_box()
+
+
+@st.composite
+def contractive_operators(draw):
+    """(operator, horizon): heads of up to ``horizon`` entries, and d and e
+    tails whose terms still count at the horizon (ratio 0.9999), with
+    |d_i| < 1 at every coordinate."""
+    horizon = draw(st.sampled_from((1, 64, 1000, DEFAULT_HORIZON)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    beta = draw(st.floats(-0.9, 0.9))
+    # three terms of at most (1 - |beta|) / 4 keep |d_i| < 1 past the head
+    reach = (1.0 - abs(beta)) / 4
+    ratios = st.sampled_from((0.0, 0.5, 0.9, 0.9999))
+    d_terms = draw(st.lists(st.tuples(st.floats(-reach, reach), ratios), max_size=3))
+    e_terms = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), ratios), max_size=3))
+    d_head = [rng.uniform(-0.99, 0.99) for _ in range(draw(st.integers(0, horizon)))]
+    e_head = [rng.uniform(-2.0, 2.0) for _ in range(draw(st.integers(0, horizon)))]
+    return diag(d_terms, beta, e_terms, 0.0, d_head, e_head), horizon
 
 
 class TestApplyToBox:
@@ -300,3 +321,26 @@ class TestFixedPointWitness:
         op = DiagonalAffineOperator((1.0,), TailForm((), 0.5), (), TailForm())
         with pytest.raises(NotContractiveError):
             fixed_point_witness(op)
+
+    @settings(deadline=None, max_examples=20)
+    @given(contractive_operators())
+    def test_random_contractive_operators_under_a_memory_bound(self, case):
+        op, horizon = case
+        tracemalloc.start()
+        try:
+            witness = fixed_point_witness(op, horizon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few head arrays of at most 10**4 entries: about 0.7 MB at most
+        assert peak < 2 * 2**20
+        solve_to = max(op.head_len, horizon) if op.d.tail.n_terms else op.head_len
+        probe_to = max(op.head_len, horizon) if op.d.tail.n_terms else max(op.head_len, 64)
+        full = Point(
+            [op.e(i) / (1.0 - op.d(i)) for i in range(1, solve_to + 1)], witness.point.tail
+        )
+        assert witness.point.head_len <= solve_to
+        assert all(witness.point(i) == full(i) for i in range(1, probe_to + 65))
+        probes = list(range(1, probe_to + 1)) + [probe_to * 2**k for k in range(1, 41)]
+        residual = max(abs(op.d(i) * full(i) + op.e(i) - full(i)) for i in probes if i <= 2**62)
+        assert witness.residual == residual
