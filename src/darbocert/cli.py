@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import __version__
@@ -150,12 +152,17 @@ def _parse_pair(obj: Any, where: str) -> FunctionSequencePair:
 
 
 def _parse_ladder(obj: Any, where: str) -> tuple[int, ...]:
-    """An n ladder as ints.  Every check evaluates n in double precision, so
-    an entry past the float range (2**1100, say) is an input error."""
+    """An n ladder: strictly increasing ints >= 1.  Every check evaluates n
+    in double precision, so an entry past the float range (2**1100, say) is
+    an input error."""
     with _malformed(where):
         ladder = tuple(int(n) for n in obj)
         for n in ladder:
             float(n)  # raises OverflowError past the float range
+    _require(
+        bool(ladder) and ladder[0] >= 1 and all(a < b for a, b in zip(ladder, ladder[1:])),
+        f"{where} must hold strictly increasing integers >= 1",
+    )
     return ladder
 
 
@@ -235,9 +242,7 @@ def parse_config(raw: dict) -> RunConfig:
     # a step costs about 0.1 ms and 0.5 KB of report
     _require(1 <= cfg.max_iter <= 10**5, "maxIter must lie in [1, 10**5]")
     if "nLadder" in raw:
-        ladder = _parse_ladder(raw["nLadder"], "nLadder")
-        _require(bool(ladder) and all(n >= 1 for n in ladder), "nLadder must hold integers >= 1")
-        cfg.n_ladder = ladder
+        cfg.n_ladder = _parse_ladder(raw["nLadder"], "nLadder")
     # the chain decides one margin per ladder entry and step, and reports it
     _require(
         len(cfg.n_ladder) * cfg.max_iter <= _MAX_GRID_CELLS,
@@ -284,11 +289,63 @@ def _base_report(command: str, cfg: RunConfig | None, seed: int | None) -> dict:
     }
 
 
+def _json_text(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, the
+    same text and the same errors, without the pure-Python encoder that
+    json runs whenever ``indent`` is set.  Float reprs and encoded keys are
+    memoised for one call (a chain report repeats its margins); zeros are
+    not, since 0.0 == -0.0.  A float, dict, str, int, list or tuple subclass
+    is written as its base type, like json does."""
+    reprs: dict = {}
+    keys: dict = {}
+
+    def number(x):
+        if not math.isfinite(x):
+            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        text = float.__repr__(x)
+        if x:
+            reprs[x] = text
+        return text
+
+    def key(k):
+        if isinstance(k, str):
+            keys[k] = text = encode_basestring_ascii(k)
+            return text
+        if k is None or isinstance(k, (float, int)):  # bool is an int
+            return encode_basestring_ascii(value(k, ""))
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+    def value(v, pad):
+        if isinstance(v, float):
+            return reprs.get(v) or number(v)
+        inner = pad + "  "
+        if isinstance(v, dict):
+            items = [(keys.get(k) or key(k)) + ": " + value(x, inner) for k, x in sorted(v.items())]
+            brackets = "{}"
+        elif isinstance(v, (list, tuple)):
+            items, brackets = [value(x, inner) for x in v], "[]"
+        elif isinstance(v, str):
+            return encode_basestring_ascii(v)
+        elif v is None:
+            return "null"
+        elif v is True or v is False:
+            return "true" if v else "false"
+        elif isinstance(v, int):
+            return int.__repr__(v)
+        else:
+            raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+        if not items:
+            return brackets
+        return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+    return value(obj, "\n")
+
+
 def _emit(report: dict, out_path: str | None) -> None:
     """Write the report as strict JSON; a non-finite number in it (an
     overflowed margin, say) is an input error and nothing is written."""
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = _json_text(report) + "\n"
     except ValueError as exc:
         raise ConfigError(f"report: {exc}") from exc
     if out_path:

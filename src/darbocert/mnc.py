@@ -39,6 +39,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -77,7 +78,7 @@ DEFAULT_HORIZON = 10_000
 _DOMINANCE_CAP = 10_000_000
 
 # affine_image materialises d's coordinates up to its sign-settling index
-# one scalar TailForm.value at a time; a longer head than this is refused.
+# with Seq.pad; a longer head than this is refused.
 _HEAD_CAP = 100_000
 
 # _first_negative scans a range in windows of this many coordinates, so a
@@ -260,7 +261,12 @@ class TailForm:
     def value(self, i: int) -> float:
         if i < 1:
             raise ValueError("tail forms are indexed from 1")
-        return sum(c * r**i for c, r in self.terms) + self.constant
+        # left to right from 0.0, as Seq.pad adds; sum() of floats is
+        # compensated from Python 3.12 on
+        acc = 0.0
+        for c, r in self.terms:
+            acc += c * r**i
+        return acc + self.constant
 
     def values(self, indices: np.ndarray) -> np.ndarray:
         """f(i) at every index of ``indices``.
@@ -496,8 +502,8 @@ class Seq:
 
     This is the one place that indexes, pads, combines and orders such
     sequences.  Binary operations and ``le`` first pad both operands to a
-    common head length; padded coordinates are scalar ``TailForm.value``s
-    of the operand's own tail.  Results are plain Seqs.  The constructor
+    common head length; padded coordinates equal the operand's own
+    ``TailForm.value``s bit for bit.  Results are plain Seqs.  The constructor
     copies the head it is given; results built here own their fresh head
     array instead, and every head is read-only.
     """
@@ -536,14 +542,27 @@ class Seq:
         return self.tail.value(i)
 
     def pad(self, h: int) -> "Seq":
-        """The same sequence with at least h explicit head values."""
+        """The same sequence with at least h explicit head values.
+
+        Each padded coordinate is ``self.tail.value(i)`` bit for bit: every
+        term ``c * pow(r, i)`` (the libm call of ``r**i``; ``np.power``
+        differs from it in the last bit) is added in order to a running sum
+        from 0.0, and the constant last.  Each term is one pass of C-level
+        maps over all the new coordinates, kept as a list: lazy maps nested
+        once per term overflow the C stack on a form of 10^5 terms."""
         h0 = len(self.head)
         if h <= h0:
             return self
-        if self.tail.terms:
-            extra = [self.tail.value(i) for i in range(h0 + 1, h + 1)]
-        else:  # the value of a form with no terms, sum(()) + constant
-            extra = np.full(h - h0, 0.0 + self.tail.constant)
+        tail = self.tail
+        if tail.terms:
+            idx = range(h0 + 1, h + 1)
+            acc = repeat(0.0)
+            for c, r in tail.terms:
+                terms = map(operator.mul, repeat(c), map(pow, repeat(r), idx))
+                acc = list(map(operator.add, acc, terms))
+            extra = np.fromiter(map(operator.add, acc, repeat(tail.constant)), float, h - h0)
+        else:  # the value of a form with no terms, 0.0 + constant
+            extra = np.full(h - h0, 0.0 + tail.constant)
         return Seq._own(np.concatenate((self.head, extra)), self.tail)
 
     def _combine(self, other: "Seq", op) -> "Seq":
@@ -672,9 +691,6 @@ class Point(Seq):
     value = Seq.__call__
 
 
-ZERO_POINT = Point()
-
-
 @dataclass(frozen=True)
 class MncValue:
     """Measure-of-noncompactness value; zero exactly when the set is
@@ -779,21 +795,23 @@ def affine_image(box: TailBox, d: Seq, e: Seq) -> TailBox:
     return TailBox(_derived=(lo, hi))
 
 
-def scale_translate(a: TailBox, c: float, shift: Point = ZERO_POINT) -> TailBox:
+def scale_translate(a: TailBox, c: float, shift: Point | None = None) -> TailBox:
     """Coordinatewise c*[lo, hi] + shift.  The shift must be a genuine
     member of the space (asymptotic value zero); the measure of the result
     is |c| times the measure of A, exactly.  The envelopes, padded to the
-    shift's head length, are scaled and swapped for c < 0."""
-    if not isinstance(shift, Point):
+    shift's head length, are scaled and swapped for c < 0.  With no shift
+    nothing is added, so a zero of c*[lo, hi] keeps its sign."""
+    if shift is not None and not isinstance(shift, Point):
         raise InvalidPointError("shift must be a Point with asymptotic value zero")
     if not math.isfinite(c):
         raise InvalidTailFormError("non-finite constant")
-    h = max(a.head_len, shift.head_len)
+    h = a.head_len if shift is None else max(a.head_len, shift.head_len)
     with _FLOAT_ARITHMETIC():
         lo, hi = a.lo.pad(h).scale(c), a.hi.pad(h).scale(c)
         if c < 0.0:
             lo, hi = hi, lo
-        lo, hi = lo + shift, hi + shift
+        if shift is not None:
+            lo, hi = lo + shift, hi + shift
     return TailBox(_derived=(lo, hi))
 
 

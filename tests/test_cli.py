@@ -1,9 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from darbocert.cli import (
     EXIT_CONFIG,
@@ -11,6 +14,7 @@ from darbocert.cli import (
     EXIT_PASS,
     EXIT_UNDECIDED,
     ConfigError,
+    _json_text,
     parse_config,
     run,
 )
@@ -502,6 +506,29 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"error: {where}: int too large to convert to float\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, payload, where",
+        [
+            (["certify", "--mode", "classic"], {"classicK": 0.6, "nLadder": [10, 10, 1]}, "nLadder"),
+            (["check-pair"], {"grid": {"step": 0.5, "nLadder": [10, 10, 1]}}, "grid.nLadder"),
+        ],
+        ids=["nLadder", "grid.nLadder"],
+    )
+    def test_ladder_not_strictly_increasing_is_config_error(
+        self, tmp_path, capsys, command, payload, where
+    ):
+        # a repeated n would collapse in the report's margins
+        cfg = certify_config(tmp_path, **payload)
+        out = tmp_path / "r.json"
+        assert run(command + ["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {where} must hold strictly increasing integers >= 1\n"
+        )
+        assert not out.exists()
+        for ladder in ([], [0, 1], [2, 1], [1, 2, 2]):
+            with pytest.raises(ConfigError, match="^nLadder must hold strictly increasing"):
+                parse_config({"nLadder": ladder})
+
     def test_ladder_times_budget_at_the_cap_is_accepted(self, tmp_path, capsys):
         # 100 entries x 10**5 steps = 10**7 margin cells; the chain stops at 30
         cfg = certify_config(tmp_path, classicK=0.6, maxIter=10**5, nLadder=list(range(1, 101)))
@@ -537,3 +564,76 @@ class TestConfigValidation:
         # ladder tops out at n=4, so the uniform error 1/4 is above tol
         report = json.loads(out.read_text())
         assert report["checks"]["uniform_convergence"]["verdict"] == "FAIL"
+
+
+# signed zeros, subnormals, the ends of the float range and floats whose
+# repr switches to exponent form (1e16, 1e-07)
+WRITER_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, 1e16, 1e-7, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+WRITER_TEXT = st.text(st.one_of(
+    st.characters(), st.sampled_from('\x00\x1f\x7f"\\/\u2028\ud800\udfff\U0001f600\xe9'),
+))
+WRITER_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.integers(2**64, 2**200),
+    WRITER_FLOATS, WRITER_FLOATS.map(np.float64), WRITER_TEXT,
+)
+
+
+def writer_trees(leaves):
+    """Nested dicts, lists and tuples over ``leaves``.  The keys of one
+    dict are all strings or all numbers (bools among them), or one None,
+    since json sorts them."""
+    def containers(children):
+        numbers = st.one_of(st.booleans(), st.integers(), WRITER_FLOATS)
+        return st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=3).map(tuple),
+            st.dictionaries(WRITER_TEXT, children, max_size=4),
+            st.dictionaries(numbers, children, max_size=4),
+            st.dictionaries(st.none(), children, max_size=1),
+        )
+
+    return st.recursive(leaves, containers, max_leaves=25)
+
+
+def written(write, obj):
+    """The text, or the error type and message."""
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def json_reference(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+class TestReportWriter:
+    """``cli._json_text`` gives the text and errors of ``json.dumps(...,
+    indent=2, sort_keys=True, allow_nan=False)``."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(writer_trees(WRITER_SCALARS))
+    def test_text_matches_json(self, obj):
+        assert _json_text(obj) == json_reference(obj)
+
+    @settings(deadline=None, max_examples=200)
+    @given(writer_trees(st.one_of(WRITER_SCALARS, st.sampled_from(
+        [math.nan, -math.inf, np.float64(math.inf), np.int64(3), {1}, frozenset()]
+    ))))
+    def test_first_error_matches_json(self, obj):
+        assert written(_json_text, obj) == written(json_reference, obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [math.nan, math.inf, -math.inf, np.float64(math.nan), np.int64(3), {1, 2},
+         {"a": [1.0, {"b": math.inf}]}, {math.nan: 1}, {(1, 2): 0}, {"x": 1, 2: 0}],
+        ids=["nan", "inf", "-inf", "np.float64-nan", "np.int64", "set",
+             "nested-inf", "nan-key", "tuple-key", "mixed-keys"],
+    )
+    def test_errors_match_json(self, obj):
+        got, want = written(_json_text, obj), written(json_reference, obj)
+        assert isinstance(want, tuple) and got == want

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from darbocert import mnc
 from darbocert.axioms import random_box
+from darbocert.cli import EXIT_PASS, run
 from darbocert.mnc import (
     DEFAULT_HORIZON,
     InvalidBoxError,
@@ -354,6 +356,25 @@ class TestBlockBoundSoundness:
         assert cleared
 
 
+@st.composite
+def pad_cases(draw):
+    """A Seq of up to 5 head entries and 1..8 terms, with coefficients at
+    the ends of the float range, negatives that underflow to -0.0 and a
+    constant of -0.0 among them, and a pad length at most 40 past the head."""
+    coeffs = st.one_of(
+        st.sampled_from([5e-324, -5e-324, 1e300, -1e300, -1e-300, -2.5e-320]),
+        st.floats(-10.0, 10.0).filter(bool),
+    )
+    ratios = st.one_of(
+        st.sampled_from([1e-300, 0.5, 0.9, 0.9999]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    terms = draw(st.lists(st.tuples(coeffs, ratios), min_size=1, max_size=8, unique_by=lambda t: t[1]))
+    constant = draw(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1e300]), st.floats(-10.0, 10.0)))
+    head = draw(st.lists(st.floats(-10.0, 10.0), max_size=5))
+    return Seq(head, TailForm(terms, constant)), draw(st.integers(0, len(head) + 40))
+
+
 class TestSeq:
     GEOM = TailForm(((1.0, 0.5),), 0.0)
 
@@ -387,6 +408,50 @@ class TestSeq:
             padded = s.pad(4).head.tolist()
             assert [x.hex() for x in padded] == [(7.0).hex()] + [(sum(()) + constant).hex()] * 3
             assert padded[1:] == [s.tail.value(i) for i in (2, 3, 4)]
+
+    @settings(deadline=None, max_examples=200)
+    @given(pad_cases())
+    def test_pad_is_the_scalar_value_bit_for_bit(self, case):
+        s, h = case
+        padded = s.pad(h).head.tolist()
+        rest = range(s.head_len + 1, h + 1)
+        want = s.head.tolist() + [s.tail.value(i) for i in rest]
+        assert [x.hex() for x in padded] == [x.hex() for x in want]
+        # value adds left to right from 0.0: sum() of floats is compensated from 3.12
+        for i in rest:
+            acc = 0.0
+            for c, r in s.tail.terms:
+                acc = acc + c * r**i
+            assert s.tail.value(i).hex() == (acc + s.tail.constant).hex()
+
+    def test_pad_of_a_form_with_many_terms(self):
+        # lazy maps nested once per term would overflow the C stack here
+        form = TailForm([(1e-6, k / (2 * 10**5)) for k in range(1, 10**5 + 1)], 0.5)
+        padded = Seq((), form).pad(2).head.tolist()
+        assert [x.hex() for x in padded] == [form.value(1).hex(), form.value(2).hex()]
+
+    def test_chain_long_certify_pads_without_scalar_values(self, tmp_path, monkeypatch, capsys):
+        # the witness pads d (one term) to the horizon of 10**4 coordinates;
+        # one TailForm.value per coordinate made 10,121 calls
+        calls = 0
+        value = TailForm.value
+
+        def counted(self, i):
+            nonlocal calls
+            calls += 1
+            return value(self, i)
+
+        monkeypatch.setattr(TailForm, "value", counted)
+        config = tmp_path / "chain_long.json"
+        config.write_text(json.dumps({
+            "set": {"tailLo": {"beta": -1.0}, "tailHi": {"beta": 1.0}},
+            "operator": {"dTail": {"terms": [{"alpha": 0.01, "rho": 0.9}], "beta": 0.98}},
+            "classicK": 0.99,
+        }))
+        argv = ["certify", "--mode", "classic", "--config", str(config), "--out", str(tmp_path / "r.json")]
+        assert run(argv) == EXIT_PASS
+        capsys.readouterr()
+        assert 0 < calls <= 200
 
     def test_le_checks_head_then_tail(self):
         s = Seq((-1.0, 0.0), TailForm(((-1.0, 0.5),), 0.5))
@@ -790,7 +855,8 @@ def edge_seqs(draw):
 @st.composite
 def scaling_cases(draw):
     """A valid box (random_box's forms scaled to near 1e+-300, heads with
-    edge values), a factor c and a shift with head and tail."""
+    edge values), a factor c and a shift with head and tail, or None for
+    the default of no shift."""
     box = random_box(random.Random(draw(st.integers(0, 2**32 - 1))))
     m = draw(st.sampled_from([1.0, 1e300, 1e-300]))
     pairs = draw(st.lists(st.tuples(edge_floats(), edge_floats()), max_size=3))
@@ -803,6 +869,8 @@ def scaling_cases(draw):
                          math.nan, math.inf, -math.inf]),
         st.floats(-3.0, 3.0),
     ))
+    if draw(st.booleans()):
+        return box, c, None
     shift = Point(draw(st.lists(edge_floats(), max_size=5)),
                   TailForm(draw(edge_terms()), draw(st.sampled_from([0.0, -0.0]))))
     return box, c, shift
@@ -816,15 +884,14 @@ def outcome(call):
         return (False, type(exc), str(exc))
 
 
-def box_bits(box, signed_zero_heads=True):
-    """Hex of both envelopes; with ``signed_zero_heads`` false a zero head
-    entry reads +0.0 whatever its sign."""
+def box_bits(box, signed_zeros=True):
+    """Hex of both envelopes; with ``signed_zeros`` false a zero head entry
+    or constant reads +0.0 whatever its sign."""
+    def hex_of(x):
+        return (x if signed_zeros else x + 0.0).hex()
+
     return [
-        (
-            [(x if signed_zero_heads else x + 0.0).hex() for x in env.head.tolist()],
-            bits(env.tail.terms),
-            env.tail.constant.hex(),
-        )
+        ([hex_of(x) for x in env.head.tolist()], bits(env.tail.terms), hex_of(env.tail.constant))
         for env in (box.lo, box.hi)
     ]
 
@@ -852,7 +919,12 @@ class TestOrderAndScalingParity:
     @given(scaling_cases())
     def test_scale_translate_matches_the_constant_affine_image(self, case):
         box, c, shift = case
-        got = outcome(lambda: scale_translate(box, c, shift))
+        default = shift is None
+        if default:
+            got = outcome(lambda: scale_translate(box, c))
+            shift = Point()
+        else:
+            got = outcome(lambda: scale_translate(box, c, shift))
         want = outcome(lambda: affine_image(box, Seq((), TailForm((), c)), shift))
         if got[0] and want[0]:
             # affine_image takes the min and max of the scaled heads, and
@@ -860,8 +932,11 @@ class TestOrderAndScalingParity:
             # of signed zeros; c * lo keeps its own zero.  Adding the shift
             # makes the two zeros one, unless the shift's entry is -0.0
             # itself.  Such a zero may then differ in sign, and both boxes
-            # are the same set.
-            strict = not any(x == 0.0 and math.copysign(1.0, x) < 0.0 for x in shift.head.tolist())
+            # are the same set.  With no shift, scale_translate adds
+            # nothing, so its zeros keep the sign that c gives them.
+            strict = not default and not any(
+                x == 0.0 and math.copysign(1.0, x) < 0.0 for x in shift.head.tolist()
+            )
             assert box_bits(got[1], strict) == box_bits(want[1], strict)
         else:
             assert got == want
