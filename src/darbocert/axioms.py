@@ -143,7 +143,7 @@ def _shrink(rng: random.Random, box: TailBox) -> TailBox:
     lam_min = 0.0 if beta_r == 0.0 else min(1.0, abs(beta_c) / beta_r)
     lam = rng.uniform(min(1.0, lam_min + 0.01), 1.0)
     head_lo, head_hi = [], []
-    for lo, hi in zip(box.lo.head.tolist(), box.hi.head.tolist()):
+    for lo, hi in zip(box.lo.head, box.hi.head):
         mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
         lam_h = rng.uniform(0.0, 1.0)
         # clamp against rounding so the shrink stays inside exactly

@@ -88,10 +88,16 @@ def _malformed(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _list(obj: dict, key: str, where: str = "") -> list:
+    """``obj[key]`` or [] when absent; a string or object would iterate as one."""
+    value = obj.get(key, [])
+    _require(isinstance(value, list), f"{where}: {key} must be a list" if where else f"{key} must be a list")
+    return value
+
+
 def _parse_tail_form(obj: Any, where: str) -> TailForm:
     _require(isinstance(obj, dict), f"{where}: tail form must be an object")
-    terms = obj.get("terms", [])
-    _require(isinstance(terms, list), f"{where}: terms must be a list")
+    terms = _list(obj, "terms", where)
     for k, term in enumerate(terms):
         _require(
             isinstance(term, dict) and "alpha" in term and "rho" in term,
@@ -108,8 +114,8 @@ def _parse_box(obj: Any, where: str) -> TailBox:
         _require(key in obj, f"{where}: missing {key}")
     with _malformed(where):
         return TailBox(
-            tuple(float(x) for x in obj.get("headLo", [])),
-            tuple(float(x) for x in obj.get("headHi", [])),
+            tuple(float(x) for x in _list(obj, "headLo", where)),
+            tuple(float(x) for x in _list(obj, "headHi", where)),
             _parse_tail_form(obj["tailLo"], f"{where}.tailLo"),
             _parse_tail_form(obj["tailHi"], f"{where}.tailHi"),
         )
@@ -124,9 +130,9 @@ def _parse_operator(obj: Any, where: str) -> DiagonalAffineOperator:
         return as_operator(ops)
     with _malformed(where):
         return DiagonalAffineOperator(
-            tuple(float(x) for x in obj.get("dHead", [])),
+            tuple(float(x) for x in _list(obj, "dHead", where)),
             _parse_tail_form(obj.get("dTail", {}), f"{where}.dTail"),
-            tuple(float(x) for x in obj.get("eHead", [])),
+            tuple(float(x) for x in _list(obj, "eHead", where)),
             _parse_tail_form(obj.get("eTail", {}), f"{where}.eTail"),
         )
 
@@ -177,7 +183,7 @@ def _parse_grid(obj: Any, where: str) -> SampleGrid:
         if "step" in obj:
             kwargs["step"] = float(obj["step"])
         if "nLadder" in obj:
-            kwargs["n_ladder"] = _parse_ladder(obj["nLadder"], f"{where}.nLadder")
+            kwargs["n_ladder"] = _parse_ladder(_list(obj, "nLadder", where), f"{where}.nLadder")
         return SampleGrid(**kwargs)
 
 
@@ -242,7 +248,7 @@ def parse_config(raw: dict) -> RunConfig:
     # a step costs about 0.1 ms and 0.5 KB of report
     _require(1 <= cfg.max_iter <= 10**5, "maxIter must lie in [1, 10**5]")
     if "nLadder" in raw:
-        cfg.n_ladder = _parse_ladder(raw["nLadder"], "nLadder")
+        cfg.n_ladder = _parse_ladder(_list(raw, "nLadder"), "nLadder")
     # the chain decides one margin per ladder entry and step, and reports it
     _require(
         len(cfg.n_ladder) * cfg.max_iter <= _MAX_GRID_CELLS,

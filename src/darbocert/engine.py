@@ -114,7 +114,7 @@ class Certificate:
         witness = None
         if self.witness is not None:
             witness = {
-                "head": self.witness.point.head.tolist(),
+                "head": list(self.witness.point.head),
                 "tail": {
                     "terms": [
                         {"alpha": c, "rho": r} for c, r in self.witness.point.tail.terms

@@ -1,8 +1,9 @@
 """Exact Hausdorff measure-of-noncompactness calculus on tail boxes.
 
 The ambient space is the space of real sequences converging to zero under
-the sup norm.  Every sequence here is a ``Seq``: explicit head values for
-coordinates 1..h and a closed-form *tail form* for every coordinate beyond,
+the sup norm.  Every sequence here is a ``Seq``: a tuple of float head
+values for coordinates 1..h and a closed-form *tail form* for every
+coordinate beyond,
 
     f(i) = sum_j alpha_j * rho_j**i + beta,     0 <= rho_j < 1.
 
@@ -29,6 +30,9 @@ evaluated coordinate by coordinate, so the verdict is the one a scan of
 every coordinate gives.
 Forms with beta = 0 and mixed-sign coefficients are checked the same way
 up to a configurable horizon and flagged undecided beyond it.
+
+Head arithmetic runs on Python floats, which round as float64 does; tail
+forms are evaluated in numpy, and ``Seq.array`` gives numpy a long head.
 
 Everything here is immutable and pure; concurrent use needs no locks.
 """
@@ -78,7 +82,7 @@ DEFAULT_HORIZON = 10_000
 _DOMINANCE_CAP = 10_000_000
 
 # affine_image materialises d's coordinates up to its sign-settling index
-# with Seq.pad; a longer head than this is refused.
+# with Seq.array; a longer head than this is refused.
 _HEAD_CAP = 100_000
 
 # _first_negative scans a range in windows of this many coordinates, so a
@@ -503,25 +507,22 @@ class Seq:
     This is the one place that indexes, pads, combines and orders such
     sequences.  Binary operations and ``le`` first pad both operands to a
     common head length; padded coordinates equal the operand's own
-    ``TailForm.value``s bit for bit.  Results are plain Seqs.  The constructor
-    copies the head it is given; results built here own their fresh head
-    array instead, and every head is read-only.
+    ``TailForm.value``s bit for bit.  Results are plain Seqs.  The head is
+    a tuple of Python floats, whose ``+ - *`` and comparisons round as
+    float64 arrays do; ``array`` gives the padded head as a float64 array
+    for bulk work.
     """
 
-    head: np.ndarray = ()
+    head: tuple[float, ...] = ()
     tail: TailForm = TailForm()
 
     def __post_init__(self):
-        head = np.array(self.head, dtype=float)
-        head.flags.writeable = False
-        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "head", tuple(map(float, self.head)))
 
     @classmethod
-    def _own(cls, head: np.ndarray, tail: TailForm) -> "Seq":
-        """The Seq that takes ownership of ``head``, a fresh float64 array
-        nothing else refers to, and marks it read-only instead of copying."""
+    def _of(cls, head: tuple[float, ...], tail: TailForm) -> "Seq":
+        """The Seq with ``head``, already a tuple of floats."""
         seq = cls.__new__(cls)
-        head.flags.writeable = False
         object.__setattr__(seq, "head", head)
         object.__setattr__(seq, "tail", tail)
         return seq
@@ -538,32 +539,46 @@ class Seq:
         if i < 1:
             raise ValueError("coordinates are indexed from 1")
         if i <= len(self.head):
-            return float(self.head[i - 1])
+            return self.head[i - 1]
         return self.tail.value(i)
 
-    def pad(self, h: int) -> "Seq":
-        """The same sequence with at least h explicit head values.
+    def _tail_values(self, h0: int, h: int):
+        """``self.tail.value(i)`` for i in h0+1..h, bit for bit, as an
+        iterable: every term ``c * pow(r, i)`` (the libm call of ``r**i``;
+        ``np.power`` differs from it in the last bit) is added in order to
+        a running sum from 0.0, and the constant last.  Each term is one
+        pass of C-level maps over all the coordinates, kept as a list: lazy
+        maps nested once per term overflow the C stack on a form of 10^5
+        terms.  A form with no terms has the value 0.0 + constant."""
+        tail = self.tail
+        if not tail.terms:
+            return repeat(0.0 + tail.constant, h - h0)
+        idx = range(h0 + 1, h + 1)
+        acc = repeat(0.0)
+        for c, r in tail.terms:
+            terms = map(operator.mul, repeat(c), map(pow, repeat(r), idx))
+            acc = list(map(operator.add, acc, terms))
+        return map(operator.add, acc, repeat(tail.constant))
 
-        Each padded coordinate is ``self.tail.value(i)`` bit for bit: every
-        term ``c * pow(r, i)`` (the libm call of ``r**i``; ``np.power``
-        differs from it in the last bit) is added in order to a running sum
-        from 0.0, and the constant last.  Each term is one pass of C-level
-        maps over all the new coordinates, kept as a list: lazy maps nested
-        once per term overflow the C stack on a form of 10^5 terms."""
+    def pad(self, h: int) -> "Seq":
+        """The same sequence with at least h explicit head values."""
         h0 = len(self.head)
         if h <= h0:
             return self
-        tail = self.tail
-        if tail.terms:
-            idx = range(h0 + 1, h + 1)
-            acc = repeat(0.0)
-            for c, r in tail.terms:
-                terms = map(operator.mul, repeat(c), map(pow, repeat(r), idx))
-                acc = list(map(operator.add, acc, terms))
-            extra = np.fromiter(map(operator.add, acc, repeat(tail.constant)), float, h - h0)
-        else:  # the value of a form with no terms, 0.0 + constant
-            extra = np.full(h - h0, 0.0 + tail.constant)
-        return Seq._own(np.concatenate((self.head, extra)), self.tail)
+        return Seq._of(self.head + tuple(self._tail_values(h0, h)), self.tail)
+
+    def array(self, h: int) -> np.ndarray:
+        """Coordinates 1..max(h, head length) as a float64 array, bit for
+        bit ``pad(h).head``."""
+        h0 = len(self.head)
+        h = max(h, h0)
+        out = np.empty(h)
+        out[:h0] = self.head
+        if self.tail.terms:
+            out[h0:] = np.fromiter(self._tail_values(h0, h), float, h - h0)
+        else:  # one store, not one per coordinate
+            out[h0:] = 0.0 + self.tail.constant
+        return out
 
     def _combine(self, other: "Seq", op) -> "Seq":
         """self op other, ``op`` an ``operator`` function, on heads padded
@@ -572,7 +587,7 @@ class Seq:
         if len(a) != len(b):
             h = max(len(a), len(b))
             a, b = self.pad(h).head, other.pad(h).head
-        return Seq._own(op(a, b), op(self.tail, other.tail))
+        return Seq._of(tuple(map(op, a, b)), op(self.tail, other.tail))
 
     def __add__(self, other: "Seq") -> "Seq":
         return self._combine(other, operator.add)
@@ -585,7 +600,7 @@ class Seq:
 
     def scale(self, c: float) -> "Seq":
         c = float(c)
-        return Seq._own(self.head * c, self.tail.scale(c))
+        return Seq._of(tuple(map(operator.mul, self.head, repeat(c))), self.tail.scale(c))
 
     def le(self, other: "Seq", horizon: int = DEFAULT_HORIZON) -> bool:
         """Exactly decide x_i <= y_i for every i >= 1, y = ``other``: the
@@ -597,17 +612,19 @@ class Seq:
             h = max(len(a), len(b))
             a, b = self.pad(h).head, other.pad(h).head
         gap = other.tail - self.tail
-        if a.size and not (b >= a).all():
+        if not all(map(operator.ge, b, a)):
             return False
         return is_nonnegative(gap, len(a) + 1, horizon)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return bool(np.array_equal(self.head, other.head)) and self.tail == other.tail
+        # elementwise ==, not tuple ==, which takes a NaN to equal itself
+        a, b = self.head, other.head
+        return len(a) == len(b) and all(map(operator.eq, a, b)) and self.tail == other.tail
 
     def __hash__(self):
-        return hash((tuple(self.head.tolist()), self.tail))
+        return hash((self.head, self.tail))
 
 
 @dataclass(frozen=True, init=False)
@@ -638,7 +655,7 @@ class TailBox:
         object.__setattr__(self, "hi", hi)
         if lo.head_len != hi.head_len:
             raise InvalidBoxError("head arrays differ in length")
-        if lo.head.size and not (np.isfinite(lo.head).all() and np.isfinite(hi.head).all()):
+        if not (all(map(math.isfinite, lo.head)) and all(map(math.isfinite, hi.head))):
             raise InvalidBoxError("non-finite head interval")
         if not (lo.asym <= 0.0 <= hi.asym):
             raise InvalidBoxError(
@@ -646,7 +663,7 @@ class TailBox:
                 f"asym(lo) <= 0 <= asym(hi), got {lo.asym} and {hi.asym}"
             )
         if _derived:
-            ordered = not lo.head.size or (hi.head >= lo.head).all()
+            ordered = all(map(operator.ge, hi.head, lo.head))
         else:
             ordered = lo.le(hi)
         if not ordered:
@@ -784,14 +801,19 @@ def affine_image(box: TailBox, d: Seq, e: Seq) -> TailBox:
         raise UndecidedComparisonError(
             f"sign of d settles only at index {from_idx}, past the head cap {_HEAD_CAP}"
         )
-    d = d.pad(from_idx - 1)
+    # the head runs to the sign-settling index, up to _HEAD_CAP coordinates,
+    # so it is computed on float64 arrays
+    h = max(h, from_idx - 1)
+    dh, eh = d.array(h), e.array(h)
+    x, y = d.tail * box.lo.tail, d.tail * box.hi.tail
     # an overflowing head entry becomes inf, which TailBox refuses
     with _FLOAT_ARITHMETIC():
-        x, y = d * box.lo, d * box.hi
+        xh, yh = dh * box.lo.array(h), dh * box.hi.array(h)
         if sign < 0:
-            x, y = y, x
-        lo = Seq._own(np.minimum(x.head, y.head), x.tail) + e
-        hi = Seq._own(np.maximum(x.head, y.head), y.tail) + e
+            x, y, xh, yh = y, x, yh, xh
+        lo_head, hi_head = np.minimum(xh, yh) + eh, np.maximum(xh, yh) + eh
+    lo = Seq._of(tuple(lo_head.tolist()), x + e.tail)
+    hi = Seq._of(tuple(hi_head.tolist()), y + e.tail)
     return TailBox(_derived=(lo, hi))
 
 
@@ -806,12 +828,11 @@ def scale_translate(a: TailBox, c: float, shift: Point | None = None) -> TailBox
     if not math.isfinite(c):
         raise InvalidTailFormError("non-finite constant")
     h = a.head_len if shift is None else max(a.head_len, shift.head_len)
-    with _FLOAT_ARITHMETIC():
-        lo, hi = a.lo.pad(h).scale(c), a.hi.pad(h).scale(c)
-        if c < 0.0:
-            lo, hi = hi, lo
-        if shift is not None:
-            lo, hi = lo + shift, hi + shift
+    lo, hi = a.lo.pad(h).scale(c), a.hi.pad(h).scale(c)
+    if c < 0.0:
+        lo, hi = hi, lo
+    if shift is not None:
+        lo, hi = lo + shift, hi + shift
     return TailBox(_derived=(lo, hi))
 
 

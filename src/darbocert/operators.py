@@ -10,6 +10,7 @@ are rejected rather than approximated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -69,7 +70,7 @@ class DiagonalAffineOperator:
         d, e = Seq(d_head, d_tail), Seq(e_head, e_tail)
         if e.asym != 0.0:
             raise OperatorError(f"offset sequence has asymptotic value {e.asym} != 0")
-        if not (np.isfinite(d.head).all() and np.isfinite(e.head).all()):
+        if not (all(map(math.isfinite, d.head)) and all(map(math.isfinite, e.head))):
             raise OperatorError("non-finite coefficient")
         h = max(d.head_len, e.head_len)
         object.__setattr__(self, "d", d.pad(h))
@@ -141,24 +142,25 @@ def _check_contractive(op: DiagonalAffineOperator, horizon: int) -> None:
     idx = op.d.tail.with_constant(1.0 - beta).dominance_index(start)
     if idx - start > horizon:
         raise NotContractiveError(f"cannot certify sup|d_i| < 1 within horizon {horizon}")
-    bad = np.flatnonzero(np.abs(op.d.pad(idx).head) >= 1.0)
+    bad = np.flatnonzero(np.abs(op.d.array(idx)) >= 1.0)
     if bad.size:
         i = int(bad[0]) + 1
         raise NotContractiveError(f"|d_{i}| = {abs(op.d(i))} >= 1")
 
 
-def _residual(d: Seq, e: Seq, point: Point, probe_to: int) -> float:
-    """sup |d_i x_i + e_i - x_i| over 1..probe_to, the head length of ``d``
-    and ``e``, and at doubling probes beyond."""
-    x = point.pad(probe_to).head
-    best = float(np.abs(d.head * x + e.head - x).max())
-    probe = probe_to
+def _residual(op: DiagonalAffineOperator, d: np.ndarray, e: np.ndarray, point: Point) -> float:
+    """sup |d_i x_i + e_i - x_i| over 1..probe_to, with ``d`` and ``e`` the
+    operator's coefficients there as arrays, and at doubling probes
+    beyond."""
+    probe = d.size
+    x = point.array(probe)
+    best = float(np.abs(d * x + e - x).max())
     for _ in range(40):
         probe *= 2
         if probe > 2**62:
             break
         xi = point(probe)
-        best = max(best, abs(d(probe) * xi + e(probe) - xi))
+        best = max(best, abs(op.d(probe) * xi + op.e(probe) - xi))
     return best
 
 
@@ -178,10 +180,10 @@ def fixed_point_witness(
         solve_to = probe_to = max(op.head_len, horizon)
     else:
         solve_to, probe_to = op.head_len, max(op.head_len, 64)
-    d, e = op.d.pad(probe_to), op.e.pad(probe_to)
+    d, e = op.d.array(probe_to), op.e.array(probe_to)
     tail = op.e.tail.scale(1.0 / (1.0 - op.d.asym))
-    head = e.head[:solve_to] / (1.0 - d.head[:solve_to])
+    head = e[:solve_to] / (1.0 - d[:solve_to])
     # trailing entries equal to the tail's own values add nothing
-    differs = np.flatnonzero(head != Seq((), tail).pad(solve_to).head)
-    point = Point(head[:differs[-1] + 1 if differs.size else 0], tail)
-    return FixedPointWitness(point, _residual(d, e, point, probe_to))
+    differs = np.flatnonzero(head != Seq((), tail).array(solve_to))
+    point = Point(head[:differs[-1] + 1 if differs.size else 0].tolist(), tail)
+    return FixedPointWitness(point, _residual(op, d, e, point))

@@ -1,4 +1,17 @@
 import time
+import warnings
+
+# hypothesis's pytest plugin imports this module when a @given test fails.
+# It pulls in libcst and mypy_extensions, whose DeprecationWarning is an
+# error under filterwarnings = ["error"] and would abort the whole run
+# before the falsifying example is shown.  Import it once, here, with
+# warnings silenced.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 _started = None
 

@@ -529,6 +529,31 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="^nLadder must hold strictly increasing"):
                 parse_config({"nLadder": ladder})
 
+    @pytest.mark.parametrize("value", ["12", {"5": 1, "6": 2}, 3, None], ids=["string", "object", "number", "null"])
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (lambda v: {"set": dict(UNIT_BOX, headLo=v, headHi="34")}, "set: headLo"),
+            (lambda v: {"set": dict(UNIT_BOX, headHi=v)}, "set: headHi"),
+            (lambda v: {"operator": dict(HALF_SCALING, dHead=v)}, "operator: dHead"),
+            (lambda v: {"operator": dict(HALF_SCALING, eHead=v)}, "operator: eHead"),
+            (
+                lambda v: {"operator": {"compose": [HALF_SCALING, dict(HALF_SCALING, dHead=v)]}},
+                "operator.compose[1]: dHead",
+            ),
+            (lambda v: {"classicK": 0.6, "nLadder": v}, "nLadder"),
+            (lambda v: {"classicK": 0.6, "grid": {"step": 0.5, "nLadder": v}}, "grid: nLadder"),
+        ],
+        ids=["headLo", "headHi", "dHead", "eHead", "compose.dHead", "nLadder", "grid.nLadder"],
+    )
+    def test_head_or_ladder_that_is_not_a_list_is_config_error(self, tmp_path, capsys, payload, message, value):
+        # "12" would read as [1.0, 2.0] and {"5": 1, "6": 2} as its keys
+        cfg = certify_config(tmp_path, **payload(value))
+        out = tmp_path / "r.json"
+        assert run(["certify", "--mode", "classic", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message} must be a list\n"
+        assert not out.exists()
+
     def test_ladder_times_budget_at_the_cap_is_accepted(self, tmp_path, capsys):
         # 100 entries x 10**5 steps = 10**7 margin cells; the chain stops at 30
         cfg = certify_config(tmp_path, classicK=0.6, maxIter=10**5, nLadder=list(range(1, 101)))

@@ -194,3 +194,42 @@ def test_every_config_ends_in_a_documented_exit_code(argv, config):
         if code == EXIT_CONFIG:
             assert err.getvalue().startswith("error: ")
             assert not out.exists()
+
+
+# values that iterate as something other than a list of numbers
+not_lists = st.one_of(
+    st.text(max_size=3),
+    st.dictionaries(st.sampled_from(["1", "5", "6"]), st.integers(0, 9), max_size=2),
+    reals,
+    st.none(),
+    st.booleans(),
+)
+list_places = st.sampled_from(
+    [("set", "headLo"), ("set", "headHi"), ("operator", "dHead"), ("operator", "eHead"),
+     ("grid", "nLadder"), (None, "nLadder")]
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(commands, list_places, not_lists, st.data())
+def test_a_head_or_ladder_that_is_not_a_list_is_config_error(argv, place, value, data):
+    section, key = place
+    config, target, where = {}, None, ""
+    if section is None:
+        config[key] = value
+    else:
+        body = copy.deepcopy(data.draw({"set": boxes, "operator": operators, "grid": grids}[section]))
+        config[section] = target = body
+        where = section
+        if "compose" in body:
+            target, where = body["compose"][0], f"{section}.compose[0]"
+        target[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv + ["--config", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG and not out.exists()
+        prefix = f"{where}: " if where else ""
+        assert err.getvalue() == f"error: {prefix}{key} must be a list\n"

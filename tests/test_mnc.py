@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from darbocert import mnc
 from darbocert.axioms import random_box
@@ -45,6 +46,11 @@ from darbocert.mnc import (
     truncation_tail_sup,
 )
 from darbocert.operators import DiagonalAffineOperator, apply_to_box
+
+
+def hexes(values):
+    """Bit patterns of floats, so that -0.0 and 0.0 differ."""
+    return [float(x).hex() for x in values]
 
 
 def symmetric_box(level, terms=()):
@@ -388,16 +394,16 @@ class TestSeq:
     def test_pad_materialises_tail_values(self):
         s = Seq((7.0,), self.GEOM)
         padded = s.pad(3)
-        assert padded.head.tolist() == [7.0, 0.25, 0.125]
+        assert hexes(padded.head) == hexes([7.0, 0.25, 0.125])
         assert padded.tail == s.tail
         assert s.pad(1) is s
 
     def test_arithmetic_pads_each_operand_from_its_own_tail(self):
         a = Seq((1.0,), TailForm((), 2.0))
         b = Seq((), self.GEOM)
-        assert (a + b).head.tolist() == [1.5]
-        assert (a - b).head.tolist() == [0.5]
-        assert (a * b).head.tolist() == [0.5]
+        assert hexes((a + b).head) == hexes([1.5])
+        assert hexes((a - b).head) == hexes([0.5])
+        assert hexes((a * b).head) == hexes([0.5])
         assert (a + b).tail == TailForm(((1.0, 0.5),), 2.0)
         assert (a * b).tail == TailForm(((2.0, 0.5),), 0.0)
         assert a.scale(-2.0) == Seq((-2.0,), TailForm((), -4.0))
@@ -405,18 +411,18 @@ class TestSeq:
     def test_pad_of_a_constant_tail_is_the_scalar_value(self):
         for constant in (0.0, -0.0, 5e-324, -1.5, 1e308):
             s = Seq((7.0,), TailForm((), constant))
-            padded = s.pad(4).head.tolist()
-            assert [x.hex() for x in padded] == [(7.0).hex()] + [(sum(()) + constant).hex()] * 3
-            assert padded[1:] == [s.tail.value(i) for i in (2, 3, 4)]
+            padded = s.pad(4).head
+            assert hexes(padded) == [(7.0).hex()] + [(sum(()) + constant).hex()] * 3
+            assert hexes(padded[1:]) == hexes(s.tail.value(i) for i in (2, 3, 4))
 
     @settings(deadline=None, max_examples=200)
     @given(pad_cases())
     def test_pad_is_the_scalar_value_bit_for_bit(self, case):
         s, h = case
-        padded = s.pad(h).head.tolist()
+        padded = s.pad(h).head
         rest = range(s.head_len + 1, h + 1)
-        want = s.head.tolist() + [s.tail.value(i) for i in rest]
-        assert [x.hex() for x in padded] == [x.hex() for x in want]
+        want = [*s.head, *(s.tail.value(i) for i in rest)]
+        assert hexes(padded) == hexes(want)
         # value adds left to right from 0.0: sum() of floats is compensated from 3.12
         for i in rest:
             acc = 0.0
@@ -427,8 +433,8 @@ class TestSeq:
     def test_pad_of_a_form_with_many_terms(self):
         # lazy maps nested once per term would overflow the C stack here
         form = TailForm([(1e-6, k / (2 * 10**5)) for k in range(1, 10**5 + 1)], 0.5)
-        padded = Seq((), form).pad(2).head.tolist()
-        assert [x.hex() for x in padded] == [form.value(1).hex(), form.value(2).hex()]
+        padded = Seq((), form).pad(2).head
+        assert hexes(padded) == [form.value(1).hex(), form.value(2).hex()]
 
     def test_chain_long_certify_pads_without_scalar_values(self, tmp_path, monkeypatch, capsys):
         # the witness pads d (one term) to the horizon of 10**4 coordinates;
@@ -475,17 +481,23 @@ class TestSeq:
         assert Seq((1.0,), self.GEOM) != Seq((1.0, 0.5), self.GEOM)
         assert Point() == Point()
         assert Point() != Seq()
+        # elementwise float ==: a NaN entry is unequal to itself, +-0 are equal
+        nan = Seq((math.nan,))
+        assert nan != nan and not nan == nan
+        assert Seq((0.0, 1.0)) == Seq((-0.0, 1.0))
+        assert hash(Seq((0.0, 1.0))) == hash(Seq((-0.0, 1.0)))
 
     def test_head_is_immutable(self):
         s = Seq((1.0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             s.head[0] = 2.0
 
     def test_public_constructor_copies_the_head(self):
         arr = np.array([1.0, 2.0])
         s = Seq(arr, self.GEOM)
         arr[0] = 5.0
-        assert s.head.tolist() == [1.0, 2.0] and arr.flags.writeable
+        assert hexes(s.head) == hexes([1.0, 2.0]) and arr.flags.writeable
+        assert type(s.head) is tuple and all(type(x) is float for x in s.head)
 
     def test_derived_heads_are_read_only(self):
         a = Seq((1.0, -2.0), TailForm((), 2.0))
@@ -493,19 +505,18 @@ class TestSeq:
         box = TailBox((-1.0,), (1.0,), TailForm((), -1.0), TailForm((), 1.0))
         d, e = Seq((0.5,), TailForm((), -0.5)), Seq((), TailForm((), 0.0))
         image = affine_image(box, d, e)
+        # an identity operation gives an equal Seq whose head is just as immutable
+        g = Seq((1.0, 2.0), self.GEOM)
+        zero, one = Seq((0.0, 0.0), TailForm()), Seq((1.0, 1.0), TailForm((), 1.0))
+        same = [g + zero, g - zero, g * one, g.scale(1.0)]
+        assert all(seq == g for seq in same)
         derived = [a + b, b + a, a - b, a * b, a.scale(3.0), a.pad(4), b.pad(2), image.lo, image.hi]
-        for seq in derived:
-            assert seq.head.dtype == np.float64 and not seq.head.flags.writeable
-            with pytest.raises(ValueError):
-                seq.head[:1] = 9.0
-        assert (a + b).head.tolist() == [1.5, -1.75]
-        assert (image.lo.head.tolist(), image.hi.head.tolist()) == ([-0.5], [0.5])
-
-    def test_no_head_is_shared_with_an_operand(self):
-        a = Seq((1.0, 2.0), self.GEOM)
-        zero = Seq((0.0, 0.0), TailForm())
-        for seq in (a + zero, a - zero, a * Seq((1.0, 1.0), TailForm((), 1.0)), a.scale(1.0)):
-            assert seq == a and not np.shares_memory(seq.head, a.head)
+        for seq in derived + same:
+            assert type(seq.head) is tuple and all(type(x) is float for x in seq.head)
+            with pytest.raises(TypeError):
+                seq.head[:1] = (9.0,)
+        assert hexes((a + b).head) == hexes([1.5, -1.75])
+        assert (hexes(image.lo.head), hexes(image.hi.head)) == (hexes([-0.5]), hexes([0.5]))
 
 
 class TestSignMachinery:
@@ -891,7 +902,7 @@ def box_bits(box, signed_zeros=True):
         return (x if signed_zeros else x + 0.0).hex()
 
     return [
-        ([hex_of(x) for x in env.head.tolist()], bits(env.tail.terms), hex_of(env.tail.constant))
+        ([hex_of(x) for x in env.head], bits(env.tail.terms), hex_of(env.tail.constant))
         for env in (box.lo, box.hi)
     ]
 
@@ -927,19 +938,171 @@ class TestOrderAndScalingParity:
             got = outcome(lambda: scale_translate(box, c, shift))
         want = outcome(lambda: affine_image(box, Seq((), TailForm((), c)), shift))
         if got[0] and want[0]:
-            # affine_image takes the min and max of the scaled heads, and
-            # np.minimum and np.maximum keep their second operand on a tie
-            # of signed zeros; c * lo keeps its own zero.  Adding the shift
-            # makes the two zeros one, unless the shift's entry is -0.0
+            # affine_image takes the min and max of the scaled heads x and
+            # y and keeps y on a tie of signed zeros, as np.minimum(x, y)
+            # and np.maximum(x, y) do; c * lo keeps its own zero.  Adding
+            # the shift makes the two zeros one, unless the shift's entry is -0.0
             # itself.  Such a zero may then differ in sign, and both boxes
             # are the same set.  With no shift, scale_translate adds
             # nothing, so its zeros keep the sign that c gives them.
             strict = not default and not any(
-                x == 0.0 and math.copysign(1.0, x) < 0.0 for x in shift.head.tolist()
+                x == 0.0 and math.copysign(1.0, x) < 0.0 for x in shift.head
             )
             assert box_bits(got[1], strict) == box_bits(want[1], strict)
         else:
             assert got == want
+
+
+def float64_head(seq, h):
+    """Coordinates 1..h of ``seq`` as a float64 array, one scalar value
+    each."""
+    return np.array([seq(i) for i in range(1, h + 1)], dtype=float)
+
+
+def float64_affine_image(box, d, e):
+    """The heads of ``affine_image(box, d, e)`` computed on float64 arrays
+    with np.minimum and np.maximum."""
+    h = max(box.head_len, d.head_len, e.head_len)
+    sign, from_idx = eventual_sign(d.tail, start=h + 1)
+    dd, lo, hi, ee = (float64_head(s, max(h, from_idx - 1)) for s in (d, box.lo, box.hi, e))
+    with np.errstate(all="ignore"):
+        x, y = dd * lo, dd * hi
+        if sign < 0:
+            x, y = y, x
+        return np.minimum(x, y) + ee, np.maximum(x, y) + ee
+
+
+def is_float_tuple(head):
+    return type(head) is tuple and all(type(x) is float for x in head)
+
+
+# head factors that overflow the products of EDGE_FLOATS heads to +-inf
+EDGE_FACTORS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e10, -1e10, 1e300, -1e300]),
+    st.floats(-3.0, 3.0),
+)
+
+
+@st.composite
+def affine_cases(draw):
+    """A valid box with edge-value heads, a coefficient Seq d with edge
+    factors in its head and a shift Point e."""
+    pairs = draw(st.lists(st.tuples(edge_floats(), edge_floats()), max_size=3))
+    box = TailBox([min(p) for p in pairs], [max(p) for p in pairs],
+                  TailForm((), -1.0), TailForm(((2.0, 0.5),), 1.0))
+    d = Seq(draw(st.lists(EDGE_FACTORS, max_size=4)),
+            TailForm(draw(edge_terms()), draw(st.sampled_from([0.5, -0.5, 1e10, -2.0]))))
+    e = Point(draw(st.lists(edge_floats(), max_size=4)),
+              TailForm(draw(edge_terms()), draw(st.sampled_from([0.0, -0.0]))))
+    return box, d, e
+
+
+class TestTupleHeadParity:
+    """Heads are tuples of Python floats: every head result equals the
+    float64 array computation it replaced, bit for bit, and raises no
+    warning where that one overflows.  ``le`` is checked against float64
+    heads by ``TestOrderAndScalingParity``."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(edge_seqs(), edge_seqs())
+    def test_arithmetic(self, x, y):
+        h = max(x.head_len, y.head_len)
+        a, b = float64_head(x, h), float64_head(y, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for op in (operator.add, operator.sub, operator.mul):
+                got = outcome(lambda: op(x, y))
+                with np.errstate(all="ignore"):
+                    want = op(a, b)
+                if got[0]:
+                    assert is_float_tuple(got[1].head) and hexes(got[1].head) == hexes(want)
+
+    @settings(deadline=None, max_examples=200)
+    @given(edge_seqs(), EDGE_FACTORS | st.sampled_from([1e308, -1e308]))
+    def test_scale(self, x, c):
+        got = outcome(lambda: x.scale(c))
+        with np.errstate(all="ignore"):
+            want = float64_head(x, x.head_len) * c
+        if got[0]:
+            assert is_float_tuple(got[1].head) and hexes(got[1].head) == hexes(want)
+
+    @settings(deadline=None, max_examples=200)
+    @given(edge_seqs(), st.integers(0, 12))
+    def test_pad_and_array(self, x, h):
+        padded = x.pad(h).head
+        assert is_float_tuple(padded)
+        assert hexes(padded) == hexes(float64_head(x, max(h, x.head_len)))
+        arr = x.array(h)
+        assert arr.dtype == np.float64 and hexes(arr) == hexes(padded)
+
+    @pytest.mark.parametrize("constant", [0.0, -0.0, 5e-324, -1.5, 1e308])
+    def test_array_of_a_tail_with_no_terms(self, constant):
+        s = Seq((7.0, -0.0), TailForm((), constant))
+        for h in (0, 2, 3, 1000):
+            assert hexes(s.array(h)) == hexes(s.pad(h).head)
+        assert hexes(s.array(4)[2:]) == [(0.0 + constant).hex()] * 2
+
+    @settings(deadline=None, max_examples=300)
+    @given(affine_cases())
+    @example(
+        # a tie of signed zeros: min(y, x) keeps y = 1.0 * -0.0 as np.minimum does
+        (TailBox((0.0,), (-0.0,), TailForm((), -1.0), TailForm((), 1.0)),
+         Seq((1.0,), TailForm((), 0.5)), Point((-0.0,))),
+    )
+    def test_affine_image(self, case):
+        box, d, e = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(lambda: affine_image(box, d, e))
+        if got[0]:
+            want = float64_affine_image(box, d, e)
+            for env, ref in zip((got[1].lo, got[1].hi), want):
+                assert is_float_tuple(env.head) and hexes(env.head) == hexes(ref)
+        elif got[1] is InvalidBoxError:
+            assert got[2] == "non-finite head interval"
+            assert not all(np.isfinite(ref).all() for ref in float64_affine_image(box, d, e))
+
+    def test_affine_image_of_a_late_settling_multiplier(self):
+        # d = 0.5 - 0.9999**i changes sign at i = 6932: a head of 6,931 coordinates
+        d = Seq((), TailForm(((-1.0, 0.9999),), 0.5))
+        e = Point((0.25,), TailForm(((1.0, 0.5),), 0.0))
+        box = TailBox((-1.0, -0.0), (1.0, 0.0), TailForm(((-1.0, 0.7),), -0.5), TailForm((), 0.5))
+        image = affine_image(box, d, e)
+        want = float64_affine_image(box, d, e)
+        assert image.head_len == 6931
+        for env, ref in zip((image.lo, image.hi), want):
+            assert is_float_tuple(env.head) and hexes(env.head) == hexes(ref)
+
+    @settings(deadline=None, max_examples=200)
+    @given(scaling_cases())
+    def test_scale_translate(self, case):
+        box, c, shift = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(lambda: scale_translate(box, c, shift))
+        if not got[0]:
+            if got[1] is InvalidBoxError:
+                assert got[2] == "non-finite head interval"
+            return
+        h = got[1].head_len
+        with np.errstate(all="ignore"):
+            lo, hi = float64_head(box.lo, h) * c, float64_head(box.hi, h) * c
+            if c < 0.0:
+                lo, hi = hi, lo
+            if shift is not None:
+                lo, hi = lo + float64_head(shift, h), hi + float64_head(shift, h)
+        for env, ref in zip((got[1].lo, got[1].hi), (lo, hi)):
+            assert is_float_tuple(env.head) and hexes(env.head) == hexes(ref)
+
+    @settings(deadline=None, max_examples=200)
+    @given(edge_seqs(), edge_seqs())
+    def test_equality_matches_array_equal(self, x, y):
+        same = np.array_equal(np.array(x.head, dtype=float), np.array(y.head, dtype=float))
+        assert (x == y) == (same and x.tail == y.tail)
+        flipped = Seq([-v if v == 0.0 else v for v in x.head], x.tail)
+        assert flipped == x and hash(flipped) == hash(x)
+        if x == y:
+            assert hash(x) == hash(y)
 
 
 def loop_normalise(terms):
