@@ -58,7 +58,7 @@ from .shifting import (
 
 __all__ = ["main", "run", "ConfigError", "RunConfig"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -245,11 +245,11 @@ def parse_config(raw: dict) -> RunConfig:
     _require(cfg.tol > 0, "tol must be positive")
     with _malformed("maxIter"):
         cfg.max_iter = int(raw.get("maxIter", 10_000))
-    # a step costs about 0.1 ms and 0.5 KB of report
+    # a step costs about 0.1 ms, and 0.13 KB of report plus 45 bytes per further margin
     _require(1 <= cfg.max_iter <= 10**5, "maxIter must lie in [1, 10**5]")
     if "nLadder" in raw:
         cfg.n_ladder = _parse_ladder(_list(raw, "nLadder"), "nLadder")
-    # the chain decides one margin per ladder entry and step, and reports it
+    # the chain decides at most one margin per ladder entry and step, and reports it
     _require(
         len(cfg.n_ladder) * cfg.max_iter <= _MAX_GRID_CELLS,
         f"nLadder entries x maxIter must be at most {_MAX_GRID_CELLS} margin cells",
@@ -298,20 +298,10 @@ def _base_report(command: str, cfg: RunConfig | None, seed: int | None) -> dict:
 def _json_text(obj: Any) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, the
     same text and the same errors, without the pure-Python encoder that
-    json runs whenever ``indent`` is set.  Float reprs and encoded keys are
-    memoised for one call (a chain report repeats its margins); zeros are
-    not, since 0.0 == -0.0.  A float, dict, str, int, list or tuple subclass
-    is written as its base type, like json does."""
-    reprs: dict = {}
+    json runs whenever ``indent`` is set.  Encoded keys are memoised for
+    one call (every trace entry repeats them).  A float, dict, str, int,
+    list or tuple subclass is written as its base type, like json does."""
     keys: dict = {}
-
-    def number(x):
-        if not math.isfinite(x):
-            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-        text = float.__repr__(x)
-        if x:
-            reprs[x] = text
-        return text
 
     def key(k):
         if isinstance(k, str):
@@ -323,7 +313,9 @@ def _json_text(obj: Any) -> str:
 
     def value(v, pad):
         if isinstance(v, float):
-            return reprs.get(v) or number(v)
+            if not math.isfinite(v):
+                raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+            return float.__repr__(v)
         inner = pad + "  "
         if isinstance(v, dict):
             items = [(keys.get(k) or key(k)) + ": " + value(x, inner) for k, x in sorted(v.items())]
@@ -459,8 +451,8 @@ def cmd_demo(out_path: str | None) -> int:
     lines.append("")
     lines.append(f"certificate: {cert.outcome} after {len(cert.trace) - 1} steps")
     lines.append("  step        mu")
-    for state in cert.trace:
-        lines.append(f"  {state.step:>4}  {state.mu:.12e}")
+    for step, state in enumerate(cert.trace):
+        lines.append(f"  {step:>4}  {state.mu:.12e}")
     sys.stdout.write("\n".join(lines) + "\n")
 
     report = _base_report("demo", None, None)

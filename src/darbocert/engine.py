@@ -10,6 +10,9 @@ Banach Spaces, 1980, ch. 5).  Every step asserts the per-n contraction
 inequality lhs_n(mu(TA)) <= rhs_n(mu(A)) on a ladder of n values and for
 the limit functions, each side evaluated once for a whole block of steps.
 
+Each step's margins are keyed by distinct columns: rows that are the same
+(lhs, rhs) expression pair are one column, named after the first of them.
+
 Outcomes:
 
 * CERTIFIED   mu fell below tol with every per-step check satisfied; the
@@ -18,9 +21,9 @@ Outcomes:
 * REFUTED     a re-checkable violating tuple (step, n, lhs, rhs) exists.
 * INCONCLUSIVE the iteration budget ran out, or an undeclared limit did not
               stabilise on the probe ladder (``details`` names the step and
-              the expression and t involved); decay statistics and a limit
-              estimate of the mu sequence are reported so that a stall far
-              from zero is distinguishable from slow decay.
+              the expression and t involved).  The certificate's ``factor``,
+              the exact |d_beta| of mu_{k+1} = factor * mu_k, and the last
+              mu tell a stall (factor 1) from slow decay.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expr import BinOp, DivisionByZeroError, Expr, LimitDivergenceError, Num, Var
+from .expr import BinOp, DivisionByZeroError, Expr, LimitDivergenceError, Num, Var, mentions_n
 from .mnc import DEFAULT_HORIZON, TailBox, UndecidedComparisonError, hausdorff_mnc
 from .operators import (
     FixedPointWitness,
@@ -42,6 +45,7 @@ from .operators import (
     verify_self_map,
 )
 from .shifting import (
+    _MAX_GRID_CELLS,
     FAIL,
     PASS,
     TIE_TOL,
@@ -75,35 +79,23 @@ class PreconditionError(ValueError):
 
 @dataclass
 class IterationState:
-    """One step of the chain: the measure, the inequality margins
-    (rhs - lhs, one per ladder n plus the limit pair), the nesting (decided
-    at step 0, by induction after) and the running estimate of the measure
-    sequence's limit."""
+    """One step of the chain, its index in the trace: the measure and the
+    inequality margins rhs - lhs, one per distinct column."""
 
-    step: int
     mu: float
     margins: dict[str, float]
-    subset_ok: bool
-    p_estimate: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "mu": self.mu,
-            "margins": self.margins,
-            "subsetOk": self.subset_ok,
-            "pEstimate": self.p_estimate,
-        }
+        return {"mu": self.mu, "margins": self.margins}
 
 
 @dataclass
 class Certificate:
     outcome: str
     trace: list[IterationState]
+    factor: float  # |d_beta|, the exact ratio of mu_{k+1} = factor * mu_k
     witness: FixedPointWitness | None = None
     refutation: dict | None = None
-    p_estimate: float | None = None
-    decay: dict | None = None
     details: dict = field(default_factory=dict)
 
     @property
@@ -128,40 +120,9 @@ class Certificate:
             "trace": [s.to_dict() for s in self.trace],
             "witness": witness,
             "refutation": self.refutation,
-            "pEstimate": self.p_estimate,
-            "decay": self.decay,
+            "factor": self.factor,
             "details": self.details,
         }
-
-
-def _aitken_estimate(mus: list[float]) -> float:
-    """Limit estimate of the measure sequence (Aitken delta-squared when
-    usable, else the last value); exact geometric decay gives 0."""
-    if len(mus) < 3:
-        return mus[-1]
-    a, b, c = mus[-3], mus[-2], mus[-1]
-    denom = c - 2.0 * b + a
-    if denom == 0.0:
-        return c
-    try:
-        p = c - (c - b) ** 2 / denom
-    except OverflowError:  # a float square past 1.8e308 raises, not inf
-        return c
-    if not np.isfinite(p):
-        return c
-    return max(0.0, p)
-
-
-def _decay_stats(mus: list[float]) -> dict:
-    ratios = [
-        mus[k + 1] / mus[k] for k in range(len(mus) - 1) if mus[k] > 0.0
-    ]
-    recent = ratios[-10:]
-    return {
-        "steps": len(mus) - 1,
-        "lastRatio": ratios[-1] if ratios else None,
-        "meanRecentRatio": (sum(recent) / len(recent)) if recent else None,
-    }
 
 
 def _enforce_pair_checks(
@@ -183,8 +144,14 @@ def _attach_witness(op) -> FixedPointWitness | None:
         return None
 
 
-# Most margin cells, steps x (ladder entries + 1), evaluated as one block.
+# Most margin cells, steps x columns, evaluated as one block.
 _BLOCK_CELLS = 1 << 14
+
+
+def _rows(seq: Expr, limit: Expr | None, t: np.ndarray, ns: tuple[int, ...]) -> np.ndarray:
+    """One side at the measures t: the limit row, then one row per n of ns."""
+    rows = limit_values(limit, seq, t)
+    return np.vstack((rows, grid_table(seq, t, ns))) if ns else rows[None]
 
 
 def _run_chain(
@@ -200,75 +167,76 @@ def _run_chain(
     mu_{k+1} = |d_beta| * mu_k, bit for bit the measure of the image box,
     since float rounding is monotone and symmetric in sign.
 
+    Each side is a table of one column per step and one row per margin
+    column: the limit pair, then one per ladder n.  When neither sequence
+    mentions n the ladder rows are one expression pair, so one row; it
+    joins the limit row when both limits are declared and equal the
+    sequences.  A merged row keeps its first row's name.
+
     Steps are decided in blocks of at most ``_BLOCK_CELLS`` margin cells:
     the measures up to the first mu below ``tol`` or the budget, then one
-    evaluation per side, the limit row above the ladder rows, all bit for
-    bit a single step's values.  The first violating column refutes at its
-    first violating row.  A block that raises is decided as its two halves
-    in turn, so the first failing single step raises or ends the run
-    INCONCLUSIVE as it would alone, after any earlier refutation or stop."""
+    evaluation per side, all bit for bit a single step's values.  The
+    first violating step refutes at its first violating row.  A range
+    of steps that raises is decided as its two halves in turn, so the
+    first failing single step raises or ends the run INCONCLUSIVE as it
+    would alone, after any earlier refutation or stop."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 
-    mus = [hausdorff_mnc(domain).value]
-    trace = [IterationState(0, mus[0], {}, True, None)]
+    factor = abs(op.d.asym)
+    trace = [IterationState(hausdorff_mnc(domain).value, {})]
 
     def finish(outcome: str, **extra) -> Certificate:
-        extra = {"details": details, "p_estimate": _aitken_estimate(mus), **extra}
-        return Certificate(outcome, trace, decay=_decay_stats(mus), **extra)
+        return Certificate(outcome, trace, factor, **{"details": details, **extra})
 
-    if mus[0] < tol:
+    if trace[0].mu < tol:
         # relatively compact entry case: certified without iterating
         return finish(CERTIFIED, witness=_attach_witness(op))
 
-    keys = ["limit", *(f"n={n}" for n in n_ladder)]
-
-    def decide(mu: np.ndarray) -> Certificate | None:
-        """Decide the steps on from mu[0] = mu_k, k = len(mus) - 1; a returned
-        certificate ends the run."""
-        try:
-            # Conv(TA) = TA: the image of a box is a closed convex box
-            lhs_lim = limit_values(lhs_limit, lhs_seq, mu[1:])
-            rhs_lim = limit_values(rhs_limit, rhs_seq, mu[:-1])
-            lhs = np.vstack((lhs_lim, grid_table(lhs_seq, mu[1:], n_ladder)))
-            rhs = np.vstack((rhs_lim, grid_table(rhs_seq, mu[:-1], n_ladder)))
-        except (DivisionByZeroError, LimitDivergenceError) as exc:
-            if mu.size > 2:
-                half = mu.size // 2
-                return decide(mu[: half + 1]) or decide(mu[half:])
-            if isinstance(exc, DivisionByZeroError):
-                raise
-            # an undeclared limit that the ladder cannot estimate leaves the
-            # step undecided; the trace ends with the last complete step
-            reason = {"step": len(mus) - 1, "reason": str(exc)}
-            return finish(INCONCLUSIVE, details={**details, **reason})
-        violated = lhs > rhs + TIE_TOL
-        bad = np.flatnonzero(violated.any(axis=0))
-        end = bad[0] + 1 if bad.size else mu.size - 1
-        margins = (rhs - lhs)[:, :end].T.tolist()
-        for mu_image, row in zip(mu[1 : end + 1].tolist(), margins):
-            mus.append(mu_image)
-            p = _aitken_estimate(mus)
-            trace.append(IterationState(len(mus) - 1, mu_image, dict(zip(keys, row)), True, p))
-        if not bad.size:
-            return None
-        j = bad[0]
-        i = int(violated[:, j].argmax())
-        refutation = {"step": len(mus) - 2, "n": n_ladder[i - 1] if i else "limit",
-                      "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
-        return finish(REFUTED, refutation=refutation)
-
-    factor = abs(op.d.asym)
+    ns = n_ladder
+    if not (mentions_n(lhs_seq) or mentions_n(rhs_seq)):
+        ns = () if (lhs_limit, rhs_limit) == (lhs_seq, rhs_seq) else n_ladder[:1]
+    names = ["limit", *ns]
+    keys = ["limit", *(f"n={n}" for n in ns)]
     span = max(1, _BLOCK_CELLS // len(keys))
-    while len(mus) <= max_iter:
+    while len(trace) <= max_iter:
         # the measures in sequence, mu_{k+1} = factor * mu_k as a loop would
-        mu = np.multiply.accumulate([mus[-1]] + [factor] * min(span, max_iter + 1 - len(mus)))
+        mu = np.multiply.accumulate([trace[-1].mu] + [factor] * min(span, max_iter + 1 - len(trace)))
         low = np.flatnonzero(mu[1:] < tol)
-        cert = decide(mu[: low[0] + 2] if low.size else mu)
-        if cert is not None:
-            return cert
+        if low.size:
+            mu = mu[: low[0] + 2]
+        ranges = [(0, mu.size - 1)]  # steps mu[a] -> mu[a + 1], ..., mu[b - 1] -> mu[b]
+        while ranges:
+            a, b = ranges.pop()
+            try:
+                # Conv(TA) = TA: the image of a box is a closed convex box
+                lhs = _rows(lhs_seq, lhs_limit, mu[a + 1 : b + 1], ns)
+                rhs = _rows(rhs_seq, rhs_limit, mu[a:b], ns)
+            except (DivisionByZeroError, LimitDivergenceError) as exc:
+                if b - a > 1:
+                    half = a + (b - a + 1) // 2
+                    ranges += [(half, b), (a, half)]
+                    continue
+                if isinstance(exc, DivisionByZeroError):
+                    raise
+                # an undeclared limit that the ladder cannot estimate leaves
+                # the step undecided; the trace ends with the last complete step
+                reason = {"step": len(trace) - 1, "reason": str(exc)}
+                return finish(INCONCLUSIVE, details={**details, **reason})
+            violated = lhs > rhs + TIE_TOL
+            bad = np.flatnonzero(violated.any(axis=0))
+            end = bad[0] + 1 if bad.size else b - a
+            margins = (rhs - lhs)[:, :end].T.tolist()
+            for mu_image, row in zip(mu[a + 1 : a + 1 + end].tolist(), margins):
+                trace.append(IterationState(mu_image, dict(zip(keys, row))))
+            if bad.size:
+                j = bad[0]
+                i = int(violated[:, j].argmax())
+                refutation = {"step": len(trace) - 2, "n": names[i],
+                              "lhs": float(lhs[i, j]), "rhs": float(rhs[i, j])}
+                return finish(REFUTED, refutation=refutation)
         if low.size:
             return finish(CERTIFIED, witness=_attach_witness(op))
     return finish(INCONCLUSIVE)
@@ -417,7 +385,8 @@ def weak_contraction_run(
     psi_n(mu(TA)) <= psi_n(mu(A)) - phi_n(mu(A)).
 
     Preconditions: the limit functions agree only at zero, and phi_n is
-    nonnegative on the grid at every ladder n (phi maps into the
+    nonnegative on the grid at every n of the grid's ladder and of the
+    chain's, where the inequality is asserted (phi maps into the
     nonnegative reals)."""
     op = as_operator(operator)
     grid = grid or SampleGrid()
@@ -425,8 +394,14 @@ def weak_contraction_run(
         {"equality_only_at_zero": check_equality_only_at_zero(pair, grid)},
         require_pair_checks, "weak_contraction_run",
     )
-    phi_min = grid_table(pair.phi_seq, grid.t_values(), grid.n_ladder).min(axis=1)
-    for n, low in zip(grid.n_ladder, phi_min):
+    t = grid.t_values()
+    ns = tuple(sorted({*grid.n_ladder, *n_ladder}))
+    if len(ns) * t.size > _MAX_GRID_CELLS:
+        raise PreconditionError(
+            f"phi_n >= 0 at {len(ns)} ladder entries x {t.size} grid points "
+            f"is more than {_MAX_GRID_CELLS} table cells"
+        )
+    for n, low in zip(ns, grid_table(pair.phi_seq, t, ns).min(axis=1)):
         if low < -TIE_TOL:
             raise PreconditionError(f"phi_{n} takes negative values on the grid (min {float(low)})")
     if not verify_self_map(op, domain, horizon):

@@ -38,6 +38,7 @@ __all__ = [
     "parse_expr",
     "eval_expr",
     "unparse",
+    "mentions_n",
     "limit_in_n",
 ]
 
@@ -308,6 +309,17 @@ def unparse(e: Expr) -> str:
             rhs = f"({rhs})"
         return f"{lhs}{e.op}{rhs}"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def mentions_n(e: Expr) -> bool:
+    """Whether the variable n occurs in ``e``."""
+    if isinstance(e, Var):
+        return e.name == "n"
+    if isinstance(e, Neg):
+        return mentions_n(e.operand)
+    if isinstance(e, BinOp):
+        return mentions_n(e.left) or mentions_n(e.right)
+    return False
 
 
 def limit_in_n(e: Expr, t, tol: float):

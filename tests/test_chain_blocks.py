@@ -1,14 +1,19 @@
 """The chain decided in blocks of steps against the per-step loop.
 
 ``loop_run_chain`` below is the chain as first written: each step makes
-two ``limit_values`` and two ``eval_expr`` calls at scalar measures.  The
-block chain under test evaluates each side once per block; its
-certificates must equal the loop's bit for bit (trace, margins,
+two ``limit_values`` and two ``eval_expr`` calls at scalar measures, for
+the limit row and every ladder row.  It then keys the margins by column:
+rows that are the same expression pair are one column, named after its
+first row, and the loop asserts that their values agree bit for bit.  The
+block chain under test evaluates each side once per block and each column
+once; its certificates must equal the loop's bit for bit (trace, margins,
 refutation, details), and where the loop raises, the block chain must
 raise the same error with the same message.
 """
 
+import gc
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -24,79 +29,77 @@ from darbocert.engine import (
     REFUTED,
     Certificate,
     IterationState,
-    _aitken_estimate,
     _attach_witness,
-    _decay_stats,
     _run_chain,
     classic_darbo_run,
     darbo_iterate,
     identity_pair,
+    weak_contraction_run,
 )
-from darbocert.expr import DivisionByZeroError, LimitDivergenceError, eval_expr, parse_expr
+from darbocert.expr import DivisionByZeroError, LimitDivergenceError, eval_expr, parse_expr, unparse
 from darbocert.mnc import TailBox, TailForm, hausdorff_mnc
 from darbocert.operators import DiagonalAffineOperator
-from darbocert.scenarios import identity_operator, scaling_operator, unit_box
-from darbocert.shifting import TIE_TOL, limit_values
+from darbocert.scenarios import demo_pair, identity_operator, scaling_operator, unit_box
+from darbocert.shifting import TIE_TOL, FunctionSequencePair, limit_values
 
 # d = 0.98 + 0.01*0.9**i on the unit box: a 1026-step chain at k = 0.99
 LONG_OP = DiagonalAffineOperator((), TailForm(((0.01, 0.9),), 0.98))
 
 
+def columns(lhs_seq, rhs_seq, lhs_limit, rhs_limit, n_ladder):
+    """The column name of each row, the limit row first: a row joins the
+    column of the first row that is the same expression pair.  An
+    undeclared limit is an estimate, a row of its own; a ladder row is the
+    pair at its n, one pair for every n when neither side mentions n."""
+    n_free = "n" not in unparse(lhs_seq) + unparse(rhs_seq)
+    undeclared = lhs_limit is None or rhs_limit is None
+    rows = [object() if undeclared else (lhs_limit, rhs_limit)]
+    rows += [(lhs_seq, rhs_seq) if n_free else (lhs_seq, rhs_seq, n) for n in n_ladder]
+    first = {}
+    for row, name in zip(rows, ["limit", *n_ladder]):
+        first.setdefault(row, name)
+    return [first[row] for row in rows]
+
+
 def loop_run_chain(op, domain, lhs_seq, rhs_seq, lhs_limit, rhs_limit, tol, max_iter,
                    n_ladder, details):
-    """The chain decided one step at a time."""
+    """The chain decided one step and one row at a time."""
     ns = np.array(n_ladder, dtype=float)
+    names = columns(lhs_seq, rhs_seq, lhs_limit, rhs_limit, n_ladder)
     factor = abs(op.d.asym)
-    mus = [hausdorff_mnc(domain).value]
-    trace = [IterationState(0, mus[0], {}, True, None)]
-    if mus[0] < tol:
-        return Certificate(
-            CERTIFIED, trace, witness=_attach_witness(op),
-            p_estimate=mus[0], decay=_decay_stats(mus), details=details,
-        )
+    trace = [IterationState(hausdorff_mnc(domain).value, {})]
+    if trace[0].mu < tol:
+        return Certificate(CERTIFIED, trace, factor, witness=_attach_witness(op), details=details)
 
     for k in range(max_iter):
-        mu_image = factor * mus[-1]
-        margins = {}
-        refutation = None
+        mu, mu_image = trace[-1].mu, factor * trace[-1].mu
         try:
             lhs_lim = float(limit_values(lhs_limit, lhs_seq, mu_image))
-            rhs_lim = float(limit_values(rhs_limit, rhs_seq, mus[-1]))
+            rhs_lim = float(limit_values(rhs_limit, rhs_seq, mu))
         except LimitDivergenceError as exc:
             return Certificate(
-                INCONCLUSIVE, trace,
-                p_estimate=_aitken_estimate(mus), decay=_decay_stats(mus),
-                details={**details, "step": k, "reason": str(exc)},
+                INCONCLUSIVE, trace, factor, details={**details, "step": k, "reason": str(exc)},
             )
-        margins["limit"] = rhs_lim - lhs_lim
-        if lhs_lim > rhs_lim + TIE_TOL:
-            refutation = {"step": k, "n": "limit", "lhs": lhs_lim, "rhs": rhs_lim}
-
         lhs_n = np.broadcast_to(eval_expr(lhs_seq, mu_image, ns), ns.shape)
-        rhs_n = np.broadcast_to(eval_expr(rhs_seq, mus[-1], ns), ns.shape)
-        margins.update((f"n={n}", float(r - l)) for n, l, r in zip(n_ladder, lhs_n, rhs_n))
-        violated = np.flatnonzero(lhs_n > rhs_n + TIE_TOL)
-        if refutation is None and violated.size:
-            i = violated[0]
-            lhs, rhs = float(lhs_n[i]), float(rhs_n[i])
-            refutation = {"step": k, "n": n_ladder[i], "lhs": lhs, "rhs": rhs}
-
-        mus.append(mu_image)
-        trace.append(IterationState(k + 1, mu_image, margins, True, _aitken_estimate(mus)))
+        rhs_n = np.broadcast_to(eval_expr(rhs_seq, mu, ns), ns.shape)
+        cells = {}
+        refutation = None
+        for name, lhs, rhs in zip(names, [lhs_lim, *lhs_n.tolist()], [rhs_lim, *rhs_n.tolist()]):
+            cell = cells.setdefault(name, (lhs, rhs))
+            assert (lhs.hex(), rhs.hex()) == (cell[0].hex(), cell[1].hex())
+            if refutation is None and lhs > rhs + TIE_TOL:
+                refutation = {"step": k, "n": name, "lhs": lhs, "rhs": rhs}
+        margins = {
+            name if name == "limit" else f"n={name}": rhs - lhs for name, (lhs, rhs) in cells.items()
+        }
+        trace.append(IterationState(mu_image, margins))
         if refutation is not None:
-            return Certificate(
-                REFUTED, trace, refutation=refutation,
-                p_estimate=_aitken_estimate(mus), decay=_decay_stats(mus), details=details,
-            )
+            return Certificate(REFUTED, trace, factor, refutation=refutation, details=details)
         if mu_image < tol:
             return Certificate(
-                CERTIFIED, trace, witness=_attach_witness(op),
-                p_estimate=_aitken_estimate(mus), decay=_decay_stats(mus), details=details,
+                CERTIFIED, trace, factor, witness=_attach_witness(op), details=details,
             )
-    return Certificate(
-        INCONCLUSIVE, trace,
-        p_estimate=_aitken_estimate(mus), decay=_decay_stats(mus), details=details,
-    )
+    return Certificate(INCONCLUSIVE, trace, factor, details=details)
 
 
 def bits(obj):
@@ -146,6 +149,7 @@ _ATOMS = (
     "t", "1", "t*t", "1/n", "t/n", "(t-10/n)*(t-10/n)", "n*t/(n+1)", "(t-3)*(t-3)",
     "(n-1)*t/n", "1/(t-1/4)", "1/(n-2)", "t*n", "1/(1+n*t)",
 )
+_N_FREE_ATOMS = tuple(atom for atom in _ATOMS if "n" not in atom)
 _LIMIT_ATOMS = ("t", "1", "t*t", "(t-3)*(t-3)", "1/(t-1/4)")
 # added to one side to make the other side's inequality hold for long
 _SLACK = ("0", "1", "1000*t", "1000*t*t", "t/(t-1/4)")
@@ -170,8 +174,12 @@ def sides(draw, atoms):
 
 @st.composite
 def chains(draw):
-    psi, phi = draw(sides(_ATOMS))
-    psi_lim, phi_lim = draw(sides(_LIMIT_ATOMS)) if draw(st.booleans()) else (None, None)
+    """Sides with or without n; limits undeclared, drawn on their own, or
+    declared equal to the sequences, which merges n-free columns."""
+    psi, phi = draw(sides(draw(st.sampled_from((_ATOMS, _N_FREE_ATOMS)))))
+    psi_lim, phi_lim = draw(st.one_of(
+        st.just((None, None)), sides(_LIMIT_ATOMS), st.just((psi, phi)),
+    ))
     factor = draw(st.sampled_from((0.0, 0.25, -0.5, 0.5, 0.75, 0.9, 0.98, 1.0)))
     radius = draw(st.sampled_from((0.0, 1e-12, 1.0, 2.0)))
     domain = TailBox((), (), TailForm((), -radius), TailForm((), radius))
@@ -233,10 +241,36 @@ class TestParityWithTheStepLoop:
 
     def test_chain_longer_than_one_block(self):
         ladder = tuple(range(1, 101))
-        args = chain_args("t", "0.99*t", "t", "0.99*t", op=LONG_OP, ladder=ladder)
+        args = chain_args("t", "(1-1/(100*n))*t", "t", "t", op=LONG_OP, ladder=ladder)
         cert = assert_same_as_the_loop(args)
         assert cert.outcome == CERTIFIED and len(cert.trace) == 1027
+        assert len(cert.trace[1].margins) == len(ladder) + 1
         assert len(cert.trace) - 1 > 6 * (engine._BLOCK_CELLS // (len(ladder) + 1))
+
+    def test_columns_merge_where_the_rows_are_one_expression_pair(self):
+        refuted = classic_darbo_run(scaling_operator(0.5), unit_box(), k=0.4)
+        assert refuted.outcome == REFUTED and refuted.refutation["n"] == "limit"
+        assert list(refuted.trace[1].margins) == ["limit"]
+        classic = classic_darbo_run(scaling_operator(0.5), unit_box(), k=0.6)
+        pair = FunctionSequencePair(*map(parse_expr, ("t", "t/2", "t", "t/2")))
+        weak = weak_contraction_run(scaling_operator(0.5), unit_box(), pair)
+        demo = darbo_iterate(scaling_operator(0.5), unit_box(), demo_pair(), pair_reports={})
+        for cert in (classic, weak, demo):
+            assert cert.outcome == CERTIFIED and cert.trace[0].margins == {}
+        assert all(list(s.margins) == ["limit"] for s in classic.trace[1:] + weak.trace[1:])
+        keys = ["limit", *(f"n={n}" for n in DEFAULT_ENGINE_LADDER)]
+        assert all(list(s.margins) == keys for s in demo.trace[1:])
+
+    def test_a_dropped_certificate_frees_its_trace(self):
+        # no reference cycle holds the trace, so reference counting frees it
+        gc.disable()
+        try:
+            cert = classic_darbo_run(LONG_OP, unit_box(), 0.99)
+            entry = weakref.ref(cert.trace[-1])
+            del cert
+            assert entry() is None
+        finally:
+            gc.enable()
 
 
 class TestWork:
@@ -251,9 +285,10 @@ class TestWork:
                 mock.patch.object(shifting, "eval_expr", counted):
             cert = classic_darbo_run(LONG_OP, unit_box(), 0.99)
         assert cert.outcome == CERTIFIED and len(cert.trace) == 1027
-        # 16 for the pair battery and 4 for the chain; one call per step
-        # side made 4,120
-        assert len(calls) == 20
+        # 16 for the pair battery and 2 for the chain, one row per side,
+        # since the classic pair does not mention n; one call per step, side
+        # and row made 4,120 (4 a step) and then 16,416 (16 a step)
+        assert len(calls) == 18
 
     def test_refuted_long_budget_evaluates_one_block(self):
         tracemalloc.start()
@@ -266,6 +301,6 @@ class TestWork:
         finally:
             tracemalloc.stop()
         assert cert.outcome == REFUTED and len(cert.trace) == 2
-        # one block of 2,048 steps x 8 cells; the whole budget would need
-        # 800,000 cells per table
+        # one block of 16,384 steps x 1 cell; the whole budget would need
+        # 100,000 cells per table
         assert peak < 2**20

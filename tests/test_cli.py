@@ -77,7 +77,7 @@ class TestDemo:
         run(["demo", "--out", str(out)])
         capsys.readouterr()
         report = json.loads(out.read_text())
-        assert report["schemaVersion"] == 1
+        assert report["schemaVersion"] == 2
         assert report["certificate"]["outcome"] == "CERTIFIED"
         assert len(report["certificate"]["trace"]) == 31
         assert report["contractionBound"]["details"]["perN"]["1"]["bound"] == 1.5
@@ -235,6 +235,29 @@ class TestCertify:
         assert run(["certify", "--config", cfg2, "--mode", "weak"]) == EXIT_FAIL
         capsys.readouterr()
 
+    def test_weak_mode_checks_phi_at_the_chain_ladder(self, tmp_path, capsys):
+        # phi_10 = -2t, and n = 10 is on the chain's ladder, not the grid's
+        pair = {"psiSeq": "2*t", "phiSeq": "t*(1-3/((n-10)*(n-10)+1))",
+                "psiLimit": "2*t", "phiLimit": "t"}
+        cfg = write_config(tmp_path, {"set": UNIT_BOX, "operator": HALF_SCALING, "pair": pair})
+        out = tmp_path / "r.json"
+        assert run(["certify", "--config", cfg, "--mode", "weak", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: phi_10 takes negative values on the grid (min -200.0)\n"
+        )
+        assert not out.exists()
+
+    def test_weak_mode_phi_check_past_the_cell_cap_is_an_input_error(self, tmp_path, capsys):
+        pair = {"psiSeq": "t", "phiSeq": "t/2", "psiLimit": "t", "phiLimit": "t/2"}
+        grid = {"tMax": 10**6, "step": 1, "nLadder": [1]}
+        cfg = write_config(tmp_path, {"set": UNIT_BOX, "operator": HALF_SCALING, "pair": pair,
+                                      "grid": grid, "nLadder": list(range(1, 11))})
+        assert run(["certify", "--config", cfg, "--mode", "weak"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: phi_n >= 0 at 10 ladder entries x 1000001 grid points "
+            "is more than 10000000 table cells\n"
+        )
+
     def test_weak_mode_with_psi_constant_in_t_writes_a_report(self, tmp_path, capsys):
         pair = {"psiSeq": "1", "phiSeq": "1+t"}
         cfg = write_config(tmp_path, {"set": UNIT_BOX, "operator": HALF_SCALING, "pair": pair})
@@ -310,14 +333,16 @@ class TestCertify:
         assert "past the head cap" in capsys.readouterr().err
 
     def test_huge_measure_keeps_a_finite_limit_estimate(self, tmp_path, capsys):
-        # the Aitken square (mu_2 - mu_1)**2 = (2.5e299)**2 is past the float range
+        # a budget that runs out on a measure of 1e300 reports the exact
+        # decay factor and a finite last measure
         box = dict(UNIT_BOX, tailHi={"terms": [], "beta": 1e300})
         cfg = certify_config(tmp_path, set=box, classicK=0.5, maxIter=2)
         out = tmp_path / "r.json"
         code = run(["certify", "--config", cfg, "--mode", "classic", "--out", str(out)])
         assert code == EXIT_UNDECIDED
         capsys.readouterr()
-        assert json.loads(out.read_text())["certificate"]["pEstimate"] == 2.5e299
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["factor"] == 0.5 and cert["trace"][-1]["mu"] == 2.5e299
 
     @pytest.mark.parametrize("mode", ["main", "weak"])
     def test_limit_divergence_mid_run_is_inconclusive(self, tmp_path, capsys, mode):
@@ -555,10 +580,11 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_ladder_times_budget_at_the_cap_is_accepted(self, tmp_path, capsys):
-        # 100 entries x 10**5 steps = 10**7 margin cells; the chain stops at 30
-        cfg = certify_config(tmp_path, classicK=0.6, maxIter=10**5, nLadder=list(range(1, 101)))
+        # 100 entries x 10**5 steps = 10**7 margin cells; the chain stops at
+        # 30, and the pair mentions n, so each step has a margin per entry
+        cfg = certify_config(tmp_path, maxIter=10**5, nLadder=list(range(1, 101)))
         out = tmp_path / "r.json"
-        assert run(["certify", "--mode", "classic", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+        assert run(["certify", "--config", cfg, "--out", str(out)]) == EXIT_PASS
         capsys.readouterr()
         trace = json.loads(out.read_text())["certificate"]["trace"]
         assert len(trace) == 31 and len(trace[-1]["margins"]) == 101

@@ -54,10 +54,9 @@ class TestDarboIterate:
         assert len(cert.trace) - 1 == 30
         for k, state in enumerate(cert.trace):
             assert state.mu == 0.5**k  # pure scaling: exact geometric decay
-            assert state.subset_ok
         assert cert.mu_trace[-1] == pytest.approx(9.313225746154785e-10)
         assert cert.witness is not None and cert.witness.residual == 0.0
-        assert cert.p_estimate == 0.0
+        assert cert.factor == 0.5
 
     def test_margins_are_nonnegative_on_certified_run(self):
         cert = darbo_iterate(
@@ -101,7 +100,6 @@ class TestDarboIterate:
             boxes.append(apply_to_box(op, boxes[-1]))
         assert [hausdorff_mnc(b).value for b in boxes] == cert.mu_trace
         assert all(subset(b2, b1) for b1, b2 in zip(boxes, boxes[1:]))
-        assert all(state.subset_ok for state in cert.trace)
 
     def test_offset_operator_certifies(self):
         op = DiagonalAffineOperator(
@@ -118,8 +116,8 @@ class TestDarboIterate:
             pair_reports=PAIR_REPORTS,
         )
         assert cert.outcome == INCONCLUSIVE
-        assert cert.decay["lastRatio"] == 0.5
-        assert cert.p_estimate == 0.5
+        # the exact ratio and the last measure: slow decay, not a stall
+        assert cert.factor == 0.5 and cert.trace[-1].mu == 0.5
 
     def test_non_self_map_is_a_precondition_error(self):
         with pytest.raises(PreconditionError):
@@ -219,7 +217,6 @@ class TestClassicRun:
         cert = classic_darbo_run(op, unit_box(), k=0.5)
         assert cert.outcome == CERTIFIED and len(cert.trace) - 1 == 18
         assert cert.mu_trace[:2] == [1.0, 0.3]
-        assert all(state.subset_ok for state in cert.trace)
 
     def test_identity_operator_refutes(self):
         cert = classic_darbo_run(identity_operator(), unit_box(), k=0.9)

@@ -59,60 +59,59 @@ DEFAULT_AXIOMS = {"m1": 500, "m2": 1000, "m3": 1000, "m4": 1000, "m5": 1000,
 CASES = {
     "demo": (
         ["demo"], None, 0,
-        "5b68f2ef6ef35181394256ac3e26ef215602ddd05d6f7c86682095a698a572ba",
+        "da0ccc0990fec3c37b7de4143a8a87b18b5600e9daa917e340b1d4a5c8eb6600",
     ),
     "check_pair_demo": (
         ["check-pair"], {"pair": DEMO_PAIR, "grid": {"step": 0.5}}, 0,
-        "280fd33603798ed58ebd114c2bebad8d4a9e0589e8e0ced18bc5480aa8d76a80",
+        "d7c7471aab5e8d0d186997d0177e0cc87dc50650a33ee156d0bd478cf1c68952",
     ),
     "check_pair_broken": (
         ["check-pair"], {"pair": BROKEN_PAIR, "grid": {"step": 0.5}}, 1,
-        "2db5d461ef0190b75ce0e036c4e280fcffe0cfddd87f52296c0c6db5b693c496",
+        "fb04eb63ce8f5107bfaf45038db6389993cdc9ea0a5eb63d0a65286d4a0ea850",
     ),
     "certify_classic": (
         ["certify", "--mode", "classic"],
         {"set": UNIT_BOX, "operator": HALF_SCALING, "classicK": 0.6}, 0,
-        "800851c3d0df309b4b421357b696596be195cd2d427577ecad0540ac811e076f",
+        "a596961295c3a1d448fdbe40defca9d5a27ccaccfaddb7d08584c9aa990b7a86",
     ),
     "certify_classic_long": (
         ["certify", "--mode", "classic"],
         {"set": UNIT_BOX, "operator": SLOW_SCALING, "classicK": 0.95}, 0,
-        "1bb8b20ae6a896fc056329a460273651b4473e7df67849df42960d293b31c720",
+        "862beb316b816c04a65fe9f211eff5a78c4f23bbb852dcc69634dbf9d430c8ea",
     ),
     "certify_classic_shifted": (
         ["certify", "--mode", "classic"],
         {"set": UNIT_BOX, "operator": SHIFTED_SCALING, "classicK": 0.9}, 0,
-        "504de134aef0402edf123a5fa7cb3ade7b990f7ef44fbb9254ae9e57cd22acf6",
+        "304a33c561788b1aa6d92b522cc45bb888bb2b8cfdd9ebda72553d5a00928997",
     ),
     "certify_classic_chain_long": (
         ["certify", "--mode", "classic"],
         {"set": UNIT_BOX, "operator": LONG_SCALING, "classicK": 0.99}, 0,
-        "bdbe2327aef4b62bacd56c4542d231275d0147494561a9f18222546ef68f3062",
+        "70c6590376f9bd2ded69217cb79f75944325606c4546d32b89e829a32cf1d79c",
     ),
     "certify_classic_rounded_nesting": (
         ["certify", "--mode", "classic"],
         {"set": UNIT_BOX, "operator": ROUNDED_NESTING_SCALING, "classicK": 0.5}, 0,
-        "9527c9b90a62e4fc869be43b26e8ab2c6deded67bf487b100df680c5688c2b81",
+        "dad7a63c4d6f6212b06055c09911e931af097c27f2f6aea8c93ff83b82bfafd5",
     ),
     "certify_weak": (
         ["certify", "--mode", "weak"],
         {"set": UNIT_BOX, "operator": HALF_SCALING, "pair": WEAK_PAIR}, 0,
-        "6dd036265933c071e159d53fe9e08e2b869fd1b1b15618afc65e1491686ffe87",
+        "a338f832920b0ae56b17e1ccd5fad77deca537d97eacdd8b3b088bf5c567169f",
     ),
     "check_axioms": (
         ["check-axioms", "--seed", "42"], {"axioms": SMALL_AXIOMS}, 0,
-        "3a9ad3e4bb4889a897f0adcdd78ce1f6df5a292798855789161ed6de3b35f298",
+        "de77d36eb282288f400808c3a303c22c2d34de1df11b359b06b452816227b009",
     ),
     "check_axioms_default_counts": (
         ["check-axioms", "--seed", "7"], {"axioms": DEFAULT_AXIOMS}, 0,
-        "c0e239465425a5d7d09f53ff803c8a407c1713a76c710f3b4946a5b7294cd17d",
+        "141544d421bc9e446c66a4773bc0a7fe7db74558ded707b63f6715523038f3c4",
     ),
 }
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_report_digest(name, tmp_path, capsys):
-    argv, config, code, digest = CASES[name]
+def report_bytes(name, tmp_path, capsys):
+    argv, config, code, _ = CASES[name]
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -120,4 +119,17 @@ def test_report_digest(name, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(argv + ["--out", str(out)]) == code
     capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_report_digest(name, tmp_path, capsys):
+    report = report_bytes(name, tmp_path, capsys)
+    digest = hashlib.sha256(report).hexdigest()
+    assert digest == CASES[name][3], f"{name}: the report is now {len(report)} bytes, sha256 {digest}"
+
+
+def test_chain_long_report_size(tmp_path, capsys):
+    # 1026 steps of one margin each; with a margin per ladder entry and the
+    # limit, and per-step estimates, it was 525,333 bytes
+    assert len(report_bytes("certify_classic_chain_long", tmp_path, capsys)) <= 150_000
