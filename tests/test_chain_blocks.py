@@ -226,6 +226,17 @@ class TestParityWithTheStepLoop:
             "reason": "'t/2+1/(1+n*t)' does not stabilise in n at t=0.00048828125 (tol=1e-09)",
         }
 
+    def test_limit_rows_are_evaluated_before_ladder_rows(self):
+        # the ladder row 1/(n-2) divides by zero at n = 2, but the step meets
+        # the rhs limit first: undeclared and diverging, or declared and
+        # dividing by zero itself
+        cert = assert_same_as_the_loop(chain_args("1/(n-2)", "t*n", ladder=(2,)))
+        assert cert.outcome == INCONCLUSIVE and len(cert.trace) == 1
+        assert cert.details["step"] == 0
+        exc = assert_same_as_the_loop(chain_args("1/(n-2)", "t", "0", "1/(t-1)", ladder=(2,)))
+        assert isinstance(exc, DivisionByZeroError)
+        assert str(exc) == "division by zero in '1/(t-1)'"
+
     def test_limit_and_ladder_violated_at_the_same_step(self):
         cert = assert_same_as_the_loop(chain_args("t", "1000*t*t", "t", "1000*t*t"))
         assert cert.outcome == REFUTED

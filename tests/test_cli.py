@@ -247,17 +247,6 @@ class TestCertify:
         )
         assert not out.exists()
 
-    def test_weak_mode_phi_check_past_the_cell_cap_is_an_input_error(self, tmp_path, capsys):
-        pair = {"psiSeq": "t", "phiSeq": "t/2", "psiLimit": "t", "phiLimit": "t/2"}
-        grid = {"tMax": 10**6, "step": 1, "nLadder": [1]}
-        cfg = write_config(tmp_path, {"set": UNIT_BOX, "operator": HALF_SCALING, "pair": pair,
-                                      "grid": grid, "nLadder": list(range(1, 11))})
-        assert run(["certify", "--config", cfg, "--mode", "weak"]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "error: phi_n >= 0 at 10 ladder entries x 1000001 grid points "
-            "is more than 10000000 table cells\n"
-        )
-
     def test_weak_mode_with_psi_constant_in_t_writes_a_report(self, tmp_path, capsys):
         pair = {"psiSeq": "1", "phiSeq": "1+t"}
         cfg = write_config(tmp_path, {"set": UNIT_BOX, "operator": HALF_SCALING, "pair": pair})
