@@ -42,7 +42,7 @@ from .engine import (
     identity_pair,
     weak_contraction_run,
 )
-from .expr import ExprError, parse_expr
+from .expr import ExprError, mentions_n, parse_expr
 from .mnc import _DOMINANCE_CAP, DEFAULT_HORIZON, MncError, TailBox, TailForm, hausdorff_mnc
 from .operators import DiagonalAffineOperator, OperatorError, as_operator
 from .scenarios import demo_pair, scaling_operator, unit_box
@@ -147,7 +147,13 @@ def _parse_pair(obj: Any, where: str) -> FunctionSequencePair:
         if text is None:
             return None
         with _malformed(f"{where}.{key}"):
-            return parse_expr(text)
+            e = parse_expr(text)
+        # a limit in n is a function of t alone; every check reads it at n = 1
+        _require(
+            not (key.endswith("Limit") and mentions_n(e)),
+            f"{where}.{key}: a declared limit must not mention n",
+        )
+        return e
 
     return FunctionSequencePair(
         psi_seq=parse_one("psiSeq"),

@@ -51,6 +51,7 @@ from .shifting import (
     CheckReport,
     FunctionSequencePair,
     SampleGrid,
+    _ladder_rows,
     check_equality_only_at_zero,
     first_partner,
     grid_table,
@@ -134,6 +135,17 @@ def _enforce_pair_checks(
     if require:
         raise PreconditionError(message)
     warnings.warn(message + " (continuing: checks overridden)", stacklevel=3)
+
+
+def _require_grid_covers(grid: SampleGrid, domain: TailBox) -> None:
+    """The pair checks hold on [0, tMax] only, and every measure of the
+    chain lies in [0, mu(A_0)]; a grid that stops short of mu(A_0) is an
+    input error, not a grid to extend."""
+    mu_0 = hausdorff_mnc(domain).value
+    if grid.t_max < mu_0:
+        raise PreconditionError(
+            f"grid tMax {grid.t_max} is below the domain's measure mu(A_0) = {mu_0}"
+        )
 
 
 def _attach_witness(op) -> FixedPointWitness | None:
@@ -261,6 +273,7 @@ def darbo_iterate(
     """
     op = as_operator(operator)
     grid = grid or SampleGrid()
+    _require_grid_covers(grid, domain)
     if pair_reports is None:
         pair_reports = run_all_checks(pair, grid)
     _enforce_pair_checks(pair_reports, require_pair_checks, "darbo_iterate")
@@ -292,13 +305,17 @@ def check_example_bound(
         i = int(lhs.argmax())
         return float(lhs[i]), i, int(j[i]) if has[i] else 0
 
+    rows = _ladder_rows(pair, n_list)
+    maxima = [max_lhs(psi, phi) for psi, phi in zip(*pair_table(pair, t, rows))]
+    if len(rows) < len(n_list):
+        # the pair does not mention n: its one row stands for every n
+        maxima *= len(n_list)
     per_n: dict[str, dict] = {}
     counterexample = None
     bounds = []
-    for n, psi, phi in zip(n_list, *pair_table(pair, t, n_list)):
+    for n, (lhs, i, j) in zip(n_list, maxima):
         bound = float(Fraction(2 * n + 1, n * (n + 1)))
         bounds.append(bound)
-        lhs, i, j = max_lhs(psi, phi)
         per_n[str(n)] = {"bound": bound, "maxLhs": lhs, "margin": bound - lhs}
         if counterexample is None and lhs > bound + TIE_TOL:
             counterexample = {
@@ -387,6 +404,7 @@ def weak_contraction_run(
     nonnegative reals)."""
     op = as_operator(operator)
     grid = grid or SampleGrid()
+    _require_grid_covers(grid, domain)
     _enforce_pair_checks(
         {"equality_only_at_zero": check_equality_only_at_zero(pair, grid)},
         require_pair_checks, "weak_contraction_run",

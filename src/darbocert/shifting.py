@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import Expr, LimitDivergenceError, eval_expr, limit_in_n, unparse
+from .expr import Expr, LimitDivergenceError, eval_expr, limit_in_n, mentions_n, unparse
 
 __all__ = [
     "PASS",
@@ -52,7 +52,8 @@ TIE_TOL = 1e-12
 _DEFAULT_LADDER = tuple(2**j for j in range(21))
 
 # Largest [n, t] table (ladder length x grid points) a grid may ask for:
-# every check and weak mode's phi table holds a few tables of this size.
+# the battery holds two tables of this size and a few temporaries; weak
+# mode evaluates phi one n at a time.
 _MAX_GRID_CELLS = 10_000_000
 
 
@@ -162,6 +163,46 @@ def _limits_on_grid(pair: FunctionSequencePair, t: np.ndarray) -> tuple[np.ndarr
     )
 
 
+def _ladder_rows(pair: FunctionSequencePair, ns: tuple[int, ...]) -> tuple[int, ...]:
+    """The ladder entries whose rows differ: all of ``ns``, or only its
+    first entry when neither sequence mentions n, since every row is then
+    that row."""
+    if mentions_n(pair.psi_seq) or mentions_n(pair.phi_seq):
+        return ns
+    return ns[:1]
+
+
+class _PairEvaluation:
+    """A pair on one grid, each piece built on first use and kept: the
+    points t, the two limit rows and the two [n, t] tables over
+    ``_ladder_rows``.  A LimitDivergenceError is kept and raised again,
+    with the same message, to every reader of the limits.
+    ``run_all_checks`` hands one to each check as ``_evaluation``; a check
+    called alone builds its own."""
+
+    def __init__(self, pair: FunctionSequencePair, grid: SampleGrid):
+        self.pair = pair
+        self.t = grid.t_values()
+        self.rows = _ladder_rows(pair, grid.n_ladder)
+        self._limits: tuple[np.ndarray, np.ndarray] | LimitDivergenceError | None = None
+        self._tables: tuple[np.ndarray, np.ndarray] | None = None
+
+    def limits(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._limits is None:
+            try:
+                self._limits = _limits_on_grid(self.pair, self.t)
+            except LimitDivergenceError as exc:
+                self._limits = exc
+        if isinstance(self._limits, LimitDivergenceError):
+            raise LimitDivergenceError(str(self._limits))
+        return self._limits
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._tables is None:
+            self._tables = pair_table(self.pair, self.t, self.rows)
+        return self._tables
+
+
 def first_partner(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """For each grid index i, the first grid index j with psi[i] <= phi[j],
     or len(phi) when there is none.  On an increasing grid that j is also
@@ -173,7 +214,8 @@ def first_partner(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def check_uniform_convergence(
-    pair: FunctionSequencePair, grid: SampleGrid, tol: float
+    pair: FunctionSequencePair, grid: SampleGrid, tol: float,
+    *, _evaluation: _PairEvaluation | None = None,
 ) -> CheckReport:
     """Per ladder n, the grid sup of |psi_n - psi| and |phi_n - phi|.
 
@@ -182,16 +224,20 @@ def check_uniform_convergence(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    t = grid.t_values()
+    ev = _evaluation or _PairEvaluation(pair, grid)
+    t = ev.t
     try:
-        psi_lim, phi_lim = _limits_on_grid(pair, t)
+        psi_lim, phi_lim = ev.limits()
     except LimitDivergenceError as exc:
         return CheckReport("uniform_convergence", UNDECIDED, details={"reason": str(exc)})
     ladder = grid.n_ladder
     sups, argmax = {}, {}
-    for which, seq, lim in (("psi", pair.psi_seq, psi_lim), ("phi", pair.phi_seq, phi_lim)):
-        err = np.abs(grid_table(seq, t, ladder) - lim)
-        sups[which], argmax[which] = err.max(axis=1), t[err.argmax(axis=1)]
+    for which, table, lim in zip(("psi", "phi"), ev.tables(), (psi_lim, phi_lim)):
+        err = table - lim
+        np.abs(err, out=err)
+        # one row stands for every ladder n when the pair does not mention n
+        sups[which] = np.broadcast_to(err.max(axis=1), len(ladder))
+        argmax[which] = np.broadcast_to(t[err.argmax(axis=1)], len(ladder))
     sup_errors = {
         which: {str(n): float(e) for n, e in zip(ladder, sup)} for which, sup in sups.items()
     }
@@ -218,12 +264,17 @@ def check_uniform_convergence(
     return CheckReport("uniform_convergence", PASS, sup_errors=sup_errors)
 
 
-def check_monotone_in_n(pair: FunctionSequencePair, grid: SampleGrid) -> CheckReport:
+def check_monotone_in_n(
+    pair: FunctionSequencePair, grid: SampleGrid,
+    *, _evaluation: _PairEvaluation | None = None,
+) -> CheckReport:
     """PASS iff psi_n <= psi_next and phi_n >= phi_next at every grid t for
     consecutive ladder entries, within the tie tolerance."""
-    t = grid.t_values()
-    psi, phi = pair_table(pair, t, grid.n_ladder)
-    # [k, which, j]: psi falling or phi rising from ladder entry k to k + 1
+    ev = _evaluation or _PairEvaluation(pair, grid)
+    t = ev.t
+    psi, phi = ev.tables()
+    # [k, which, j]: psi falling or phi rising from ladder entry k to k + 1;
+    # a pair that does not mention n has one row and so no such k
     bad = np.stack((psi[:-1] > psi[1:] + TIE_TOL, phi[:-1] < phi[1:] - TIE_TOL), axis=1)
     if not bad.any():
         return CheckReport("monotone_in_n", PASS)
@@ -288,18 +339,22 @@ def _condition_report(
     return CheckReport(name, verdict, counterexample=counterexample, details=details)
 
 
-def check_condition_i(pair: FunctionSequencePair, grid: SampleGrid) -> CheckReport:
+def check_condition_i(
+    pair: FunctionSequencePair, grid: SampleGrid,
+    *, _evaluation: _PairEvaluation | None = None,
+) -> CheckReport:
     """Search for (u, v) with the shifting hypothesis satisfied but
     u > v + tie: a grid-complete falsification of condition (i)."""
-    t = grid.t_values()
+    ev = _evaluation or _PairEvaluation(pair, grid)
+    t = ev.t
     try:
-        psi_lim, phi_lim = _limits_on_grid(pair, t)
+        psi_lim, phi_lim = ev.limits()
     except LimitDivergenceError as exc:
         return CheckReport("condition_i", UNDECIDED, details={"reason": str(exc)})
     below = np.searchsorted(t + TIE_TOL, t)  # u > v + tie exactly for v < t[below[u]]
     readings = {
         "limit": _first_violation(psi_lim[None], phi_lim[None], below),
-        "perN": _first_violation(*pair_table(pair, t, grid.n_ladder), below),
+        "perN": _first_violation(*ev.tables(), below),
     }
 
     def witness(reading: str, i: int, j: int) -> dict:
@@ -313,16 +368,20 @@ def check_condition_i(pair: FunctionSequencePair, grid: SampleGrid) -> CheckRepo
     return _condition_report("condition_i", readings, witness)
 
 
-def check_condition_ii(pair: FunctionSequencePair, grid: SampleGrid) -> CheckReport:
+def check_condition_ii(
+    pair: FunctionSequencePair, grid: SampleGrid,
+    *, _evaluation: _PairEvaluation | None = None,
+) -> CheckReport:
     """Probe condition (ii) with constant sequences u_k = v_k = w > 0: any
     grid w > 0 satisfying the hypothesis falsifies the condition."""
-    t = grid.t_values()
+    ev = _evaluation or _PairEvaluation(pair, grid)
+    t = ev.t
     try:
-        psi_lim, phi_lim = _limits_on_grid(pair, t)
+        psi_lim, phi_lim = ev.limits()
     except LimitDivergenceError as exc:
         return CheckReport("condition_ii", UNDECIDED, details={"reason": str(exc)})
     positive = t > TIE_TOL
-    psi, phi = pair_table(pair, t, grid.n_ladder)
+    psi, phi = ev.tables()
     readings = {
         "limit": _first_index((psi_lim <= phi_lim) & positive),
         "perN": _first_index((psi <= phi).all(axis=0) & positive),
@@ -339,12 +398,16 @@ def check_condition_ii(pair: FunctionSequencePair, grid: SampleGrid) -> CheckRep
     return _condition_report("condition_ii", readings, witness)
 
 
-def check_equality_only_at_zero(pair: FunctionSequencePair, grid: SampleGrid) -> CheckReport:
+def check_equality_only_at_zero(
+    pair: FunctionSequencePair, grid: SampleGrid,
+    *, _evaluation: _PairEvaluation | None = None,
+) -> CheckReport:
     """PASS iff the limit functions agree at 0 and differ at every grid
     point > 0 (the hypothesis of the weak-contraction run)."""
-    t = grid.t_values()
+    ev = _evaluation or _PairEvaluation(pair, grid)
+    t = ev.t
     try:
-        psi_lim, phi_lim = _limits_on_grid(pair, t)
+        psi_lim, phi_lim = ev.limits()
     except LimitDivergenceError as exc:
         return CheckReport("equality_only_at_zero", UNDECIDED, details={"reason": str(exc)})
     diff = np.abs(psi_lim - phi_lim)
@@ -370,11 +433,14 @@ def check_equality_only_at_zero(pair: FunctionSequencePair, grid: SampleGrid) ->
 def run_all_checks(
     pair: FunctionSequencePair, grid: SampleGrid, uniform_tol: float = 1e-6
 ) -> dict[str, CheckReport]:
-    """The full battery, in a fixed order."""
+    """The full battery, in a fixed order, over one evaluation of the pair
+    on the grid: each check reads what it needs of it, so the battery
+    reports and raises what the checks called alone would."""
+    ev = _PairEvaluation(pair, grid)
     return {
-        "uniform_convergence": check_uniform_convergence(pair, grid, uniform_tol),
-        "monotone_in_n": check_monotone_in_n(pair, grid),
-        "condition_i": check_condition_i(pair, grid),
-        "condition_ii": check_condition_ii(pair, grid),
-        "equality_only_at_zero": check_equality_only_at_zero(pair, grid),
+        "uniform_convergence": check_uniform_convergence(pair, grid, uniform_tol, _evaluation=ev),
+        "monotone_in_n": check_monotone_in_n(pair, grid, _evaluation=ev),
+        "condition_i": check_condition_i(pair, grid, _evaluation=ev),
+        "condition_ii": check_condition_ii(pair, grid, _evaluation=ev),
+        "equality_only_at_zero": check_equality_only_at_zero(pair, grid, _evaluation=ev),
     }

@@ -296,10 +296,11 @@ class TestWork:
                 mock.patch.object(shifting, "eval_expr", counted):
             cert = classic_darbo_run(LONG_OP, unit_box(), 0.99)
         assert cert.outcome == CERTIFIED and len(cert.trace) == 1027
-        # 16 for the pair battery and 2 for the chain, one row per side,
-        # since the classic pair does not mention n; one call per step, side
-        # and row made 4,120 (4 a step) and then 16,416 (16 a step)
-        assert len(calls) == 18
+        # 4 for the pair battery (two limit rows, two tables, shared by its
+        # five checks) and 2 for the chain, one row per side, since the
+        # classic pair does not mention n; one call per step, side and row
+        # made 4,120 (4 a step) and then 16,416 (16 a step)
+        assert len(calls) == 6
 
     def test_refuted_long_budget_evaluates_one_block(self):
         tracemalloc.start()

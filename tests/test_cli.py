@@ -323,9 +323,10 @@ class TestCertify:
 
     def test_huge_measure_keeps_a_finite_limit_estimate(self, tmp_path, capsys):
         # a budget that runs out on a measure of 1e300 reports the exact
-        # decay factor and a finite last measure
+        # decay factor and a finite last measure; the grid reaches mu(A_0)
         box = dict(UNIT_BOX, tailHi={"terms": [], "beta": 1e300})
-        cfg = certify_config(tmp_path, set=box, classicK=0.5, maxIter=2)
+        grid = {"tMax": 1e300, "step": 1e299}
+        cfg = certify_config(tmp_path, set=box, grid=grid, classicK=0.5, maxIter=2)
         out = tmp_path / "r.json"
         code = run(["certify", "--config", cfg, "--mode", "classic", "--out", str(out)])
         assert code == EXIT_UNDECIDED
@@ -360,6 +361,33 @@ class TestCertify:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("key", ["psiLimit", "phiLimit"])
+    @pytest.mark.parametrize("command", [["check-pair"], ["certify", "--mode", "main"]])
+    def test_declared_limit_that_mentions_n_is_config_error(self, tmp_path, capsys, key, command):
+        # 2+t*n diverges in n, yet read at n = 1 it is the demo pair's limit 2+t
+        pair = dict(RATIONAL_PAIR, **{key: "2+t*n"})
+        cfg = certify_config(tmp_path, pair=pair)
+        assert run([*command, "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: pair.{key}: a declared limit must not mention n\n"
+
+    @pytest.mark.parametrize("mode", ["main", "identity", "weak", "classic"])
+    def test_grid_short_of_the_domain_measure_is_config_error(self, tmp_path, capsys, mode):
+        # mu(A_0) = 1000; the pair checks would hold on [0, 10] only
+        box = dict(UNIT_BOX, tailLo={"terms": [], "beta": -1000.0},
+                   tailHi={"terms": [], "beta": 1000.0})
+        cfg = certify_config(tmp_path, set=box, grid={"tMax": 10}, classicK=0.6)
+        assert run(["certify", "--config", cfg, "--mode", mode]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: grid tMax 10.0 is below the domain's measure mu(A_0) = 1000.0\n"
+        )
+
+    def test_grid_reaching_the_domain_measure_is_accepted(self, tmp_path, capsys):
+        box = dict(UNIT_BOX, tailLo={"terms": [], "beta": -1000.0},
+                   tailHi={"terms": [], "beta": 1000.0})
+        cfg = certify_config(tmp_path, set=box, grid={"tMax": 1000, "step": 1.0})
+        assert run(["certify", "--config", cfg]) == EXIT_PASS
+        capsys.readouterr()
+
     def test_composed_operator_parses(self, tmp_path, capsys):
         composed = {"compose": [HALF_SCALING, HALF_SCALING]}
         cfg = certify_config(tmp_path, operator=composed)

@@ -127,6 +127,24 @@ class TestDarboIterate:
         with pytest.raises(PreconditionError):
             darbo_iterate(scaling_operator(0.5), unit_box(), broken_pair(), grid=GRID)
 
+    def test_grid_short_of_the_domain_measure_blocks_every_run(self):
+        # the unit box has mu(A_0) = 1; the gate holds even with checks overridden
+        short = SampleGrid(t_max=0.5, step=0.1)
+        message = "grid tMax 0.5 is below the domain's measure mu\\(A_0\\) = 1.0"
+        runs = (
+            lambda: darbo_iterate(scaling_operator(0.5), unit_box(), PAIR, grid=short,
+                                  pair_reports=PAIR_REPORTS, require_pair_checks=False),
+            lambda: classic_darbo_run(scaling_operator(0.5), unit_box(), 0.6, grid=short),
+            lambda: weak_contraction_run(scaling_operator(0.5), unit_box(), PAIR, grid=short,
+                                         require_pair_checks=False),
+        )
+        for start in runs:
+            with pytest.raises(PreconditionError, match=message):
+                start()
+        one = SampleGrid(t_max=1.0, step=0.1)
+        cert = classic_darbo_run(scaling_operator(0.5), unit_box(), 0.6, grid=one)
+        assert cert.outcome == CERTIFIED
+
     def test_pair_check_override_warns_and_continues(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

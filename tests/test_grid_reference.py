@@ -11,12 +11,14 @@ built them before every expression was evaluated once over the ladder.
 
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from darbocert import expr, shifting
 from darbocert.engine import check_example_bound, darbo_iterate
 from darbocert.expr import (
     DivisionByZeroError,
@@ -35,13 +37,16 @@ from darbocert.shifting import (
     FunctionSequencePair,
     SampleGrid,
     _limits_on_grid,
+    _PairEvaluation,
     check_condition_i,
     check_condition_ii,
+    check_equality_only_at_zero,
     check_monotone_in_n,
     check_uniform_convergence,
     first_partner,
     grid_table,
     limit_values,
+    run_all_checks,
 )
 
 BOUND_NS = (1, 10, 100, 1_000, 1_000_000)
@@ -258,12 +263,18 @@ def sums(draw, atoms=_ATOMS):
     return "+".join(f"({c})*{a}" if c < 0 else f"{c}*{a}" for c, a in parts)
 
 
+# atoms without n, and atoms whose limits diverge or whose tables divide
+# by zero at n = 2 or t = 1
+_N_FREE_ATOMS = ("t", "1", "t*t", "(t-3)*(t-3)", "1/(t+1)")
+_EDGE_ATOMS = _ATOMS + ("t*n", "n", "1/(n-2)", "1/(t-1)")
+
+
 @st.composite
-def pairs(draw):
+def pairs(draw, atoms=_ATOMS):
     limits = draw(st.booleans())
     limit_atoms = ("t", "1", "t*t", "(t-3)*(t-3)")
     return pair_from(
-        draw(sums()), draw(sums()),
+        draw(sums(atoms)), draw(sums(atoms)),
         draw(sums(limit_atoms)) if limits else None,
         draw(sums(limit_atoms)) if limits else None,
     )
@@ -366,6 +377,112 @@ class TestBroadcastEvaluation:
         assert same_bits(float(limit_values(declared, seq, x)), on_grid[1])
 
 
+def outcome(check, *args):
+    """A check's report as a dict, or the type and message of what it raised."""
+    try:
+        return check(*args).to_dict()
+    except (DivisionByZeroError, LimitDivergenceError) as exc:
+        return type(exc), str(exc)
+
+
+def battery_alone(pair, grid, uniform_tol=1e-6):
+    """The battery's checks called one by one in its order, each building
+    its own evaluation, up to and including the first one that raises."""
+    reports = {}
+    for name, check, args in (
+        ("uniform_convergence", check_uniform_convergence, (pair, grid, uniform_tol)),
+        ("monotone_in_n", check_monotone_in_n, (pair, grid)),
+        ("condition_i", check_condition_i, (pair, grid)),
+        ("condition_ii", check_condition_ii, (pair, grid)),
+        ("equality_only_at_zero", check_equality_only_at_zero, (pair, grid)),
+    ):
+        reports[name] = outcome(check, *args)
+        if isinstance(reports[name], tuple):
+            return reports[name]
+    return reports
+
+
+def battery_shared(pair, grid, uniform_tol=1e-6):
+    try:
+        return {name: rep.to_dict() for name, rep in run_all_checks(pair, grid, uniform_tol).items()}
+    except (DivisionByZeroError, LimitDivergenceError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedBattery:
+    """``run_all_checks`` evaluates the pair once on the grid and hands that
+    evaluation to every check; each report, and any error, must be what
+    the check gives alone."""
+
+    SMALL = SampleGrid(t_max=5.0, step=0.5, n_ladder=(1, 2, 4, 8))
+
+    @pytest.mark.parametrize("psi, phi, psi_lim, phi_lim", [
+        ("t", "t+1", "t", "t+1"),  # n-free, FAILs with witnesses
+        ("t*t", "3*t+1", None, None),  # n-free with undeclared limits
+        ("(t-3)*(t-3)", "t", None, "t"),  # n-free, one limit undeclared
+        ("t*n", "2*t*n", None, None),  # undeclared limits diverge: UNDECIDED
+        ("t*n", "t", None, "t"),  # psi's limit diverges, tables fine
+        ("t*n", "t/(n-2)", None, "t"),  # divergence, then a zero divisor in a table
+        ("t", "t/(n-2)", "t", "t"),  # a zero divisor in phi's table
+        ("1/(t-1)", "t", "t", "t"),  # an n-free table divides by zero
+        ("t", "t", "1/(t-1)", "t"),  # a declared limit divides by zero
+    ])
+    def test_battery_equals_each_check_alone(self, psi, phi, psi_lim, phi_lim):
+        pair = pair_from(psi, phi, psi_lim, phi_lim)
+        for grid in (self.SMALL, SampleGrid(t_max=3.0, step=1.0, n_ladder=(5,))):
+            assert battery_shared(pair, grid) == battery_alone(pair, grid)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.one_of(pairs(), pairs(_N_FREE_ATOMS), pairs(_EDGE_ATOMS)), grids,
+        st.sampled_from((1e-6, 0.5)),
+    )
+    @example(pair_from("t*n", "2*t*n"), SampleGrid(t_max=5.0, step=1.0), 1e-6)
+    @example(pair_from("1/(n-2)", "t", "t", "t"), SampleGrid(t_max=1.0, step=0.5), 1e-6)
+    def test_random_batteries_equal_each_check_alone(self, pair, grid, tol):
+        assert battery_shared(pair, grid, tol) == battery_alone(pair, grid, tol)
+
+    def test_divergence_is_reported_by_every_reader_of_the_limits(self):
+        reports = run_all_checks(pair_from("t*n", "2*t*n"), self.SMALL)
+        undecided = {name for name, rep in reports.items() if rep.verdict == UNDECIDED}
+        assert undecided == {
+            "uniform_convergence", "condition_i", "condition_ii", "equality_only_at_zero",
+        }
+        reasons = {reports[name].details["reason"] for name in undecided}
+        assert len(reasons) == 1 and "does not stabilise in n" in reasons.pop()
+
+    def test_zero_divisor_is_raised_by_the_first_check_that_reads_the_tables(self):
+        # the limits diverge, so uniform convergence reads no table and
+        # monotonicity is the first to meet 1/(n-2)
+        pair = pair_from("t*n", "t/(n-2)", None, "t")
+        with mock.patch.object(shifting, "check_monotone_in_n", wraps=check_monotone_in_n) as spy:
+            with pytest.raises(DivisionByZeroError, match="t/\\(n-2\\)"):
+                run_all_checks(pair, self.SMALL)
+        assert spy.call_count == 1
+
+    @pytest.mark.parametrize("pair, rows", [(demo_pair(), 21), (broken_pair(), 1)])
+    def test_battery_evaluates_each_expression_once(self, pair, rows):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return eval_expr(*args)
+
+        with mock.patch.object(expr, "eval_expr", counted), \
+                mock.patch.object(shifting, "eval_expr", counted):
+            run_all_checks(pair, SampleGrid())
+        # two declared limits and two tables, whatever the number of checks
+        assert calls == [pair.psi_limit, pair.phi_limit, pair.psi_seq, pair.phi_seq]
+        ev = _PairEvaluation(pair, SampleGrid())
+        assert [table.shape for table in ev.tables()] == [(rows, ev.t.size)] * 2
+
+    @pytest.mark.parametrize("n_list", [BOUND_NS, (3,), ()])
+    def test_n_free_bound_table_equals_the_reference(self, n_list):
+        for pair in (broken_pair(), pair_from("t*t", "3*t+1", "t*t", "3*t+1")):
+            got = check_example_bound(pair, self.SMALL, n_list).to_dict()
+            assert got == reference_example_bound(pair, self.SMALL, n_list).to_dict()
+
+
 class TestMemory:
     GRID = SampleGrid(t_max=100.0, step=0.025)  # T = 4001
 
@@ -382,3 +499,6 @@ class TestMemory:
 
     def test_condition_i_stays_under_16_mb(self):
         assert self.peak_mb(check_condition_i, demo_pair(), self.GRID) < 16
+
+    def test_battery_stays_under_16_mb(self):
+        assert self.peak_mb(run_all_checks, demo_pair(), self.GRID) < 16
