@@ -32,7 +32,6 @@ from .axioms import AxiomCounts, run_axiom_suite
 from .engine import (
     CERTIFIED,
     DEFAULT_ENGINE_LADDER,
-    INCONCLUSIVE,
     REFUTED,
     Certificate,
     PreconditionError,
@@ -193,6 +192,19 @@ def _parse_grid(obj: Any, where: str) -> SampleGrid:
         return SampleGrid(**kwargs)
 
 
+# Each axiom count: config key, AxiomCounts field, least and most value,
+# the latter as (base, power).  An instance costs at most 0.16 ms (M5), an
+# oracle box 0.9 ms and an M6 box 0.045 ms (2-vCPU Xeon VM), so no group runs
+# much past 16 s; the truncation oracle probes no coordinate past 2**62, and
+# a larger cut would also overflow its int64 window.
+_AXIOM_COUNTS = (
+    ("m1", "m1", 0, (10, 5)), ("m2", "m2", 0, (10, 5)), ("m3", "m3", 0, (10, 5)),
+    ("m4", "m4", 0, (10, 5)), ("m5", "m5", 0, (10, 5)), ("m6Chains", "m6_chains", 0, (10, 5)),
+    ("m6Depth", "m6_depth", 1, (10, 4)), ("oracle", "oracle", 0, (10, 4)),
+    ("oracleCut", "oracle_cut", 0, (2, 62)), ("homogeneity", "homogeneity", 0, (10, 5)),
+)
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration; every referenced expression parses and
@@ -270,24 +282,15 @@ def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(axioms, dict), "axioms must be an object")
     defaults = AxiomCounts()
     with _malformed("axioms"):
-        cfg.axiom_counts = AxiomCounts(
-            m1=int(axioms.get("m1", defaults.m1)),
-            m2=int(axioms.get("m2", defaults.m2)),
-            m3=int(axioms.get("m3", defaults.m3)),
-            m4=int(axioms.get("m4", defaults.m4)),
-            m5=int(axioms.get("m5", defaults.m5)),
-            m6_chains=int(axioms.get("m6Chains", defaults.m6_chains)),
-            m6_depth=int(axioms.get("m6Depth", defaults.m6_depth)),
-            oracle=int(axioms.get("oracle", defaults.oracle)),
-            oracle_cut=int(axioms.get("oracleCut", defaults.oracle_cut)),
-            homogeneity=int(axioms.get("homogeneity", defaults.homogeneity)),
-        )
-    for name in ("m1", "m2", "m3", "m4", "m5", "m6_chains", "oracle", "homogeneity"):
-        _require(getattr(cfg.axiom_counts, name) >= 0, f"axioms.{name} must be >= 0")
-    _require(cfg.axiom_counts.m6_depth >= 1, "axioms.m6Depth must be >= 1")
-    # the truncation oracle probes no coordinate past 2**62; a larger cut
-    # would also overflow its int64 window
-    _require(0 <= cfg.axiom_counts.oracle_cut <= 2**62, "axioms.oracleCut must lie in [0, 2**62]")
+        counts = {name: int(axioms.get(key, getattr(defaults, name)))
+                  for key, name, _, _ in _AXIOM_COUNTS}
+    for key, name, low, (base, power) in _AXIOM_COUNTS:
+        bounds = f"[{low}, {base}**{power}]"
+        _require(low <= counts[name] <= base**power, f"axioms.{key} must lie in {bounds}")
+    # each M6 chain keeps m6Depth boxes alive, about 1.1 KB each
+    _require(counts["m6_chains"] * counts["m6_depth"] <= 10**5,
+             "axioms.m6Chains x m6Depth must be at most 10**5 boxes")
+    cfg.axiom_counts = AxiomCounts(**counts)
     return cfg
 
 
@@ -306,43 +309,46 @@ def _json_text(obj: Any) -> str:
     same text and the same errors, without the pure-Python encoder that
     json runs whenever ``indent`` is set.  Encoded keys are memoised for
     one call (every trace entry repeats them).  A float, dict, str, int,
-    list or tuple subclass is written as its base type, like json does."""
-    keys: dict = {}
+    list or tuple subclass is written as its base type, like json does.
+    Module functions, not nested closures: a call leaves no reference
+    cycle behind."""
+    return _json_value(obj, "\n", {})
 
-    def key(k):
-        if isinstance(k, str):
-            keys[k] = text = encode_basestring_ascii(k)
-            return text
-        if k is None or isinstance(k, (float, int)):  # bool is an int
-            return encode_basestring_ascii(value(k, ""))
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
-    def value(v, pad):
-        if isinstance(v, float):
-            if not math.isfinite(v):
-                raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-            return float.__repr__(v)
-        inner = pad + "  "
-        if isinstance(v, dict):
-            items = [(keys.get(k) or key(k)) + ": " + value(x, inner) for k, x in sorted(v.items())]
-            brackets = "{}"
-        elif isinstance(v, (list, tuple)):
-            items, brackets = [value(x, inner) for x in v], "[]"
-        elif isinstance(v, str):
-            return encode_basestring_ascii(v)
-        elif v is None:
-            return "null"
-        elif v is True or v is False:
-            return "true" if v else "false"
-        elif isinstance(v, int):
-            return int.__repr__(v)
-        else:
-            raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
-        if not items:
-            return brackets
-        return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+def _json_key(k, keys: dict) -> str:
+    if isinstance(k, str):
+        keys[k] = text = encode_basestring_ascii(k)
+        return text
+    if k is None or isinstance(k, (float, int)):  # bool is an int
+        return encode_basestring_ascii(_json_value(k, "", keys))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
-    return value(obj, "\n")
+
+def _json_value(v, pad: str, keys: dict) -> str:
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        return float.__repr__(v)
+    inner = pad + "  "
+    if isinstance(v, dict):
+        items = [(keys.get(k) or _json_key(k, keys)) + ": " + _json_value(x, inner, keys)
+                 for k, x in sorted(v.items())]
+        brackets = "{}"
+    elif isinstance(v, (list, tuple)):
+        items, brackets = [_json_value(x, inner, keys) for x in v], "[]"
+    elif isinstance(v, str):
+        return encode_basestring_ascii(v)
+    elif v is None:
+        return "null"
+    elif v is True or v is False:
+        return "true" if v else "false"
+    elif isinstance(v, int):
+        return int.__repr__(v)
+    else:
+        raise TypeError(f"Object of type {v.__class__.__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -395,12 +401,10 @@ def cmd_certify(cfg: RunConfig, mode: str, out_path: str | None) -> int:
     _require(cfg.operator is not None, "certify needs an operator in the config")
     report = _base_report("certify", cfg, None)
     report["mode"] = mode
-    pair_reports = None
     if mode == "classic":
         _require(cfg.classic_k is not None, "classic mode needs classicK in the config")
         cert = classic_darbo_run(
-            cfg.operator, cfg.domain, cfg.classic_k, cfg.tol, cfg.max_iter,
-            cfg.n_ladder, grid=cfg.grid, horizon=cfg.horizon,
+            cfg.operator, cfg.domain, cfg.classic_k, cfg.tol, cfg.max_iter, horizon=cfg.horizon,
         )
     elif mode == "weak":
         _require(cfg.pair is not None, "weak mode needs a pair in the config")
@@ -415,13 +419,13 @@ def cmd_certify(cfg: RunConfig, mode: str, out_path: str | None) -> int:
         if mode == "identity":
             psi = identity_pair()
             pair = replace(pair, psi_seq=psi.psi_seq, psi_limit=psi.psi_limit)
-        pair_reports = run_all_checks(pair, cfg.grid, cfg.uniform_tol)
-        report["checks"] = {name: rep.to_dict() for name, rep in pair_reports.items()}
         cert = darbo_iterate(
             cfg.operator, cfg.domain, pair, cfg.tol, cfg.max_iter, cfg.n_ladder,
-            grid=cfg.grid, horizon=cfg.horizon,
-            require_pair_checks=cfg.enforce_pair_checks, pair_reports=pair_reports,
+            grid=cfg.grid, horizon=cfg.horizon, uniform_tol=cfg.uniform_tol,
+            require_pair_checks=cfg.enforce_pair_checks,
         )
+    if cert.checks is not None:
+        report["checks"] = {name: rep.to_dict() for name, rep in cert.checks.items()}
     report["certificate"] = cert.to_dict()
     _emit(report, out_path)
     return _certificate_exit(cert)
@@ -436,17 +440,12 @@ def cmd_demo(out_path: str | None) -> int:
     pair = demo_pair()
     box = unit_box()
     op = scaling_operator(0.5)
-    grid = SampleGrid()
-
-    checks = run_all_checks(pair, grid)
-    bound = check_example_bound(pair, grid, _DEMO_BOUND_NS)
-    cert = darbo_iterate(
-        op, box, pair, tol=1e-9, pair_reports=checks, grid=grid,
-    )
+    bound = check_example_bound(pair, SampleGrid(), _DEMO_BOUND_NS)
+    cert = darbo_iterate(op, box, pair, tol=1e-9)
 
     lines = []
     lines.append("pair checks")
-    for name, rep in checks.items():
+    for name, rep in cert.checks.items():
         lines.append(f"  {name:<24} {rep.verdict}")
     lines.append("")
     lines.append("contraction bound table (max 2u-v over admissible grid pairs)")
@@ -462,19 +461,16 @@ def cmd_demo(out_path: str | None) -> int:
     sys.stdout.write("\n".join(lines) + "\n")
 
     report = _base_report("demo", None, None)
-    report["checks"] = {name: rep.to_dict() for name, rep in checks.items()}
+    report["checks"] = {name: rep.to_dict() for name, rep in cert.checks.items()}
     report["contractionBound"] = bound.to_dict()
     report["certificate"] = cert.to_dict()
     report["muInitial"] = hausdorff_mnc(box).value
     if out_path:
         _emit(report, out_path)
 
-    all_pass = all(rep.verdict == PASS for rep in checks.values())
-    if cert.outcome == CERTIFIED and bound.verdict == PASS and all_pass:
-        return EXIT_PASS
-    if cert.outcome == INCONCLUSIVE:
-        return EXIT_UNDECIDED
-    return EXIT_FAIL
+    # darbo_iterate raises unless every pair check passed
+    code = _certificate_exit(cert)
+    return EXIT_FAIL if code == EXIT_PASS and bound.verdict != PASS else code
 
 
 def _build_parser() -> argparse.ArgumentParser:

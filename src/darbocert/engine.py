@@ -10,6 +10,10 @@ Banach Spaces, 1980, ch. 5).  Every step asserts the per-n contraction
 inequality lhs_n(mu(TA)) <= rhs_n(mu(A)) on a ladder of n values and for
 the limit functions, each side evaluated once for a whole block of steps.
 
+Every run's preconditions are decided here, in one order: the grid gate,
+the pair checks, the self-map (classic runs skip the first two).  A failure
+is a PreconditionError, an input error and never a refutation.
+
 Each step's margins are keyed by distinct columns: rows that are the same
 (lhs, rhs) expression pair are one column, named after the first of them.
 
@@ -29,7 +33,7 @@ Outcomes:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -97,6 +101,7 @@ class Certificate:
     witness: FixedPointWitness | None = None
     refutation: dict | None = None
     details: dict = field(default_factory=dict)
+    checks: dict[str, CheckReport] | None = None  # the battery run first; not in to_dict
 
     @property
     def mu_trace(self) -> list[float]:
@@ -138,14 +143,17 @@ def _enforce_pair_checks(
 
 
 def _require_grid_covers(grid: SampleGrid, domain: TailBox) -> None:
-    """The pair checks hold on [0, tMax] only, and every measure of the
-    chain lies in [0, mu(A_0)]; a grid that stops short of mu(A_0) is an
-    input error, not a grid to extend."""
+    """The pair checks hold on the grid's points only, and every measure of
+    the chain lies in [0, mu(A_0)]; a grid whose last point stops short of
+    mu(A_0) is an input error, not a grid to extend.  The last point may
+    lie below tMax (tMax 0.9 and step 0.3 end at 0.8999999999999999)."""
     mu_0 = hausdorff_mnc(domain).value
-    if grid.t_max < mu_0:
-        raise PreconditionError(
-            f"grid tMax {grid.t_max} is below the domain's measure mu(A_0) = {mu_0}"
-        )
+    last = float(grid.t_values()[-1])
+    if last < mu_0:
+        where = f"grid tMax {grid.t_max}"
+        if last != grid.t_max:
+            where = f"grid's last point {last} (tMax {grid.t_max}, step {grid.step})"
+        raise PreconditionError(f"{where} is below the domain's measure mu(A_0) = {mu_0}")
 
 
 def _attach_witness(op) -> FixedPointWitness | None:
@@ -160,13 +168,14 @@ _BLOCK_CELLS = 1 << 14
 
 
 def _run_chain(
-    op, domain: TailBox, lhs_seq: Expr, rhs_seq: Expr, lhs_limit: Expr | None,
-    rhs_limit: Expr | None, tol: float, max_iter: int, n_ladder: tuple[int, ...],
-    details: dict,
+    operator: OperatorSpec, domain: TailBox, sides: FunctionSequencePair, tol: float,
+    max_iter: int, n_ladder: tuple[int, ...], horizon: int, details: dict,
 ) -> Certificate:
-    """The chain A_{k+1} = T A_k from a domain that ``verify_self_map``
-    has shown to satisfy T A_0 within A_0.  Nesting then holds at every
-    step by induction, and each step is decided from the measure alone:
+    """The chain A_{k+1} = T A_k under lhs_n(mu(TA)) <= rhs_n(mu(A)), the
+    sequences and limits of ``sides`` as psi (lhs) and phi (rhs).  It first
+    checks the last precondition, T A_0 within A_0 (``verify_self_map``).
+    Nesting then holds at every step by induction, and each step is
+    decided from the measure alone:
     the image envelopes have asymptotic values d_beta * (lo_beta, hi_beta)
     (swapped when d is eventually negative; offsets tend to 0), so
     mu_{k+1} = |d_beta| * mu_k, bit for bit the measure of the image box,
@@ -186,11 +195,16 @@ def _run_chain(
     of steps that raises is decided as its two halves in turn, so the
     first failing single step raises or ends the run INCONCLUSIVE as it
     would alone, after any earlier refutation or stop."""
+    op = as_operator(operator)
+    if not verify_self_map(op, domain, horizon):
+        raise PreconditionError("operator does not map the domain into itself")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
 
+    lhs_seq, rhs_seq = sides.psi_seq, sides.phi_seq
+    lhs_limit, rhs_limit = sides.psi_limit, sides.phi_limit
     factor = abs(op.d.asym)
     trace = [IterationState(hausdorff_mnc(domain).value, {})]
 
@@ -261,28 +275,26 @@ def darbo_iterate(
     *,
     grid: SampleGrid | None = None,
     horizon: int = DEFAULT_HORIZON,
+    uniform_tol: float = 1e-6,
     require_pair_checks: bool = True,
-    pair_reports: dict[str, CheckReport] | None = None,
 ) -> Certificate:
     """Run the certified iteration with the contraction hypothesis
     psi_n(mu(TA)) <= phi_n(mu(A)).
 
-    Preconditions: the operator maps the domain into itself, and the pair
-    passes the full shifting-check battery (overridable with
-    ``require_pair_checks=False``, which downgrades failures to a warning).
+    Preconditions, in order: the grid's last point reaches mu(A_0); the
+    pair passes the full shifting battery at ``uniform_tol`` (overridable
+    with ``require_pair_checks=False``, which downgrades failures to a
+    warning); the self-map.  The battery is the certificate's ``checks``.
     """
-    op = as_operator(operator)
     grid = grid or SampleGrid()
     _require_grid_covers(grid, domain)
-    if pair_reports is None:
-        pair_reports = run_all_checks(pair, grid)
-    _enforce_pair_checks(pair_reports, require_pair_checks, "darbo_iterate")
-    if not verify_self_map(op, domain, horizon):
-        raise PreconditionError("operator does not map the domain into itself")
-    return _run_chain(
-        op, domain, pair.psi_seq, pair.phi_seq, pair.psi_limit, pair.phi_limit,
-        tol, max_iter, tuple(n_ladder), {"mode": "main"},
+    checks = run_all_checks(pair, grid, uniform_tol)
+    _enforce_pair_checks(checks, require_pair_checks, "darbo_iterate")
+    cert = _run_chain(
+        operator, domain, pair, tol, max_iter, tuple(n_ladder), horizon, {"mode": "main"}
     )
+    cert.checks = checks
+    return cert
 
 
 def check_example_bound(
@@ -363,24 +375,25 @@ def classic_darbo_run(
     k: float,
     tol: float = 1e-9,
     max_iter: int = 10_000,
-    n_ladder: tuple[int, ...] = DEFAULT_ENGINE_LADDER,
     *,
-    grid: SampleGrid | None = None,
     horizon: int = DEFAULT_HORIZON,
 ) -> Certificate:
-    """Recover the constant-factor contraction condition mu(TA) <= k*mu(A)
-    by running the iteration with psi_n = identity, phi_n = k * identity.
+    """Recover the constant-factor condition mu(TA) <= k*mu(A) by running
+    the chain with psi_n = t, phi_n = k*t.
 
-    The limit check of every step is exactly mu_{j+1} <= k * mu_j, so a
-    certified trace satisfies it at every step."""
+    Preconditions: 0 <= k < 1 and the self-map.  No grid gate or pair
+    check runs: for k < 1 all five checks hold exactly for (t, k*t) on
+    [0, inf), as it is constant in n and its own limit, u <= k*v implies
+    u <= v, and t <= k*t only at t = 0, so a grid could only add false
+    FAILs (a tMax below mu(A_0), or (1 - k)*t below the tie tolerance).
+    Its limits are its sequences, so the chain reads no ladder and has the
+    one column ``limit``, mu_{j+1} <= k*mu_j exactly."""
     if not 0.0 <= k < 1.0:
         raise PreconditionError(f"contraction constant {k} outside [0, 1)")
-    cert = darbo_iterate(
-        operator, domain, identity_pair(k), tol, max_iter, n_ladder,
-        grid=grid, horizon=horizon,
+    return _run_chain(
+        operator, domain, identity_pair(k), tol, max_iter, (), horizon,
+        {"mode": "classic", "k": k},
     )
-    cert.details = {"mode": "classic", "k": k}
-    return cert
 
 
 def weak_contraction_run(
@@ -398,11 +411,11 @@ def weak_contraction_run(
     """Run the iteration under the weak-contraction inequality
     psi_n(mu(TA)) <= psi_n(mu(A)) - phi_n(mu(A)).
 
-    Preconditions: the limit functions agree only at zero, and phi_n is
-    nonnegative on the grid at every n of the grid's ladder and of the
-    chain's, where the inequality is asserted (phi maps into the
-    nonnegative reals)."""
-    op = as_operator(operator)
+    Preconditions, in order: the grid gate; the limit functions agree only
+    at zero; phi_n >= 0 on the grid at every n of the grid's ladder and of
+    the chain's, where the inequality is asserted (phi maps into the
+    nonnegative reals), one row at a time in ascending n and as one row
+    when phi does not mention n; the self-map."""
     grid = grid or SampleGrid()
     _require_grid_covers(grid, domain)
     _enforce_pair_checks(
@@ -410,18 +423,16 @@ def weak_contraction_run(
         require_pair_checks, "weak_contraction_run",
     )
     t = grid.t_values()
-    for n in sorted({*grid.n_ladder, *n_ladder}):
+    ns = sorted({*grid.n_ladder, *n_ladder})
+    for n in ns if mentions_n(pair.phi_seq) else ns[:1]:
         low = grid_table(pair.phi_seq, t, (n,)).min()
         if low < -TIE_TOL:
             raise PreconditionError(f"phi_{n} takes negative values on the grid (min {float(low)})")
-    if not verify_self_map(op, domain, horizon):
-        raise PreconditionError("operator does not map the domain into itself")
 
-    rhs_seq = BinOp("-", pair.psi_seq, pair.phi_seq)
     rhs_limit = None
     if pair.psi_limit is not None and pair.phi_limit is not None:
         rhs_limit = BinOp("-", pair.psi_limit, pair.phi_limit)
+    sides = replace(pair, phi_seq=BinOp("-", pair.psi_seq, pair.phi_seq), phi_limit=rhs_limit)
     return _run_chain(
-        op, domain, pair.psi_seq, rhs_seq, pair.psi_limit, rhs_limit,
-        tol, max_iter, tuple(n_ladder), {"mode": "weak"},
+        operator, domain, sides, tol, max_iter, tuple(n_ladder), horizon, {"mode": "weak"}
     )

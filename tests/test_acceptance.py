@@ -62,10 +62,8 @@ def test_criterion_1_contraction_bound_reproduction():
 
 def test_criterion_2_certified_run_with_exact_trace():
     pair = demo_pair()
-    reports = run_all_checks(pair, GRID)
-    cert = darbo_iterate(
-        scaling_operator(0.5), unit_box(), pair, tol=1e-9, pair_reports=reports
-    )
+    cert = darbo_iterate(scaling_operator(0.5), unit_box(), pair, tol=1e-9, grid=GRID)
+    assert all(rep.verdict == PASS for rep in cert.checks.values())
     assert cert.outcome == CERTIFIED
     assert len(cert.trace) - 1 == 30
     for k, mu in enumerate(cert.mu_trace):

@@ -37,7 +37,7 @@ from darbocert.engine import (
     weak_contraction_run,
 )
 from darbocert.expr import DivisionByZeroError, LimitDivergenceError, eval_expr, parse_expr, unparse
-from darbocert.mnc import TailBox, TailForm, hausdorff_mnc
+from darbocert.mnc import DEFAULT_HORIZON, TailBox, TailForm, hausdorff_mnc
 from darbocert.operators import DiagonalAffineOperator
 from darbocert.scenarios import demo_pair, identity_operator, scaling_operator, unit_box
 from darbocert.shifting import TIE_TOL, FunctionSequencePair, limit_values
@@ -136,8 +136,11 @@ def chain_args(psi, phi, psi_lim=None, phi_lim=None, op=scaling_operator(0.5),
 
 def assert_same_as_the_loop(args, cells=None):
     want = run(loop_run_chain, args)
+    op, domain, *sides, tol, max_iter, ladder, details = args
+    chain_args = (op, domain, FunctionSequencePair(*sides), tol, max_iter, ladder,
+                  DEFAULT_HORIZON, details)
     with mock.patch.object(engine, "_BLOCK_CELLS", cells or engine._BLOCK_CELLS):
-        got = run(_run_chain, args)
+        got = run(_run_chain, chain_args)
     assert bits(got) == bits(want)
     return got
 
@@ -265,7 +268,7 @@ class TestParityWithTheStepLoop:
         classic = classic_darbo_run(scaling_operator(0.5), unit_box(), k=0.6)
         pair = FunctionSequencePair(*map(parse_expr, ("t", "t/2", "t", "t/2")))
         weak = weak_contraction_run(scaling_operator(0.5), unit_box(), pair)
-        demo = darbo_iterate(scaling_operator(0.5), unit_box(), demo_pair(), pair_reports={})
+        demo = darbo_iterate(scaling_operator(0.5), unit_box(), demo_pair())
         for cert in (classic, weak, demo):
             assert cert.outcome == CERTIFIED and cert.trace[0].margins == {}
         assert all(list(s.margins) == ["limit"] for s in classic.trace[1:] + weak.trace[1:])
@@ -296,18 +299,18 @@ class TestWork:
                 mock.patch.object(shifting, "eval_expr", counted):
             cert = classic_darbo_run(LONG_OP, unit_box(), 0.99)
         assert cert.outcome == CERTIFIED and len(cert.trace) == 1027
-        # 4 for the pair battery (two limit rows, two tables, shared by its
-        # five checks) and 2 for the chain, one row per side, since the
-        # classic pair does not mention n; one call per step, side and row
-        # made 4,120 (4 a step) and then 16,416 (16 a step)
-        assert len(calls) == 6
+        # 2 for the chain, one row per side, since the classic pair does not
+        # mention n, and none for a pair battery, which classic mode does not
+        # run; one call per step, side and row made 4,120 (4 a step) and then
+        # 16,416 (16 a step), and the battery once added 4 (16 before that)
+        assert len(calls) == 2
 
     def test_refuted_long_budget_evaluates_one_block(self):
         tracemalloc.start()
         try:
+            # the battery passes (t, t/2) and holds one row of the grid
             cert = darbo_iterate(
                 identity_operator(), unit_box(), identity_pair(0.5), max_iter=10**5,
-                pair_reports={},
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import subprocess
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from darbocert import cli, engine
+from darbocert.axioms import AxiomCounts
 from darbocert.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -18,6 +21,7 @@ from darbocert.cli import (
     parse_config,
     run,
 )
+from darbocert.shifting import run_all_checks
 
 UNIT_BOX = {
     "headLo": [],
@@ -43,6 +47,7 @@ RATIONAL_PAIR = {
     "psiLimit": "2+2*t",
     "phiLimit": "2+t",
 }
+BROKEN_PAIR = {"psiSeq": "t", "phiSeq": "t+1", "psiLimit": "t", "phiLimit": "t+1"}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -265,6 +270,31 @@ class TestCertify:
         assert run(["certify", "--config", cfg, "--mode", "identity", "--out", str(out)]) == EXIT_PASS
         capsys.readouterr()
 
+    @pytest.mark.parametrize("mode, pair, extra", [
+        ("main", RATIONAL_PAIR, {"uniformTol": 0.5}),
+        ("main", BROKEN_PAIR, {"enforcePairChecks": False}),
+        ("identity", {"psiSeq": "t", "phiSeq": "t/2", "psiLimit": "t", "phiLimit": "t/2"},
+         {"uniformTol": 0.5}),
+        ("identity", BROKEN_PAIR, {"enforcePairChecks": False}),
+    ])
+    def test_certify_reports_the_checks_of_check_pair(self, tmp_path, capsys, mode, pair, extra):
+        cfg = certify_config(tmp_path, pair=pair, **extra)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the broken pair's override warning
+            run(["certify", "--config", cfg, "--mode", mode, "--out", str(out)])
+        checked = pair if mode == "main" else dict(pair, psiSeq="t", psiLimit="t")
+        pair_cfg = write_config(tmp_path, dict(extra, pair=checked), name="pair.json")
+        pair_out = tmp_path / "pair.json.out"
+        run(["check-pair", "--config", pair_cfg, "--out", str(pair_out)])
+        capsys.readouterr()
+        checks = json.loads(out.read_text())["checks"]
+        assert checks == json.loads(pair_out.read_text())["checks"]
+        if "uniformTol" in extra:
+            assert checks["uniform_convergence"]["verdict"] == "PASS"
+        else:
+            assert checks["condition_i"]["verdict"] == "FAIL"
+
     def test_missing_operator_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"set": UNIT_BOX, "pair": RATIONAL_PAIR})
         assert run(["certify", "--config", cfg]) == EXIT_CONFIG
@@ -370,7 +400,7 @@ class TestConfigValidation:
         assert run([*command, "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: pair.{key}: a declared limit must not mention n\n"
 
-    @pytest.mark.parametrize("mode", ["main", "identity", "weak", "classic"])
+    @pytest.mark.parametrize("mode", ["main", "identity", "weak"])
     def test_grid_short_of_the_domain_measure_is_config_error(self, tmp_path, capsys, mode):
         # mu(A_0) = 1000; the pair checks would hold on [0, 10] only
         box = dict(UNIT_BOX, tailLo={"terms": [], "beta": -1000.0},
@@ -380,6 +410,48 @@ class TestConfigValidation:
         assert capsys.readouterr().err == (
             "error: grid tMax 10.0 is below the domain's measure mu(A_0) = 1000.0\n"
         )
+
+    def test_grid_gate_reads_the_last_grid_point(self, tmp_path, capsys):
+        # tMax 1.05 reaches mu(A_0) = 1.04, but the checks stop at t = 1.0
+        box = dict(UNIT_BOX, tailLo={"terms": [], "beta": -1.04},
+                   tailHi={"terms": [], "beta": 1.04})
+        cfg = certify_config(tmp_path, set=box, grid={"tMax": 1.05, "step": 0.1})
+        assert run(["certify", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: grid's last point 1.0 (tMax 1.05, step 0.1) is below the domain's "
+            "measure mu(A_0) = 1.04\n"
+        )
+
+    def test_rejected_grid_runs_no_battery(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_all_checks(*args)
+
+        monkeypatch.setattr(engine, "run_all_checks", counted)
+        monkeypatch.setattr(cli, "run_all_checks", counted)
+        box = dict(UNIT_BOX, tailLo={"terms": [], "beta": -1000.0},
+                   tailHi={"terms": [], "beta": 1000.0})
+        cfg = certify_config(tmp_path, set=box, grid={"tMax": 10})
+        assert run(["certify", "--config", cfg, "--mode", "main"]) == EXIT_CONFIG
+        capsys.readouterr()
+        assert calls == []
+
+    @pytest.mark.parametrize("half_width, k, steps", [(1000.0, 0.6, 40), (1.0, 1 - 1e-14, 30)])
+    def test_valid_classic_contraction_is_certified(self, tmp_path, capsys, half_width, k, steps):
+        # mu(TA) = mu(A)/2 <= k*mu(A): a domain past the default grid's tMax,
+        # or (1 - k)*0.1 below the tie tolerance, is no input error
+        box = dict(UNIT_BOX, tailLo={"terms": [], "beta": -half_width},
+                   tailHi={"terms": [], "beta": half_width})
+        cfg = certify_config(tmp_path, set=box, classicK=k)
+        out = tmp_path / "r.json"
+        assert run(["certify", "--config", cfg, "--mode", "classic", "--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        assert "checks" not in report
+        assert report["certificate"]["outcome"] == "CERTIFIED"
+        assert len(report["certificate"]["trace"]) - 1 == steps
 
     def test_grid_reaching_the_domain_measure_is_accepted(self, tmp_path, capsys):
         box = dict(UNIT_BOX, tailLo={"terms": [], "beta": -1000.0},
@@ -465,6 +537,36 @@ class TestConfigValidation:
         groups = {g["name"]: g for g in json.loads(out.read_text())["axioms"]}
         assert groups["oracle_agreement"]["instances"] == 3
         assert groups["oracle_agreement"]["violations"] == []
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("m2", 10**12, "axioms.m2 must lie in [0, 10**5]"),
+        ("m1", -1, "axioms.m1 must lie in [0, 10**5]"),
+        ("m6Chains", 10**9, "axioms.m6Chains must lie in [0, 10**5]"),
+        ("m6Depth", 10**9, "axioms.m6Depth must lie in [1, 10**4]"),
+        ("m6Depth", 0, "axioms.m6Depth must lie in [1, 10**4]"),
+        ("oracle", 10**4 + 1, "axioms.oracle must lie in [0, 10**4]"),
+        ("homogeneity", 10**5 + 1, "axioms.homogeneity must lie in [0, 10**5]"),
+    ])
+    def test_axiom_count_past_its_cap_is_config_error(self, tmp_path, capsys, key, value, message):
+        cfg = write_config(tmp_path, {"axioms": dict(TestCheckAxioms.AXIOMS, **{key: value})})
+        out = tmp_path / "r.json"
+        assert run(["check-axioms", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_m6_boxes_past_the_cap_are_config_error(self):
+        # each chain keeps m6Depth boxes alive, and every box costs time
+        with pytest.raises(ConfigError, match="^axioms.m6Chains x m6Depth must be at most 10\\*\\*5 boxes$"):
+            parse_config({"axioms": {"m6Chains": 10**5, "m6Depth": 2}})
+        assert parse_config({"axioms": {"m6Chains": 10, "m6Depth": 10**4}}).axiom_counts.m6_depth == 10**4
+
+    def test_axiom_counts_at_the_caps_are_accepted(self):
+        caps = {"m1": 10**5, "m2": 10**5, "m3": 10**5, "m4": 10**5, "m5": 10**5,
+                "m6Chains": 10**5, "m6Depth": 1, "oracle": 10**4, "homogeneity": 10**5}
+        counts = parse_config({"axioms": caps}).axiom_counts
+        assert (counts.m2, counts.m6_chains, counts.oracle) == (10**5, 10**5, 10**4)
+        # the default counts and the acceptance counts stay valid
+        assert parse_config({}).axiom_counts == AxiomCounts()
 
     @pytest.mark.parametrize("max_iter", [0, -3, 10**5 + 1, 10**30])
     def test_max_iter_out_of_range_is_config_error(self, tmp_path, capsys, max_iter):
@@ -705,3 +807,13 @@ class TestReportWriter:
     def test_errors_match_json(self, obj):
         got, want = written(_json_text, obj), written(json_reference, obj)
         assert isinstance(want, tuple) and got == want
+
+    def test_a_call_leaves_no_reference_cycle(self):
+        report = {"a": [1.0, {"b": None, "e": True}], "c": "d", "n": {2: 0}}
+        gc.collect()
+        gc.disable()
+        try:
+            _json_text(report)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

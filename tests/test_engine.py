@@ -1,12 +1,15 @@
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from darbocert import engine
 from darbocert.engine import (
     CERTIFIED,
+    DEFAULT_ENGINE_LADDER,
     INCONCLUSIVE,
     REFUTED,
     PreconditionError,
@@ -27,11 +30,10 @@ from darbocert.scenarios import (
     scaling_operator,
     unit_box,
 )
-from darbocert.shifting import FAIL, PASS, SampleGrid, run_all_checks
+from darbocert.shifting import FAIL, PASS, SampleGrid, grid_table, run_all_checks
 
 PAIR = demo_pair()
 GRID = SampleGrid()
-PAIR_REPORTS = run_all_checks(PAIR, GRID)
 
 
 def make_pair(psi, phi, psi_lim, phi_lim):
@@ -48,7 +50,7 @@ def make_pair(psi, phi, psi_lim, phi_lim):
 class TestDarboIterate:
     def test_half_scaling_certifies_with_exact_dyadic_trace(self):
         cert = darbo_iterate(
-            scaling_operator(0.5), unit_box(), PAIR, tol=1e-9, pair_reports=PAIR_REPORTS
+            scaling_operator(0.5), unit_box(), PAIR, tol=1e-9
         )
         assert cert.outcome == CERTIFIED
         assert len(cert.trace) - 1 == 30
@@ -60,14 +62,14 @@ class TestDarboIterate:
 
     def test_margins_are_nonnegative_on_certified_run(self):
         cert = darbo_iterate(
-            scaling_operator(0.5), unit_box(), PAIR, tol=1e-9, pair_reports=PAIR_REPORTS
+            scaling_operator(0.5), unit_box(), PAIR, tol=1e-9
         )
         for state in cert.trace[1:]:
             assert all(margin >= -1e-12 for margin in state.margins.values())
 
     def test_relatively_compact_domain_certifies_at_step_zero(self):
         cert = darbo_iterate(
-            scaling_operator(0.5), compact_geometric_box(), PAIR, pair_reports=PAIR_REPORTS
+            scaling_operator(0.5), compact_geometric_box(), PAIR
         )
         assert cert.outcome == CERTIFIED
         assert len(cert.trace) == 1
@@ -76,14 +78,14 @@ class TestDarboIterate:
     def test_compact_domain_with_non_constant_factor_certifies_at_step_zero(self):
         domain = TailBox((), (), TailForm(((-1.0, 0.9),)), TailForm(((1.0, 0.9),)))
         op = DiagonalAffineOperator((), TailForm(((-0.3, 0.5),), 0.5))
-        cert = darbo_iterate(op, domain, PAIR, pair_reports=PAIR_REPORTS)
+        cert = darbo_iterate(op, domain, PAIR)
         assert cert.outcome == CERTIFIED
         assert len(cert.trace) == 1
         assert cert.trace[0].mu == 0.0
 
     def test_identity_operator_refuted_at_step_zero(self):
         cert = darbo_iterate(
-            identity_operator(), unit_box(), PAIR, pair_reports=PAIR_REPORTS
+            identity_operator(), unit_box(), PAIR
         )
         assert cert.outcome == REFUTED
         assert cert.refutation == {"step": 0, "n": "limit", "lhs": 4.0, "rhs": 3.0}
@@ -94,7 +96,7 @@ class TestDarboIterate:
 
     def test_nesting_holds_at_every_step(self):
         op = scaling_operator(0.5)
-        cert = darbo_iterate(op, unit_box(), PAIR, tol=1e-6, pair_reports=PAIR_REPORTS)
+        cert = darbo_iterate(op, unit_box(), PAIR, tol=1e-6)
         boxes = [unit_box()]
         for _ in cert.trace[1:]:
             boxes.append(apply_to_box(op, boxes[-1]))
@@ -105,7 +107,7 @@ class TestDarboIterate:
         op = DiagonalAffineOperator(
             (), TailForm((), 0.5), (), TailForm(((1.0, 0.25),), 0.0)
         )
-        cert = darbo_iterate(op, unit_box(), PAIR, tol=1e-9, pair_reports=PAIR_REPORTS)
+        cert = darbo_iterate(op, unit_box(), PAIR, tol=1e-9)
         assert cert.outcome == CERTIFIED
         mus = cert.mu_trace
         assert all(mus[k + 1] == 0.5 * mus[k] for k in range(len(mus) - 1))
@@ -113,7 +115,6 @@ class TestDarboIterate:
     def test_inconclusive_when_budget_runs_out(self):
         cert = darbo_iterate(
             scaling_operator(0.5), unit_box(), PAIR, tol=1e-9, max_iter=1,
-            pair_reports=PAIR_REPORTS,
         )
         assert cert.outcome == INCONCLUSIVE
         # the exact ratio and the last measure: slow decay, not a stall
@@ -121,20 +122,20 @@ class TestDarboIterate:
 
     def test_non_self_map_is_a_precondition_error(self):
         with pytest.raises(PreconditionError):
-            darbo_iterate(scaling_operator(2.0), unit_box(), PAIR, pair_reports=PAIR_REPORTS)
+            darbo_iterate(scaling_operator(2.0), unit_box(), PAIR)
 
     def test_failing_pair_checks_block_the_run(self):
         with pytest.raises(PreconditionError):
             darbo_iterate(scaling_operator(0.5), unit_box(), broken_pair(), grid=GRID)
 
     def test_grid_short_of_the_domain_measure_blocks_every_run(self):
-        # the unit box has mu(A_0) = 1; the gate holds even with checks overridden
+        # the unit box has mu(A_0) = 1; the gate holds even with checks
+        # overridden, in every mode that checks the pair on the grid
         short = SampleGrid(t_max=0.5, step=0.1)
         message = "grid tMax 0.5 is below the domain's measure mu\\(A_0\\) = 1.0"
         runs = (
             lambda: darbo_iterate(scaling_operator(0.5), unit_box(), PAIR, grid=short,
-                                  pair_reports=PAIR_REPORTS, require_pair_checks=False),
-            lambda: classic_darbo_run(scaling_operator(0.5), unit_box(), 0.6, grid=short),
+                                  require_pair_checks=False),
             lambda: weak_contraction_run(scaling_operator(0.5), unit_box(), PAIR, grid=short,
                                          require_pair_checks=False),
         )
@@ -142,8 +143,46 @@ class TestDarboIterate:
             with pytest.raises(PreconditionError, match=message):
                 start()
         one = SampleGrid(t_max=1.0, step=0.1)
-        cert = classic_darbo_run(scaling_operator(0.5), unit_box(), 0.6, grid=one)
+        cert = darbo_iterate(scaling_operator(0.5), unit_box(), PAIR, grid=one)
         assert cert.outcome == CERTIFIED
+
+    @pytest.mark.parametrize("t_max, step, half_width, last", [
+        (1.05, 0.1, 1.04, "1.0"),
+        (0.9, 0.3, 0.9, "0.8999999999999999"),
+    ])
+    def test_grid_gate_reads_the_last_grid_point(self, t_max, step, half_width, last):
+        # tMax reaches mu(A_0), but the checks stop at the last grid point
+        grid = SampleGrid(t_max=t_max, step=step)
+        domain = TailBox((), (), TailForm((), -half_width), TailForm((), half_width))
+        message = (f"grid's last point {last} \\(tMax {t_max}, step {step}\\) is below "
+                   f"the domain's measure mu\\(A_0\\) = {half_width}")
+        with pytest.raises(PreconditionError, match=message):
+            darbo_iterate(scaling_operator(0.5), domain, PAIR, grid=grid)
+        with pytest.raises(PreconditionError, match=message):
+            weak_contraction_run(scaling_operator(0.5), domain, PAIR, grid=grid,
+                                 require_pair_checks=False)
+
+    def test_battery_is_returned_on_the_certificate(self):
+        cert = darbo_iterate(scaling_operator(0.5), unit_box(), PAIR, uniform_tol=0.5)
+        want = run_all_checks(PAIR, GRID, 0.5)
+        assert {k: r.to_dict() for k, r in cert.checks.items()} == {
+            k: r.to_dict() for k, r in want.items()
+        }
+        assert "checks" not in cert.to_dict()
+
+    def test_rejected_grid_runs_no_battery(self):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return run_all_checks(*args)
+
+        short = SampleGrid(t_max=0.5, step=0.1)
+        with mock.patch.object(engine, "run_all_checks", counted):
+            with pytest.raises(PreconditionError):
+                darbo_iterate(scaling_operator(0.5), unit_box(), PAIR, grid=short)
+            darbo_iterate(scaling_operator(0.5), unit_box(), PAIR)
+        assert len(calls) == 1
 
     def test_pair_check_override_warns_and_continues(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -222,7 +261,7 @@ class TestClassicRun:
             assert float(eval_expr(identity_pair(k).phi_limit, mu, 1.0)) == k * mu
 
     def test_ratio_violation_refuted_by_the_limit_check(self):
-        cert = classic_darbo_run(scaling_operator(0.5), unit_box(), k=0.4, n_ladder=())
+        cert = classic_darbo_run(scaling_operator(0.5), unit_box(), k=0.4)
         assert cert.outcome == REFUTED
         assert cert.refutation["step"] == 0
         assert cert.refutation["n"] == "limit"
@@ -241,6 +280,22 @@ class TestClassicRun:
         assert cert.outcome == REFUTED
         assert cert.refutation["lhs"] == 1.0
         assert cert.refutation["rhs"] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("half_width, k, steps", [(1000.0, 0.6, 40), (1.0, 1 - 1e-14, 30)])
+    def test_runs_no_pair_check_and_no_grid_gate(self, half_width, k, steps):
+        # mu(TA) = mu(A)/2 <= k*mu(A) on a domain past the default grid's
+        # tMax, and with (1 - k)*0.1 below the tie tolerance: both valid
+        domain = TailBox((), (), TailForm((), -half_width), TailForm((), half_width))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("classic mode runs no grid gate or pair check")
+
+        with mock.patch.object(engine, "run_all_checks", refuse), \
+                mock.patch.object(engine, "check_equality_only_at_zero", refuse), \
+                mock.patch.object(engine, "_require_grid_covers", refuse):
+            cert = classic_darbo_run(scaling_operator(0.5), domain, k)
+        assert cert.outcome == CERTIFIED and len(cert.trace) - 1 == steps
+        assert cert.checks is None
 
     def test_factor_must_lie_in_unit_interval(self):
         with pytest.raises(PreconditionError):
@@ -302,6 +357,21 @@ class TestWeakContractionRun:
         assert any("equality_only_at_zero" in str(w.message) for w in caught)
         assert cert.outcome == REFUTED
 
+    @pytest.mark.parametrize("phi, rows", [("t/2", 1), ("t/2+0*n", 27)])
+    def test_phi_is_checked_one_row_when_it_does_not_mention_n(self, phi, rows):
+        # the grid ladder 2**0..2**20 and the chain ladder 10**0..10**6 hold
+        # 27 distinct n, every row the same row when phi does not mention n
+        calls = []
+
+        def counted(e, t, ns):
+            calls.append(ns)
+            return grid_table(e, t, ns)
+
+        with mock.patch.object(engine, "grid_table", counted):
+            weak_contraction_run(scaling_operator(0.5), unit_box(), make_pair("t", phi, "t", "t/2"))
+        ns = sorted({*GRID.n_ladder, *DEFAULT_ENGINE_LADDER})
+        assert [c for c in calls if len(c) == 1] == [(n,) for n in ns[:rows]]
+
     def test_negative_phi_violates_the_precondition(self):
         with pytest.raises(PreconditionError):
             weak_contraction_run(
@@ -321,7 +391,7 @@ class TestCertificateSoundness:
 
     def test_serialisation_shape(self):
         cert = darbo_iterate(
-            scaling_operator(0.5), unit_box(), PAIR, tol=1e-3, pair_reports=PAIR_REPORTS
+            scaling_operator(0.5), unit_box(), PAIR, tol=1e-3
         )
         data = cert.to_dict()
         assert data["outcome"] == CERTIFIED
@@ -383,9 +453,7 @@ class TestChainInduction:
     @given(self_mapping_chains())
     def test_scalar_trace_matches_the_box_iteration(self, case):
         op, domain, steps = case
-        cert = classic_darbo_run(
-            op, domain, k=0.99, tol=1e-300, max_iter=steps, grid=SampleGrid(step=0.5)
-        )
+        cert = classic_darbo_run(op, domain, k=0.99, tol=1e-300, max_iter=steps)
         assert cert.outcome == INCONCLUSIVE and len(cert.trace) == steps + 1
         boxes = [domain]
         for _ in range(steps):

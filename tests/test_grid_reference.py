@@ -350,10 +350,14 @@ class TestBroadcastEvaluation:
         grid = SampleGrid(t_max=2.0, step=0.5, n_ladder=(1, 2, 4, 8))
         with pytest.raises(DivisionByZeroError, match="t/\\(n-4\\)"):
             check_monotone_in_n(pair, grid)
-        with pytest.raises(DivisionByZeroError, match="t/\\(n-4\\)"):
+        # the grid's ladder leaves out n = 4, so the battery runs (and FAILs
+        # condition (ii)) and the chain meets the zero divisor
+        no_four = SampleGrid(n_ladder=(1, 2, 8))
+        with pytest.raises(DivisionByZeroError, match="t/\\(n-4\\)"), \
+                pytest.warns(UserWarning, match="checks overridden"):
             darbo_iterate(
                 scaling_operator(0.5), unit_box(), pair_from("t", "t+t/(n-4)", "t", "t"),
-                n_ladder=(1, 4), pair_reports={},
+                n_ladder=(1, 4), grid=no_four, require_pair_checks=False,
             )
 
     def test_first_failing_division_may_differ_from_the_loop(self):
