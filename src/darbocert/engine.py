@@ -101,7 +101,7 @@ class Certificate:
     witness: FixedPointWitness | None = None
     refutation: dict | None = None
     details: dict = field(default_factory=dict)
-    checks: dict[str, CheckReport] | None = None  # the battery run first; not in to_dict
+    checks: dict[str, CheckReport] | None = None  # the gating pair battery; not in to_dict
 
     @property
     def mu_trace(self) -> list[float]:

@@ -556,9 +556,11 @@ class TestConfigValidation:
 
     def test_m6_boxes_past_the_cap_are_config_error(self):
         # each chain keeps m6Depth boxes alive, and every box costs time
-        with pytest.raises(ConfigError, match="^axioms.m6Chains x m6Depth must be at most 10\\*\\*5 boxes$"):
+        message = "^axioms.m6Chains x m6Depth must be at most 10\\*\\*5 boxes$"
+        with pytest.raises(ConfigError, match=message):
             parse_config({"axioms": {"m6Chains": 10**5, "m6Depth": 2}})
-        assert parse_config({"axioms": {"m6Chains": 10, "m6Depth": 10**4}}).axiom_counts.m6_depth == 10**4
+        counts = parse_config({"axioms": {"m6Chains": 10, "m6Depth": 10**4}}).axiom_counts
+        assert counts.m6_chains * counts.m6_depth == 10**5
 
     def test_axiom_counts_at_the_caps_are_accepted(self):
         caps = {"m1": 10**5, "m2": 10**5, "m3": 10**5, "m4": 10**5, "m5": 10**5,

@@ -49,9 +49,7 @@ def make_pair(psi, phi, psi_lim, phi_lim):
 
 class TestDarboIterate:
     def test_half_scaling_certifies_with_exact_dyadic_trace(self):
-        cert = darbo_iterate(
-            scaling_operator(0.5), unit_box(), PAIR, tol=1e-9
-        )
+        cert = darbo_iterate(scaling_operator(0.5), unit_box(), PAIR, tol=1e-9)
         assert cert.outcome == CERTIFIED
         assert len(cert.trace) - 1 == 30
         for k, state in enumerate(cert.trace):
@@ -61,16 +59,12 @@ class TestDarboIterate:
         assert cert.factor == 0.5
 
     def test_margins_are_nonnegative_on_certified_run(self):
-        cert = darbo_iterate(
-            scaling_operator(0.5), unit_box(), PAIR, tol=1e-9
-        )
+        cert = darbo_iterate(scaling_operator(0.5), unit_box(), PAIR, tol=1e-9)
         for state in cert.trace[1:]:
             assert all(margin >= -1e-12 for margin in state.margins.values())
 
     def test_relatively_compact_domain_certifies_at_step_zero(self):
-        cert = darbo_iterate(
-            scaling_operator(0.5), compact_geometric_box(), PAIR
-        )
+        cert = darbo_iterate(scaling_operator(0.5), compact_geometric_box(), PAIR)
         assert cert.outcome == CERTIFIED
         assert len(cert.trace) == 1
         assert cert.trace[0].mu == 0.0
@@ -84,9 +78,7 @@ class TestDarboIterate:
         assert cert.trace[0].mu == 0.0
 
     def test_identity_operator_refuted_at_step_zero(self):
-        cert = darbo_iterate(
-            identity_operator(), unit_box(), PAIR
-        )
+        cert = darbo_iterate(identity_operator(), unit_box(), PAIR)
         assert cert.outcome == REFUTED
         assert cert.refutation == {"step": 0, "n": "limit", "lhs": 4.0, "rhs": 3.0}
         # the tuple re-evaluates to a violation of the limit inequality
@@ -390,9 +382,7 @@ class TestCertificateSoundness:
         assert mu_image > 0.4 * mu_box + 1e-12
 
     def test_serialisation_shape(self):
-        cert = darbo_iterate(
-            scaling_operator(0.5), unit_box(), PAIR, tol=1e-3
-        )
+        cert = darbo_iterate(scaling_operator(0.5), unit_box(), PAIR, tol=1e-3)
         data = cert.to_dict()
         assert data["outcome"] == CERTIFIED
         assert data["witness"]["residual"] == 0.0
