@@ -46,7 +46,6 @@ from .mnc import _DOMINANCE_CAP, DEFAULT_HORIZON, MncError, TailBox, TailForm, h
 from .operators import DiagonalAffineOperator, OperatorError, as_operator
 from .scenarios import demo_pair, scaling_operator, unit_box
 from .shifting import (
-    _MAX_GRID_CELLS,
     FAIL,
     PASS,
     UNDECIDED,
@@ -267,11 +266,6 @@ def parse_config(raw: dict) -> RunConfig:
     _require(1 <= cfg.max_iter <= 10**5, "maxIter must lie in [1, 10**5]")
     if "nLadder" in raw:
         cfg.n_ladder = _parse_ladder(_list(raw, "nLadder"), "nLadder")
-    # the chain decides at most one margin per ladder entry and step, and reports it
-    _require(
-        len(cfg.n_ladder) * cfg.max_iter <= _MAX_GRID_CELLS,
-        f"nLadder entries x maxIter must be at most {_MAX_GRID_CELLS} margin cells",
-    )
     if "classicK" in raw:
         with _malformed("classicK"):
             cfg.classic_k = float(raw["classicK"])

@@ -10,9 +10,10 @@ Banach Spaces, 1980, ch. 5).  Every step asserts the per-n contraction
 inequality lhs_n(mu(TA)) <= rhs_n(mu(A)) on a ladder of n values and for
 the limit functions, each side evaluated once for a whole block of steps.
 
-Every run's preconditions are decided here, in one order: the grid gate,
-the pair checks, the self-map (classic runs skip the first two).  A failure
-is a PreconditionError, an input error and never a refutation.
+Every run's preconditions are decided here, in one order: the ladder
+budget, the grid gate, the pair checks, the self-map (classic runs, which
+read no ladder, skip the first three).  A failure is a PreconditionError,
+an input error and never a refutation.
 
 Each step's margins are keyed by distinct columns: rows that are the same
 (lhs, rhs) expression pair are one column, named after the first of them.
@@ -49,6 +50,7 @@ from .operators import (
     verify_self_map,
 )
 from .shifting import (
+    _MAX_GRID_CELLS,
     FAIL,
     PASS,
     TIE_TOL,
@@ -140,6 +142,15 @@ def _enforce_pair_checks(
     if require:
         raise PreconditionError(message)
     warnings.warn(message + " (continuing: checks overridden)", stacklevel=3)
+
+
+def _require_ladder_budget(n_ladder: tuple[int, ...], max_iter: int) -> None:
+    """The chain decides at most one margin per ladder entry and step, and
+    reports it."""
+    if len(n_ladder) * max_iter > _MAX_GRID_CELLS:
+        raise PreconditionError(
+            f"nLadder entries x maxIter must be at most {_MAX_GRID_CELLS} margin cells"
+        )
 
 
 def _require_grid_covers(grid: SampleGrid, domain: TailBox) -> None:
@@ -281,17 +292,20 @@ def darbo_iterate(
     """Run the certified iteration with the contraction hypothesis
     psi_n(mu(TA)) <= phi_n(mu(A)).
 
-    Preconditions, in order: the grid's last point reaches mu(A_0); the
+    Preconditions, in order: at most ``_MAX_GRID_CELLS`` ladder entries x
+    ``max_iter`` margin cells; the grid's last point reaches mu(A_0); the
     pair passes the full shifting battery at ``uniform_tol`` (overridable
     with ``require_pair_checks=False``, which downgrades failures to a
     warning); the self-map.  The battery is the certificate's ``checks``.
     """
+    n_ladder = tuple(n_ladder)
+    _require_ladder_budget(n_ladder, max_iter)
     grid = grid or SampleGrid()
     _require_grid_covers(grid, domain)
     checks = run_all_checks(pair, grid, uniform_tol)
     _enforce_pair_checks(checks, require_pair_checks, "darbo_iterate")
     cert = _run_chain(
-        operator, domain, pair, tol, max_iter, tuple(n_ladder), horizon, {"mode": "main"}
+        operator, domain, pair, tol, max_iter, n_ladder, horizon, {"mode": "main"}
     )
     cert.checks = checks
     return cert
@@ -411,11 +425,14 @@ def weak_contraction_run(
     """Run the iteration under the weak-contraction inequality
     psi_n(mu(TA)) <= psi_n(mu(A)) - phi_n(mu(A)).
 
-    Preconditions, in order: the grid gate; the limit functions agree only
-    at zero; phi_n >= 0 on the grid at every n of the grid's ladder and of
-    the chain's, where the inequality is asserted (phi maps into the
-    nonnegative reals), one row at a time in ascending n and as one row
-    when phi does not mention n; the self-map."""
+    Preconditions, in order: the ladder budget and the grid gate, as in
+    ``darbo_iterate``; the limit functions agree only at zero; phi_n >= 0
+    on the grid at every n of the grid's ladder and of the chain's, where
+    the inequality is asserted (phi maps into the nonnegative reals), one
+    row at a time in ascending n and as one row when phi does not mention
+    n; the self-map."""
+    n_ladder = tuple(n_ladder)
+    _require_ladder_budget(n_ladder, max_iter)
     grid = grid or SampleGrid()
     _require_grid_covers(grid, domain)
     _enforce_pair_checks(
@@ -434,5 +451,5 @@ def weak_contraction_run(
         rhs_limit = BinOp("-", pair.psi_limit, pair.phi_limit)
     sides = replace(pair, phi_seq=BinOp("-", pair.psi_seq, pair.phi_seq), phi_limit=rhs_limit)
     return _run_chain(
-        operator, domain, sides, tol, max_iter, tuple(n_ladder), horizon, {"mode": "weak"}
+        operator, domain, sides, tol, max_iter, n_ladder, horizon, {"mode": "weak"}
     )

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import Expr, LimitDivergenceError, eval_expr, limit_in_n, mentions_n, unparse
+from .expr import Expr, LimitDivergenceError, eval_expr, limit_in_n, mentions_n
 
 __all__ = [
     "PASS",
@@ -66,14 +66,6 @@ class FunctionSequencePair:
     phi_seq: Expr
     psi_limit: Expr | None = None
     phi_limit: Expr | None = None
-
-    def describe(self) -> dict:
-        return {
-            "psiSeq": unparse(self.psi_seq),
-            "phiSeq": unparse(self.phi_seq),
-            "psiLimit": unparse(self.psi_limit) if self.psi_limit is not None else None,
-            "phiLimit": unparse(self.phi_limit) if self.phi_limit is not None else None,
-        }
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,12 @@ class TestValuesKernel:
     @settings(deadline=None, max_examples=150)
     @given(
         wide_forms(),
-        st.one_of(st.integers(1, 100), st.integers(10**6 - 100, 10**6 + 100)),
+        st.one_of(
+            st.integers(1, 100),
+            # straddles the underflow indices of ratios up to about 0.99
+            st.integers(1, 80_000),
+            st.integers(10**6 - 100, 10**6 + 100),
+        ),
         st.data(),
     )
     def test_matches_the_per_term_loop(self, form, start, data):
@@ -150,6 +155,21 @@ class TestValuesKernel:
         length = data.draw(st.one_of(st.just(1), st.integers(0, 3 * cols + 1)))
         idx = np.arange(start, start + length, dtype=np.int64)
         assert form.values(idx).tobytes() == loop_values(form, idx).tobytes()
+
+    def test_powers_past_the_underflow_index_are_zero(self):
+        # the premise of mnc._powers: np.power itself returns +0.0 at every
+        # index it masks, for ratios across (0, 1) and at both ends of it
+        rng = np.random.default_rng(19)
+        ratios = [2.0**-1074, 1e-300, 0.5, 0.99, 0.999999, 1.0 - 2.0**-53]
+        ratios += rng.random(100).tolist() + (1.0 - 10.0 ** -rng.uniform(1, 15, 94)).tolist()
+        for r in ratios:
+            assert 0.0 < r < 1.0
+            live = 1100.0 / -math.log2(r) + 2.0
+            x = np.arange(math.ceil(live), math.ceil(live) + 4096, dtype=float)
+            powers = np.power(r, x)
+            assert (powers == 0.0).all() and not np.signbit(powers).any(), r
+            buf = np.full(x.shape, np.nan)
+            assert mnc._powers(r, x, buf).tobytes() == powers.tobytes(), r
 
     def test_temporaries_stay_bounded(self):
         # ratios near 1 keep every power a normal float over 1..10**5
