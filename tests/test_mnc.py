@@ -164,12 +164,19 @@ class TestValuesKernel:
         ratios += rng.random(100).tolist() + (1.0 - 10.0 ** -rng.uniform(1, 15, 94)).tolist()
         for r in ratios:
             assert 0.0 < r < 1.0
-            live = 1100.0 / -math.log2(r) + 2.0
-            x = np.arange(math.ceil(live), math.ceil(live) + 4096, dtype=float)
+            first = math.ceil(1100.0 / -math.log2(r) + 2.0)
+            x = np.arange(first, first + 4096, dtype=float)
             powers = np.power(r, x)
             assert (powers == 0.0).all() and not np.signbit(powers).any(), r
+            # across the index, masked and computed lanes are np.power's
+            x = np.arange(max(1, first - 4096), first + 4096, dtype=float)
             buf = np.full(x.shape, np.nan)
-            assert mnc._powers(r, x, buf).tobytes() == powers.tobytes(), r
+            assert mnc._powers(r, x, buf).tobytes() == np.power(r, x).tobytes(), r
+        # a column of ratios against one row of indices, as _array_values asks
+        column = np.array(ratios)[:, None]
+        x = np.arange(1, 80_000, 37, dtype=float)
+        buf = np.full((column.size, x.size), np.nan)
+        assert mnc._powers(column, x, buf).tobytes() == np.power(column, x).tobytes()
 
     def test_temporaries_stay_bounded(self):
         # ratios near 1 keep every power a normal float over 1..10**5
