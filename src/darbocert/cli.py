@@ -270,7 +270,8 @@ def parse_config(raw: dict) -> RunConfig:
         with _malformed("classicK"):
             cfg.classic_k = float(raw["classicK"])
         _require(0.0 <= cfg.classic_k < 1.0, "classicK must lie in [0, 1)")
-    cfg.enforce_pair_checks = bool(raw.get("enforcePairChecks", True))
+    cfg.enforce_pair_checks = raw.get("enforcePairChecks", True)
+    _require(isinstance(cfg.enforce_pair_checks, bool), "enforcePairChecks must be true or false")
 
     axioms = raw.get("axioms", {})
     _require(isinstance(axioms, dict), "axioms must be an object")

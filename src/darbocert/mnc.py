@@ -23,13 +23,10 @@ Every order question x_i <= y_i is one ``Seq.le``: heads are compared
 directly and the tail gap y - x goes to ``is_nonnegative``, which uses a
 dominance index: once the geometric part of a form is smaller than |beta|
 the sign of the form equals the sign of beta.  The finitely many earlier
-coordinates are checked in float64 by blocks: a lower bound from the
-form's positive and negative parts, with a rigorous margin for rounding,
-clears whole blocks at once, and only blocks it cannot clear are
-evaluated coordinate by coordinate, so the verdict is the one a scan of
-every coordinate gives.
-Forms with beta = 0 and mixed-sign coefficients are checked the same way
-up to a configurable horizon and flagged undecided beyond it.
+coordinates are evaluated in float64, one window of coordinates at a
+time, and the first negative value decides.  Forms with beta = 0 and
+mixed-sign coefficients are checked the same way up to a configurable
+horizon and flagged undecided beyond it.
 
 Head arithmetic runs on Python floats, which round as float64 does; tail
 forms are evaluated in numpy, with each term's powers masked past its
@@ -90,24 +87,11 @@ _HEAD_CAP = 100_000
 
 # _first_negative scans a range in windows of this many coordinates, so a
 # form negative early in a long horizon scan costs one window, and the
-# block arrays of a window stay small.
+# arrays of a window stay small.
 _SCAN_CHUNK = 1 << 16
-
-# A scan of more coordinates than this is first offered to the block bound
-# of _first_negative, which costs three columns; a shorter one is evaluated
-# pointwise.
-_BLOCK_MIN = 8
-
-# Cells in one TailForm.values block: bounds its temporaries (32 KB) for
-# any term count and index count.
-_VALUES_BLOCK_CELLS = 4096
 
 # Array arithmetic that overflows as Python floats do, without a warning.
 _FLOAT_ARITHMETIC = functools.partial(np.errstate, over="ignore", invalid="ignore")
-
-# TailForm.values adds the terms of a form this short one at a time:
-# np.add.accumulate over a block's rows costs about 31 ns per coordinate.
-_LOOP_TERMS = 3
 
 
 class MncError(ValueError):
@@ -199,26 +183,6 @@ def _powers(ratios, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.power(ratios, x, out=out, where=x < live)
 
 
-def _array_values(coeffs: np.ndarray, ratios: np.ndarray, constant: float, idx: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] * ratios[j]**i + constant at every i of the 1-D
-    ``idx``, summed in order from the constant; each block of columns is
-    one array of at most ``_VALUES_BLOCK_CELLS`` cells (one column when
-    there are more terms than that).  Powers come from ``_powers``."""
-    out = np.empty(idx.shape)
-    n = coeffs.size
-    coeffs, ratios = coeffs[:, None], ratios[:, None]
-    cols = max(1, _VALUES_BLOCK_CELLS // (n + 1))
-    block = np.empty((n + 1, min(cols, idx.size)))
-    for s in range(0, idx.size, cols):
-        x = idx[s:s + cols].astype(float)
-        b = block[:, :x.size]
-        b[0] = constant
-        _powers(ratios, x, b[1:])
-        b[1:] *= coeffs
-        out[s:s + x.size] = np.add.accumulate(b, axis=0)[-1]
-    return out
-
-
 class TailForm:
     """finite sum of geometric terms plus a constant, evaluated at i >= 1.
 
@@ -274,10 +238,6 @@ class TailForm:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coefficients, ratios) as float64 arrays."""
-        return np.array(self.terms, dtype=float).reshape(-1, 2).T
-
     def __eq__(self, other):
         if type(other) is not TailForm:
             return NotImplemented
@@ -305,26 +265,20 @@ class TailForm:
         return acc + self.constant
 
     def values(self, indices: np.ndarray) -> np.ndarray:
-        """f(i) at every index of ``indices``.
-
-        A form of at most ``_LOOP_TERMS`` terms adds its terms to the
-        constant one at a time.  For a longer one each block of columns is
-        one (terms + 1) x columns array: the constant in row 0, term j at
-        the block's indices in row j.  The rows are summed with
-        ``np.add.accumulate``, which adds them in order (constant, then
-        term 1, then term 2, ...) and so matches the per-term loop bit for
-        bit; ``np.add.reduce`` may sum pairwise.  ``_array_values`` is that
-        block loop.  Both routes take their powers from ``_powers``, which
-        skips the powers that certainly underflow."""
+        """f(i) at every index of ``indices``: the terms are added to the
+        constant one at a time, in order, each as ``coeff * powers`` with
+        the powers from ``_powers``, which skips the powers that certainly
+        underflow.  One power buffer serves every term and is scaled in
+        place, so the temporaries are three index-sized arrays (indices as
+        floats, the buffer and the result) however many terms there are."""
         idx = np.ravel(indices)
-        if self.n_terms > _LOOP_TERMS:
-            out = _array_values(*self._columns(), self.constant, idx)
-        else:
-            x = idx.astype(float)
-            out = np.full(idx.shape, self.constant)
-            buf = np.empty(idx.shape)
-            for coeff, ratio in self.terms:
-                out += coeff * _powers(ratio, x, buf)
+        x = idx.astype(float)
+        out = np.full(idx.shape, self.constant)
+        buf = np.empty(idx.shape)
+        for coeff, ratio in self.terms:
+            _powers(ratio, x, buf)
+            buf *= coeff
+            out += buf
         return out.reshape(np.shape(indices))
 
     def coeff_abs_sum(self) -> float:
@@ -427,81 +381,16 @@ def eventual_sign(form: TailForm, start: int = 1) -> tuple[int, int]:
     return (1 if beta > 0.0 else -1, idx)
 
 
-class _BlockBound:
-    """Proves blocks of coordinates free of negative ``TailForm.values``
-    without evaluating the form at each of them.
-
-    The form splits into P, its positive terms (plus beta when beta >= 0),
-    and N, its negative terms (plus beta when beta < 0).  Every ratio lies
-    in (0, 1), so P is nonincreasing and N nondecreasing in i, and on a
-    block [a, b]
-
-        f(i) = P(i) + N(i) >= L = P(b + 1) + N(a).
-
-    A block is cleared when the computed L exceeds 2*(gamma*M + eta), with
-    M = P(a) - N(a) = |beta| + sum |c_j| r_j**a.  Why that makes the float
-    value of f at every i in the block nonnegative, with u = 2**-53:
-
-    - One evaluation of f, P or N at i (``_array_values``: each power
-      within 4 ulp, one product per term, then a sum in order from the
-      constant) is off by at most gamma_{n+9} M(i), where gamma_k =
-      ku / (1 - ku) and M(i) <= M(a) (Higham, Accuracy and Stability of
-      Numerical Algorithms, ch. 3-4).  A power or product that underflows
-      adds at most (4|c_j| + 1/2) 2**-1074; a sum of floats underflows
-      exactly.  A power that ``_powers`` masks is an exact +0.0 standing
-      for a true r_j**i below 2**-1099, so it is such an underflowing
-      power and that term covers it too.
-    - With e = gamma_{n+9} M(a) + n(4 max|c_j| + 1) 2**-1074 (P and N have
-      n terms together), fl(f(i)) >= f(i) - e >= L - e for i in [a, b],
-      and fl(L) <= L + e up to its last rounding.  So fl(L) > 2e gives
-      fl(f(i)) > 0.
-    - gamma = (n + 5) 2**-52 = (2n + 10)u exceeds gamma_{n+9} by a factor
-      of at least 1.3 for n >= 4, and eta = 4(n + 1)(1 + max|c_j|)
-      2**-1074 the underflow term by more; that slack absorbs the rounding
-      of M, of L and of the threshold itself.  An overflow makes M or the
-      threshold infinite, or L NaN, and clears nothing.
-
-    A cleared block therefore holds no index at which the pointwise scan
-    finds a negative value, and ``_first_negative`` returns the same index
-    as a scan of every coordinate.
-    """
-
-    def __init__(self, form: TailForm):
-        coeffs, ratios = form._columns()
-        beta = form.constant
-        pos = coeffs > 0.0
-        # (coefficients, ratios, constant) of P and of N
-        self.pos = (coeffs[pos], ratios[pos], max(beta, 0.0))
-        self.neg = (coeffs[~pos], ratios[~pos], min(beta, 0.0))
-        n = form.n_terms
-        self.gamma = (n + 5) * 2.0**-52
-        self.eta = 4 * (n + 1) * 2.0**-1074 * (1.0 + float(np.abs(coeffs).max()))
-
-    def clears(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Which blocks [a_k, b_k - 1] are proved free of negative values."""
-        with _FLOAT_ARITHMETIC():
-            p = _array_values(*self.pos, np.concatenate((a, b)))
-            pa, pb = p[:a.size], p[a.size:]
-            q = _array_values(*self.neg, a)
-            return pb + q > 2.0 * (self.gamma * (pa - q) + self.eta)
-
-
 def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
-    """First index i in [start, stop] with form(i) < 0 in float: the index
-    at which a pointwise scan of ``form.values`` first sees a negative.
+    """First index i in [start, stop] with form(i) < 0 in float, or None.
 
-    The range is scanned in windows of ``_SCAN_CHUNK`` coordinates.  For a
-    form of more than ``_LOOP_TERMS`` terms over more than ``_BLOCK_MIN``
-    coordinates, ``_BlockBound`` is offered each window as one block, and
-    only a window it cannot clear is evaluated pointwise."""
-    if start > stop:
+    The range is evaluated pointwise with ``form.values`` in windows of
+    ``_SCAN_CHUNK`` coordinates, and the scan stops at the first window
+    holding a negative value."""
+    if start > stop:  # nearly every call on axiom_suite: about 1% of its job
         return None
-    blocks = stop - start >= _BLOCK_MIN and form.n_terms > _LOOP_TERMS
-    bound = _BlockBound(form) if blocks else None
     for lo in range(start, stop + 1, _SCAN_CHUNK):
         hi = min(stop, lo + _SCAN_CHUNK - 1)
-        if bound is not None and bound.clears(np.array([lo]), np.array([hi + 1]))[0]:
-            continue
         idx = np.arange(lo, hi + 1, dtype=np.int64)
         bad = np.flatnonzero(form.values(idx) < 0.0)
         if bad.size:
@@ -514,11 +403,11 @@ def is_nonnegative(form: TailForm, start: int = 1, horizon: int = DEFAULT_HORIZO
 
     beta < 0 is decided at once (the form tends to beta).  Otherwise
     ``eventual_sign`` settles every index from its from_index on, and the
-    coordinates before it are checked by ``_first_negative``: block bounds
-    clear whole runs of coordinates, the rest are evaluated pointwise, and
-    the verdict is that of a float64 scan of every coordinate.  beta = 0
-    forms with mixed signs are checked up to ``horizon`` and raise
-    UndecidedComparisonError if nothing failed by then.
+    coordinates before it are evaluated in float64 by ``_first_negative``,
+    a windowed pointwise scan: the verdict is that of every coordinate's
+    float value.  beta = 0 forms with mixed signs are scanned up to
+    ``horizon`` and raise UndecidedComparisonError if nothing failed by
+    then.
     """
     if form.constant < 0.0:
         return False

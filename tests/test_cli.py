@@ -400,6 +400,13 @@ class TestConfigValidation:
         assert run([*command, "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: pair.{key}: a declared limit must not mention n\n"
 
+    @pytest.mark.parametrize("value", [None, 0, 1, [], "", "false", "true"])
+    def test_enforce_pair_checks_must_be_a_boolean(self, tmp_path, capsys, value):
+        # a falsy non-boolean used to switch the pair-check gate off silently
+        cfg = certify_config(tmp_path, pair=BROKEN_PAIR, enforcePairChecks=value)
+        assert run(["certify", "--config", cfg, "--mode", "main"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: enforcePairChecks must be true or false\n"
+
     @pytest.mark.parametrize("mode", ["main", "identity", "weak"])
     def test_grid_short_of_the_domain_measure_is_config_error(self, tmp_path, capsys, mode):
         # mu(A_0) = 1000; the pair checks would hold on [0, 10] only

@@ -233,3 +233,22 @@ def test_a_head_or_ladder_that_is_not_a_list_is_config_error(argv, place, value,
         assert code == EXIT_CONFIG and not out.exists()
         prefix = f"{where}: " if where else ""
         assert err.getvalue() == f"error: {prefix}{key} must be a list\n"
+
+
+not_booleans = st.one_of(
+    st.none(), st.integers(-1, 2), st.floats(allow_nan=False), st.text(max_size=5),
+    st.lists(st.booleans(), max_size=1), st.dictionaries(st.text(max_size=1), st.booleans(), max_size=1),
+)
+
+
+@settings(deadline=None, max_examples=50)
+@given(commands, not_booleans)
+def test_an_enforce_pair_checks_that_is_not_a_boolean_is_config_error(argv, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+        path.write_text(json.dumps({"enforcePairChecks": value}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv + ["--config", str(path), "--out", str(out)])
+        assert code == EXIT_CONFIG and not out.exists()
+        assert err.getvalue() == "error: enforcePairChecks must be true or false\n"

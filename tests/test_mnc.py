@@ -33,11 +33,7 @@ from darbocert.mnc import (
     convex_combination,
     eventual_sign,
     hausdorff_mnc,
-    _LOOP_TERMS,
     _SCAN_CHUNK,
-    _VALUES_BLOCK_CELLS,
-    _BlockBound,
-    _array_values,
     _first_negative,
     is_nonnegative,
     mnc_union,
@@ -129,7 +125,7 @@ def loop_values(form, indices):
 def wide_forms(draw, max_terms=300):
     """Forms of 0..max_terms terms with coefficients over twelve decades;
     numpy draws the terms from a seed hypothesis picks.  Forms of at most
-    four terms, on both sides of the per-term loop's limit, are drawn often."""
+    four terms are drawn often."""
     n = draw(st.one_of(st.integers(0, 4), st.integers(0, max_terms)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coeffs = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
@@ -150,9 +146,8 @@ class TestValuesKernel:
         st.data(),
     )
     def test_matches_the_per_term_loop(self, form, start, data):
-        cols = max(1, _VALUES_BLOCK_CELLS // (len(form.terms) + 1))
-        # one index, or none, or up to four blocks of columns
-        length = data.draw(st.one_of(st.just(1), st.integers(0, 3 * cols + 1)))
+        # one index, or none, or a run of them
+        length = data.draw(st.one_of(st.just(1), st.integers(0, 5000)))
         idx = np.arange(start, start + length, dtype=np.int64)
         assert form.values(idx).tobytes() == loop_values(form, idx).tobytes()
 
@@ -172,7 +167,7 @@ class TestValuesKernel:
             x = np.arange(max(1, first - 4096), first + 4096, dtype=float)
             buf = np.full(x.shape, np.nan)
             assert mnc._powers(r, x, buf).tobytes() == np.power(r, x).tobytes(), r
-        # a column of ratios against one row of indices, as _array_values asks
+        # a column of ratios against one row of indices
         column = np.array(ratios)[:, None]
         x = np.arange(1, 80_000, 37, dtype=float)
         buf = np.full((column.size, x.size), np.nan)
@@ -188,15 +183,16 @@ class TestValuesKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the 800 KB result plus one block; the per-term loop holds three
-        # 800 KB arrays at once (2.4 MB)
-        assert peak < 2**20
+        # three 800 KB arrays (the indices as floats, one power buffer and
+        # the result) and a 100 KB mask; a per-term ``coeff * powers``
+        # temporary would make it four
+        assert peak < 3.5 * idx.size * 8
 
 
 def loop_first_negative(form, start, stop):
     """The pointwise scan that ``_first_negative`` replaced: every
     coordinate of [start, stop] through ``TailForm.values``, in windows.
-    The block scan must return the same index."""
+    ``_first_negative`` must return the same index."""
     i = start
     while i <= stop:
         hi = min(stop, i + _SCAN_CHUNK - 1)
@@ -218,9 +214,8 @@ def with_value_at(form, i, value):
 def scan_cases(draw):
     """(form, start, stop): wide forms over a range of up to 3,000
     coordinates, often moved to within a few ulps of zero at one coordinate
-    of the range, or with beta = 0.  Most forms have more terms than the
-    per-term loop, so that the block bound decides."""
-    form = draw(st.one_of(wide_forms(), wide_forms().filter(lambda f: f.n_terms > _LOOP_TERMS)))
+    of the range, or with beta = 0."""
+    form = draw(wide_forms())
     start = draw(st.one_of(st.integers(1, 50), st.integers(1, 10**6)))
     stop = start + draw(st.integers(-1, 3000))
     kind = draw(st.sampled_from(["plain", "near_zero", "beta_zero"]))
@@ -234,30 +229,16 @@ def scan_cases(draw):
 
 
 def count_columns(monkeypatch):
-    """Count the columns evaluated by ``_array_values`` from now on: every
-    evaluation of a form of more than three terms and of a block bound."""
+    """Count the columns evaluated by ``TailForm.values`` from now on."""
     seen = [0]
-    values = mnc._array_values
+    values = TailForm.values
 
-    def counting(coeffs, ratios, constant, idx):
-        seen[0] += idx.size
-        return values(coeffs, ratios, constant, idx)
+    def counting(form, indices):
+        seen[0] += np.size(indices)
+        return values(form, indices)
 
-    monkeypatch.setattr(mnc, "_array_values", counting)
+    monkeypatch.setattr(TailForm, "values", counting)
     return seen
-
-
-def slow_chain_gaps(steps):
-    """The nesting gaps D - d*D, D = d**k for k in ``steps``, of a chain with
-    d = 0.98 + 0.01*0.9**i: the shape of the long classic chain's nesting
-    forms."""
-    d = TailForm(((0.01, 0.9),), 0.98)
-    power, gaps = TailForm((), 1.0), []
-    for k in range(1, max(steps) + 1):
-        power = power * d
-        if k in steps:
-            gaps.append(power - d * power)
-    return gaps
 
 
 class TestBlockScan:
@@ -290,16 +271,15 @@ class TestBlockScan:
         assert _SCAN_CHUNK < found == loop_first_negative(form, 1, stop)
 
     def test_overflowing_sign_part_clears_nothing_and_warns_nothing(self):
-        # P(1) = 1.85e308 overflows, while the form's in-order sum at 1 is
-        # finite; RuntimeWarnings are errors in this suite
+        # the positive terms sum past the float range at 1, while the form's
+        # in-order sum there is finite; RuntimeWarnings are errors in this suite
         form = TailForm(((1e308, 0.9), (1e308, 0.95), (-1e308, 0.5), (-1e308, 0.6)))
-        assert not _BlockBound(form).clears(np.array([1]), np.array([20])).any()
         assert _first_negative(form, 1, 5000) == loop_first_negative(form, 1, 5000)
 
     def test_rounded_nesting_form_of_the_slow_chain(self):
         # d = 0.3 - 0.5*0.999**i on the unit box: the float lower gap of
         # nesting step 13 is negative at 511, the first coordinate after its
-        # head, and the block scan keeps that verdict
+        # head, and the scan keeps that verdict
         op = DiagonalAffineOperator((), TailForm(((-0.5, 0.999),), 0.3), (), TailForm((), 0.0))
         box = symmetric_box(1.0)
         for _ in range(13):
@@ -311,82 +291,18 @@ class TestBlockScan:
         assert _first_negative(gap.tail, start, idx - 1) == 511
         assert loop_first_negative(gap.tail, start, idx - 1) == 511
 
-    def test_long_chain_forms_need_a_tenth_of_the_columns(self, monkeypatch):
-        gaps = slow_chain_gaps((600, 800, 1000))
-        assert max(g.n_terms for g in gaps) >= 250
-        ranges = [(1, eventual_sign(g)[1] - 1) for g in gaps]
-        pointwise = sum(stop - start + 1 for start, stop in ranges)
+    def test_a_negative_window_ends_the_scan(self, monkeypatch):
+        # negative from coordinate 2 on: one window of a scan to 10**6
+        form = TailForm(((1.0, 0.5),), -0.3)
         seen = count_columns(monkeypatch)
-        for gap, (start, stop) in zip(gaps, ranges):
-            assert _first_negative(gap, start, stop) is None
-        assert seen[0] < pointwise / 10
+        assert _first_negative(form, 1, 10**6) == 2
+        assert seen[0] <= _SCAN_CHUNK
 
-    def test_failing_blocks_cost_little_more_than_the_pointwise_scan(self, monkeypatch):
-        # 0.9**i - 0.899999**i + ...: positive everywhere, yet the bound
-        # clears no block of nine coordinates in [1, 20000]
-        form = TailForm(((1.0, 0.9), (-1.0, 0.899999), (1.0, 0.8), (-1.0, 0.799999)))
-        starts = np.arange(1, 20_000, 9)
-        assert not _BlockBound(form).clears(starts, starts + 9).any()
+    def test_a_nonnegative_form_is_evaluated_once_per_coordinate(self, monkeypatch):
+        form = TailForm(((1.0, 0.5), (-0.5, 0.25)))
         seen = count_columns(monkeypatch)
-        assert _first_negative(form, 1, 20_000) is None
-        assert seen[0] <= 1.35 * 20_000
-
-
-def gamma(k):
-    """Higham's gamma_k = k*u/(1 - k*u), u = 2**-53, exactly."""
-    u = Fraction(1, 2**53)
-    return k * u / (1 - k * u)
-
-
-def worst_rounding(form, a):
-    """An upper bound on |fl(g(a)) - g(a)| for ``form`` and for each of its
-    sign parts g, evaluated as ``TailForm.values`` does, with np.power
-    within 4 ulp: gamma_{n+9} times the mass at a, plus n times the
-    underflow of one term."""
-    n = form.n_terms
-    mass = abs(Fraction(form.constant)) + sum(abs(Fraction(c)) * Fraction(r) ** a for c, r in form.terms)
-    big = max(abs(Fraction(c)) for c, _ in form.terms)
-    tiny = Fraction(1, 2**1074)
-    return gamma(n + 9) * mass + n * (4 * big * (1 + gamma(1)) + Fraction(1, 2)) * (1 + gamma(n)) * tiny
-
-
-def placed_form(rng, n, scale, a, b, kappa):
-    """A form of n mixed-sign terms whose block bound over [a, b] is moved to
-    about kappa units of 2**-53 times the form's mass at a (or of 2**-1074
-    when the values underflow)."""
-    coeffs = rng.uniform(1.0, 2.0, n) * np.where(np.arange(n) % 2, -1.0, 1.0) * scale
-    form = TailForm(zip(coeffs.tolist(), rng.uniform(0.5, 0.6, n).tolist()))
-    bound = _BlockBound(form)
-    low = float(_array_values(*bound.pos, np.array([b + 1]))[0] + _array_values(*bound.neg, np.array([a]))[0])
-    mass = float(_array_values(*bound.pos, np.array([a]))[0] - _array_values(*bound.neg, np.array([a]))[0])
-    unit = max(mass * 2.0**-53, 2.0**-1074)
-    return form.with_constant(kappa * unit - low)
-
-
-class TestBlockBoundSoundness:
-    """A cleared block must leave room for the worst rounding of both float
-    evaluations the argument compares, checked in exact arithmetic: the
-    float lower bound, less its own worst error, less the worst error of a
-    pointwise value, stays positive.  Blocks are placed just above and below
-    the filter's threshold, in normal and in underflowing ranges."""
-
-    @pytest.mark.parametrize("scale, a", [(1.0, 20), (1e-300, 60)], ids=["normal", "underflow"])
-    def test_cleared_blocks_cover_the_worst_rounding(self, scale, a):
-        rng = np.random.default_rng(5)
-        b = a + 9
-        cleared = 0
-        for n in (4, 5, 8, 13):
-            for kappa in range(0, 6 * (n + 10)):
-                form = placed_form(rng, n, scale, a, b, kappa)
-                bound = _BlockBound(form)
-                if not bound.clears(np.array([a]), np.array([b + 1]))[0]:
-                    continue
-                cleared += 1
-                low = Fraction(float(_array_values(*bound.pos, np.array([b + 1]))[0])) + Fraction(
-                    float(_array_values(*bound.neg, np.array([a]))[0])
-                )
-                assert low - 2 * worst_rounding(form, a) > 0, (n, kappa)
-        assert cleared
+        assert _first_negative(form, 3, 10**6) is None
+        assert seen[0] == 10**6 - 3 + 1
 
 
 @st.composite
