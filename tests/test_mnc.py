@@ -228,7 +228,7 @@ def scan_cases(draw):
     return form, start, stop
 
 
-def count_columns(monkeypatch):
+def count_evaluated(monkeypatch):
     """Count the columns evaluated by ``TailForm.values`` from now on."""
     seen = [0]
     values = TailForm.values
@@ -294,13 +294,13 @@ class TestBlockScan:
     def test_a_negative_window_ends_the_scan(self, monkeypatch):
         # negative from coordinate 2 on: one window of a scan to 10**6
         form = TailForm(((1.0, 0.5),), -0.3)
-        seen = count_columns(monkeypatch)
+        seen = count_evaluated(monkeypatch)
         assert _first_negative(form, 1, 10**6) == 2
         assert seen[0] <= _SCAN_CHUNK
 
     def test_a_nonnegative_form_is_evaluated_once_per_coordinate(self, monkeypatch):
         form = TailForm(((1.0, 0.5), (-0.5, 0.25)))
-        seen = count_columns(monkeypatch)
+        seen = count_evaluated(monkeypatch)
         assert _first_negative(form, 3, 10**6) is None
         assert seen[0] == 10**6 - 3 + 1
 
