@@ -42,7 +42,7 @@ from .engine import (
     weak_contraction_run,
 )
 from .expr import ExprError, mentions_n, parse_expr
-from .mnc import _DOMINANCE_CAP, DEFAULT_HORIZON, MncError, TailBox, TailForm, hausdorff_mnc
+from .mnc import MncError, TailBox, TailForm, hausdorff_mnc
 from .operators import DiagonalAffineOperator, OperatorError, as_operator
 from .scenarios import demo_pair, scaling_operator, unit_box
 from .shifting import (
@@ -210,7 +210,6 @@ class RunConfig:
     every descriptor satisfies its invariants before any run starts."""
 
     raw: dict
-    horizon: int = DEFAULT_HORIZON
     domain: TailBox | None = None
     operator: DiagonalAffineOperator | None = None
     pair: FunctionSequencePair | None = None
@@ -238,14 +237,6 @@ def load_config(path: str) -> RunConfig:
 def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(raw, dict), "config root must be an object")
     cfg = RunConfig(raw=raw)
-    space = raw.get("space", {})
-    _require(isinstance(space, dict), "space must be an object")
-    with _malformed("space.horizon"):
-        cfg.horizon = int(space.get("horizon", DEFAULT_HORIZON))
-    _require(
-        1 <= cfg.horizon <= _DOMINANCE_CAP, f"space.horizon must lie in [1, {_DOMINANCE_CAP}]"
-    )
-
     if "set" in raw:
         cfg.domain = _parse_box(raw["set"], "set")
     if "operator" in raw:
@@ -399,14 +390,13 @@ def cmd_certify(cfg: RunConfig, mode: str, out_path: str | None) -> int:
     if mode == "classic":
         _require(cfg.classic_k is not None, "classic mode needs classicK in the config")
         cert = classic_darbo_run(
-            cfg.operator, cfg.domain, cfg.classic_k, cfg.tol, cfg.max_iter, horizon=cfg.horizon,
+            cfg.operator, cfg.domain, cfg.classic_k, cfg.tol, cfg.max_iter,
         )
     elif mode == "weak":
         _require(cfg.pair is not None, "weak mode needs a pair in the config")
         cert = weak_contraction_run(
             cfg.operator, cfg.domain, cfg.pair, cfg.tol, cfg.max_iter,
-            cfg.n_ladder, grid=cfg.grid, horizon=cfg.horizon,
-            require_pair_checks=cfg.enforce_pair_checks,
+            cfg.n_ladder, grid=cfg.grid, require_pair_checks=cfg.enforce_pair_checks,
         )
     else:
         _require(cfg.pair is not None, f"{mode} mode needs a pair in the config")
@@ -416,7 +406,7 @@ def cmd_certify(cfg: RunConfig, mode: str, out_path: str | None) -> int:
             pair = replace(pair, psi_seq=psi.psi_seq, psi_limit=psi.psi_limit)
         cert = darbo_iterate(
             cfg.operator, cfg.domain, pair, cfg.tol, cfg.max_iter, cfg.n_ladder,
-            grid=cfg.grid, horizon=cfg.horizon, uniform_tol=cfg.uniform_tol,
+            grid=cfg.grid, uniform_tol=cfg.uniform_tol,
             require_pair_checks=cfg.enforce_pair_checks,
         )
     if cert.checks is not None:

@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .expr import BinOp, DivisionByZeroError, Expr, LimitDivergenceError, Num, Var, mentions_n
-from .mnc import DEFAULT_HORIZON, TailBox, UndecidedComparisonError, hausdorff_mnc
+from .mnc import TailBox, UndecidedComparisonError, hausdorff_mnc
 from .operators import (
     FixedPointWitness,
     NotContractiveError,
@@ -180,7 +180,7 @@ _BLOCK_CELLS = 1 << 14
 
 def _run_chain(
     operator: OperatorSpec, domain: TailBox, sides: FunctionSequencePair, tol: float,
-    max_iter: int, n_ladder: tuple[int, ...], horizon: int, details: dict,
+    max_iter: int, n_ladder: tuple[int, ...], details: dict,
 ) -> Certificate:
     """The chain A_{k+1} = T A_k under lhs_n(mu(TA)) <= rhs_n(mu(A)), the
     sequences and limits of ``sides`` as psi (lhs) and phi (rhs).  It first
@@ -207,7 +207,7 @@ def _run_chain(
     first failing single step raises or ends the run INCONCLUSIVE as it
     would alone, after any earlier refutation or stop."""
     op = as_operator(operator)
-    if not verify_self_map(op, domain, horizon):
+    if not verify_self_map(op, domain):
         raise PreconditionError("operator does not map the domain into itself")
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -285,7 +285,6 @@ def darbo_iterate(
     n_ladder: tuple[int, ...] = DEFAULT_ENGINE_LADDER,
     *,
     grid: SampleGrid | None = None,
-    horizon: int = DEFAULT_HORIZON,
     uniform_tol: float = 1e-6,
     require_pair_checks: bool = True,
 ) -> Certificate:
@@ -305,7 +304,7 @@ def darbo_iterate(
     checks = run_all_checks(pair, grid, uniform_tol)
     _enforce_pair_checks(checks, require_pair_checks, "darbo_iterate")
     cert = _run_chain(
-        operator, domain, pair, tol, max_iter, n_ladder, horizon, {"mode": "main"}
+        operator, domain, pair, tol, max_iter, n_ladder, {"mode": "main"}
     )
     cert.checks = checks
     return cert
@@ -389,8 +388,6 @@ def classic_darbo_run(
     k: float,
     tol: float = 1e-9,
     max_iter: int = 10_000,
-    *,
-    horizon: int = DEFAULT_HORIZON,
 ) -> Certificate:
     """Recover the constant-factor condition mu(TA) <= k*mu(A) by running
     the chain with psi_n = t, phi_n = k*t.
@@ -405,7 +402,7 @@ def classic_darbo_run(
     if not 0.0 <= k < 1.0:
         raise PreconditionError(f"contraction constant {k} outside [0, 1)")
     return _run_chain(
-        operator, domain, identity_pair(k), tol, max_iter, (), horizon,
+        operator, domain, identity_pair(k), tol, max_iter, (),
         {"mode": "classic", "k": k},
     )
 
@@ -419,7 +416,6 @@ def weak_contraction_run(
     n_ladder: tuple[int, ...] = DEFAULT_ENGINE_LADDER,
     *,
     grid: SampleGrid | None = None,
-    horizon: int = DEFAULT_HORIZON,
     require_pair_checks: bool = True,
 ) -> Certificate:
     """Run the iteration under the weak-contraction inequality
@@ -451,5 +447,5 @@ def weak_contraction_run(
         rhs_limit = BinOp("-", pair.psi_limit, pair.phi_limit)
     sides = replace(pair, phi_seq=BinOp("-", pair.psi_seq, pair.phi_seq), phi_limit=rhs_limit)
     return _run_chain(
-        operator, domain, sides, tol, max_iter, n_ladder, horizon, {"mode": "weak"}
+        operator, domain, sides, tol, max_iter, n_ladder, {"mode": "weak"}
     )

@@ -22,11 +22,12 @@ the envelopes over coordinates beyond a cut N.
 Every order question x_i <= y_i is one ``Seq.le``: heads are compared
 directly and the tail gap y - x goes to ``is_nonnegative``, which uses a
 dominance index: once the geometric part of a form is smaller than |beta|
-the sign of the form equals the sign of beta.  The finitely many earlier
-coordinates are evaluated in float64, one window of coordinates at a
-time, and the first negative value decides.  Forms with beta = 0 and
-mixed-sign coefficients are checked the same way up to a configurable
-horizon and flagged undecided beyond it.
+the sign of the form equals the sign of beta.  A form with beta = 0 is
+r**i times a form whose constant is its largest-ratio term's coefficient,
+so it has a dominance index too.  The finitely many earlier coordinates
+are evaluated in float64, one window of coordinates at a time, and the
+first negative value decides.  Only a form whose sign settles past a cap
+is left undecided.
 
 Head arithmetic runs on Python floats, which round as float64 does; tail
 forms are evaluated in numpy, with each term's powers masked past its
@@ -43,13 +44,13 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "DEFAULT_HORIZON",
     "MncError",
     "InvalidTailFormError",
     "InvalidBoxError",
@@ -75,10 +76,9 @@ __all__ = [
     "is_nonnegative",
 ]
 
-DEFAULT_HORIZON = 10_000
-
-# Dominance indices beyond this are treated as out of practical range and
-# reported undecided rather than scanned or materialised into a head.
+# Dominance indices more than this past the start are out of practical
+# range: eventual_sign reports them undecided, and is_nonnegative scans that
+# far for a negative value instead.
 _DOMINANCE_CAP = 10_000_000
 
 # affine_image materialises d's coordinates up to its sign-settling index
@@ -86,8 +86,8 @@ _DOMINANCE_CAP = 10_000_000
 _HEAD_CAP = 100_000
 
 # _first_negative scans a range in windows of this many coordinates, so a
-# form negative early in a long horizon scan costs one window, and the
-# arrays of a window stay small.
+# form negative early in a long scan costs one window, and the arrays of a
+# window stay small.
 _SCAN_CHUNK = 1 << 16
 
 # Array arithmetic that overflows as Python floats do, without a warning.
@@ -111,8 +111,8 @@ class InvalidPointError(MncError):
 
 
 class UndecidedComparisonError(MncError):
-    """A beta = 0, mixed-sign tail comparison passed every pointwise check
-    up to the horizon but cannot be certified beyond it."""
+    """A tail form's sign settles past ``_DOMINANCE_CAP``, or the sign of
+    an affine image's multiplier past a head of ``_HEAD_CAP``."""
 
 
 def _normalise_pairs(pairs) -> tuple[tuple[float, float], ...]:
@@ -154,15 +154,15 @@ def _merge_sorted(p1, p2) -> tuple[tuple[float, float], ...]:
     return (*out, *p2[j:])
 
 
-def _powers(ratios, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.power(ratios, x)`` written into ``out`` and returned, bit for
-    bit, with every power past its ratio's underflow index left as the
+def _powers(ratio: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.power(ratio, x)`` written into ``out`` and returned, bit for
+    bit, with every power past the ratio's underflow index left as the
     ``+0.0`` that ``np.power`` would have computed on its slow underflow
     path (about 70 ns a power against 6 ns for a normal result, numpy
     2.4 with AVX-512).
 
-    ``ratios`` is one ratio or a column of them, each in (0, 1); ``x`` is
-    a row of float indices.  The underflow index of r is
+    ``ratio`` lies in (0, 1); ``x`` is an array of float indices.  The
+    underflow index of r is
 
         live(r) = 1100 / -log2(r) + 2.
 
@@ -178,9 +178,9 @@ def _powers(ratios, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     same +0.0, and ``coeff * power`` (``±0.0``) and every sum taken from it
     are the reference term bit for bit.
     """
-    live = 1100.0 / -np.log2(ratios) + 2.0
+    live = 1100.0 / -math.log2(ratio) + 2.0
     out[...] = 0.0
-    return np.power(ratios, x, out=out, where=x < live)
+    return np.power(ratio, x, out=out, where=x < live)
 
 
 class TailForm:
@@ -362,9 +362,9 @@ def eventual_sign(form: TailForm, start: int = 1) -> tuple[int, int]:
 
     This is the one sign classifier.  Sign-definite forms (beta and every
     coefficient of one sign) hold their sign from ``start``; other forms
-    with beta != 0 take the sign of beta from the dominance index.  Raises
-    UndecidedComparisonError for mixed-sign beta = 0 forms and for a
-    dominance index more than ``_DOMINANCE_CAP`` past ``start``.
+    take the sign of beta, or for beta = 0 that of the largest-ratio term,
+    from a dominance index.  Raises UndecidedComparisonError for an index
+    more than ``_DOMINANCE_CAP`` past ``start``.
     """
     beta = form.constant
     if beta == 0.0 and not form.n_terms:
@@ -373,12 +373,26 @@ def eventual_sign(form: TailForm, start: int = 1) -> tuple[int, int]:
         return (1, start)
     if beta <= 0.0 and all(c < 0.0 for c, _ in form.terms):
         return (-1, start)
+    lead = form
     if beta == 0.0:
-        raise UndecidedComparisonError("sign of a mixed-sign beta=0 form is undecidable")
-    idx = form.dominance_index(start)
+        # form(i) = r**i * (c + sum_j c_j * (r_j/r)**i) for the largest-ratio
+        # term (c, r), and the sum is at most sum_j |c_j| * q_j**i for
+        # q_j = nextafter(r_j/r, 1.0) >= r_j/r (a quotient is within half an ulp)
+        *rest, (c, r) = form.terms
+        bounds = [math.nextafter(rj / r, 1.0) for _, rj in rest]
+        if max(bounds) < 1.0:
+            lead = TailForm([(abs(cj), q) for (cj, _), q in zip(rest, bounds)], c)
+        elif sum(Fraction(abs(cj)) for cj, _ in rest) <= abs(c):
+            # every r_j/r < 1, so c dominates from the start
+            return (1 if c > 0.0 else -1, start)
+        else:  # a bound of 1.0 bounds no index
+            raise UndecidedComparisonError(
+                f"a ratio within rounding of {r}: dominance index exceeds practical range"
+            )
+    idx = lead.dominance_index(start)
     if idx - start > _DOMINANCE_CAP:
         raise UndecidedComparisonError(f"dominance index {idx} exceeds practical range")
-    return (1 if beta > 0.0 else -1, idx)
+    return (1 if lead.constant > 0.0 else -1, idx)
 
 
 def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
@@ -398,29 +412,25 @@ def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
     return None
 
 
-def is_nonnegative(form: TailForm, start: int = 1, horizon: int = DEFAULT_HORIZON) -> bool:
+def is_nonnegative(form: TailForm, start: int = 1) -> bool:
     """Exactly decide form(i) >= 0 for every integer i >= start.
 
     beta < 0 is decided at once (the form tends to beta).  Otherwise
     ``eventual_sign`` settles every index from its from_index on, and the
     coordinates before it are evaluated in float64 by ``_first_negative``,
     a windowed pointwise scan: the verdict is that of every coordinate's
-    float value.  beta = 0 forms with mixed signs are scanned up to
-    ``horizon`` and raise UndecidedComparisonError if nothing failed by
-    then.
+    float value.  A form whose sign settles more than ``_DOMINANCE_CAP``
+    past ``start`` is scanned that far instead: a negative value decides,
+    and otherwise UndecidedComparisonError is raised.
     """
     if form.constant < 0.0:
         return False
     try:
         sign, from_idx = eventual_sign(form, start)
     except UndecidedComparisonError:
-        if form.constant > 0.0:
-            raise
-        if _first_negative(form, start, horizon) is not None:
+        if _first_negative(form, start, start + _DOMINANCE_CAP) is not None:
             return False
-        raise UndecidedComparisonError(
-            f"mixed beta=0 form nonnegative up to horizon {horizon}, undecided beyond"
-        ) from None
+        raise
     return sign >= 0 and _first_negative(form, start, from_idx - 1) is None
 
 
@@ -527,7 +537,7 @@ class Seq:
         c = float(c)
         return Seq._of(tuple(map(operator.mul, self.head, repeat(c))), self.tail.scale(c))
 
-    def le(self, other: "Seq", horizon: int = DEFAULT_HORIZON) -> bool:
+    def le(self, other: "Seq") -> bool:
         """Exactly decide x_i <= y_i for every i >= 1, y = ``other``: the
         padded heads directly (on finite floats ``b >= a`` is ``b - a >= 0``),
         the tail gap y - x through ``is_nonnegative``."""
@@ -539,7 +549,7 @@ class Seq:
         gap = other.tail - self.tail
         if not all(map(operator.ge, b, a)):
             return False
-        return is_nonnegative(gap, len(a) + 1, horizon)
+        return is_nonnegative(gap, len(a) + 1)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -700,15 +710,15 @@ def convex_combination(lam: float, a: TailBox, b: TailBox) -> TailBox:
     return TailBox(_derived=(lo, hi))
 
 
-def subset(a: TailBox, b: TailBox, horizon: int = DEFAULT_HORIZON) -> bool:
-    """Exactly decide A subseteq B.  Raises UndecidedComparisonError in the
-    genuinely undecidable beta = 0 case."""
-    return b.lo.le(a.lo, horizon) and a.hi.le(b.hi, horizon)
+def subset(a: TailBox, b: TailBox) -> bool:
+    """Exactly decide A subseteq B.  Raises UndecidedComparisonError only
+    for an envelope gap whose sign settles past ``_DOMINANCE_CAP``."""
+    return b.lo.le(a.lo) and a.hi.le(b.hi)
 
 
-def contains_point(box: TailBox, p: Point, horizon: int = DEFAULT_HORIZON) -> bool:
+def contains_point(box: TailBox, p: Point) -> bool:
     """Exactly decide membership of a point in a box."""
-    return box.lo.le(p, horizon) and p.le(box.hi, horizon)
+    return box.lo.le(p) and p.le(box.hi)
 
 
 def affine_image(box: TailBox, d: Seq, e: Seq) -> TailBox:
@@ -717,8 +727,8 @@ def affine_image(box: TailBox, d: Seq, e: Seq) -> TailBox:
     Coordinates before the eventual sign of d is settled are materialised
     into the head; beyond, the image tails are tail-form products with the
     envelopes swapped where d is negative.  Raises UndecidedComparisonError
-    when the sign of d is genuinely undecidable, and when it settles only
-    past a head of ``_HEAD_CAP`` coordinates.
+    when the sign of d settles past ``_DOMINANCE_CAP``, or only past a head
+    of ``_HEAD_CAP`` coordinates.
     """
     h = max(box.head_len, d.head_len, e.head_len)
     sign, from_idx = eventual_sign(d.tail, start=h + 1)

@@ -4,8 +4,8 @@ The catalog is restricted to coordinatewise affine maps x_i -> d_i x_i +
 e_i with tail-form coefficient descriptions (plus finite compositions,
 which are materialised back into a single map).  These commute with convex
 hulls and map boxes to boxes, so every quantity in a certification run is
-computable in closed form.  Coefficient tails whose sign cannot be decided
-are rejected rather than approximated.
+computable in closed form.  A coefficient tail whose sign settles only
+past a cap is rejected rather than approximated.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .mnc import (
-    DEFAULT_HORIZON,
     MncError,
     Point,
     Seq,
@@ -39,6 +38,10 @@ __all__ = [
     "verify_self_map",
     "fixed_point_witness",
 ]
+
+
+# The coordinates that fixed_point_witness solves numerically.
+DEFAULT_HORIZON = 10_000
 
 
 class OperatorError(MncError):
@@ -119,9 +122,9 @@ def apply_to_box(spec: OperatorSpec, box: TailBox) -> TailBox:
     return affine_image(box, op.d, op.e)
 
 
-def verify_self_map(spec: OperatorSpec, domain: TailBox, horizon: int = DEFAULT_HORIZON) -> bool:
+def verify_self_map(spec: OperatorSpec, domain: TailBox) -> bool:
     """True iff the image of ``domain`` is contained in ``domain``."""
-    return subset(apply_to_box(spec, domain), domain, horizon)
+    return subset(apply_to_box(spec, domain), domain)
 
 
 @dataclass(frozen=True)

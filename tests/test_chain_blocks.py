@@ -37,7 +37,7 @@ from darbocert.engine import (
     weak_contraction_run,
 )
 from darbocert.expr import DivisionByZeroError, LimitDivergenceError, eval_expr, parse_expr, unparse
-from darbocert.mnc import DEFAULT_HORIZON, TailBox, TailForm, hausdorff_mnc
+from darbocert.mnc import TailBox, TailForm, hausdorff_mnc
 from darbocert.operators import DiagonalAffineOperator
 from darbocert.scenarios import demo_pair, identity_operator, scaling_operator, unit_box
 from darbocert.shifting import TIE_TOL, FunctionSequencePair, limit_values
@@ -137,8 +137,7 @@ def chain_args(psi, phi, psi_lim=None, phi_lim=None, op=scaling_operator(0.5),
 def assert_same_as_the_loop(args, cells=None):
     want = run(loop_run_chain, args)
     op, domain, *sides, tol, max_iter, ladder, details = args
-    chain_args = (op, domain, FunctionSequencePair(*sides), tol, max_iter, ladder,
-                  DEFAULT_HORIZON, details)
+    chain_args = (op, domain, FunctionSequencePair(*sides), tol, max_iter, ladder, details)
     with mock.patch.object(engine, "_BLOCK_CELLS", cells or engine._BLOCK_CELLS):
         got = run(_run_chain, chain_args)
     assert bits(got) == bits(want)

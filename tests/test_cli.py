@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +232,19 @@ class TestCertify:
         cfg2 = certify_config(tmp_path, classicK=0.4)
         assert run(["certify", "--config", cfg2, "--mode", "classic"]) == EXIT_FAIL
         capsys.readouterr()
+
+    def test_classic_mode_with_a_mixed_sign_beta_zero_multiplier(self, tmp_path, capsys):
+        # d = 0.9**i - 0.8**i > 0 with asymptotic value 0: mu(A_1) = 0
+        terms = [{"alpha": 1.0, "rho": 0.9}, {"alpha": -1.0, "rho": 0.8}]
+        operator = dict(HALF_SCALING, dTail={"terms": terms, "beta": 0.0})
+        cfg = certify_config(tmp_path, operator=operator, classicK=0.5)
+        out = tmp_path / "r.json"
+        assert run(["certify", "--mode", "classic", "--config", cfg, "--out", str(out)]) == EXIT_PASS
+        capsys.readouterr()
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["outcome"] == "CERTIFIED"
+        assert [state["mu"] for state in cert["trace"]] == [1.0, 0.0]
+        assert cert["witness"]["residual"] == 0.0
 
     def test_weak_mode(self, tmp_path, capsys):
         pair = {"psiSeq": "t", "phiSeq": "t/2", "psiLimit": "t", "phiLimit": "t/2"}
@@ -478,6 +492,7 @@ class TestConfigValidation:
         assert len(report["certificate"]["trace"]) == 16
 
     def test_unused_head_length_key_still_loads_and_is_echoed(self, tmp_path, capsys):
+        # no key of space is read
         space = {"horizon": 500, "headLength": 3}
         cfg = certify_config(tmp_path, space=space)
         out = tmp_path / "r.json"
@@ -595,7 +610,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "payload, where",
         [
-            ({"space": {"horizon": "lots"}}, "space.horizon"),
             ({"set": dict(UNIT_BOX, headLo=["a"], headHi=[1.0])}, "set"),
             (
                 {"set": dict(UNIT_BOX, tailHi={"terms": [{"alpha": None, "rho": 0.5}]})},
@@ -604,7 +618,7 @@ class TestConfigValidation:
             ({"grid": {"tMax": "x"}}, "grid"),
             ({"tol": [1]}, "tol"),
         ],
-        ids=["horizon", "headLo", "alpha", "tMax", "tol"],
+        ids=["headLo", "alpha", "tMax", "tol"],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, payload, where):
         cfg = write_config(tmp_path, dict(payload, pair=RATIONAL_PAIR))
@@ -613,15 +627,6 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}: ")
         assert not out.exists()
-
-    @pytest.mark.parametrize("horizon", [10**7 + 1, 10**18])
-    def test_horizon_past_the_cap_is_config_error(self, horizon):
-        # rejected while parsing, before anything is sized by it
-        with pytest.raises(ConfigError, match=r"space.horizon must lie in \[1, 10000000\]"):
-            parse_config({"space": {"horizon": horizon}})
-
-    def test_horizon_at_the_cap_is_accepted(self):
-        assert parse_config({"space": {"horizon": 10**7}}).horizon == 10**7
 
     @pytest.mark.parametrize(
         "grid, message",
@@ -798,6 +803,25 @@ def written(write, obj):
 
 def json_reference(obj):
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+def readme_config_block():
+    """The JSON block under README's "Config format" heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("### Config format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeConfig:
+    @pytest.mark.parametrize(
+        "command",
+        [["check-pair"], ["certify", "--mode", "main"], ["certify", "--mode", "classic"]],
+        ids=["check-pair", "main", "classic"],
+    )
+    def test_the_readme_example_config_runs(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text(readme_config_block())
+        assert run([*command, "--config", str(path)]) == EXIT_PASS
+        capsys.readouterr()
 
 
 class TestReportWriter:

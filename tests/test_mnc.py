@@ -14,7 +14,6 @@ from darbocert import mnc
 from darbocert.axioms import random_box
 from darbocert.cli import EXIT_PASS, run
 from darbocert.mnc import (
-    DEFAULT_HORIZON,
     InvalidBoxError,
     InvalidPointError,
     InvalidTailFormError,
@@ -167,11 +166,6 @@ class TestValuesKernel:
             x = np.arange(max(1, first - 4096), first + 4096, dtype=float)
             buf = np.full(x.shape, np.nan)
             assert mnc._powers(r, x, buf).tobytes() == np.power(r, x).tobytes(), r
-        # a column of ratios against one row of indices
-        column = np.array(ratios)[:, None]
-        x = np.arange(1, 80_000, 37, dtype=float)
-        buf = np.full((column.size, x.size), np.nan)
-        assert mnc._powers(column, x, buf).tobytes() == np.power(column, x).tobytes()
 
     def test_temporaries_stay_bounded(self):
         # ratios near 1 keep every power a normal float over 1..10**5
@@ -258,7 +252,7 @@ class TestBlockScan:
         assert _first_negative(form, start, stop) == loop_first_negative(form, start, stop)
 
     @settings(deadline=None, max_examples=30)
-    @given(wide_forms(), st.integers(1, DEFAULT_HORIZON))
+    @given(wide_forms(), st.integers(1, 10_000))
     def test_mixed_beta_zero_forms_to_the_horizon(self, form, horizon):
         form = form.with_constant(0.0)
         assert _first_negative(form, 1, horizon) == loop_first_negative(form, 1, horizon)
@@ -462,7 +456,60 @@ class TestSeq:
         assert (hexes(image.lo.head), hexes(image.hi.head)) == (hexes([-0.5]), hexes([0.5]))
 
 
+@st.composite
+def mixed_beta_zero_forms(draw):
+    """beta = 0 forms of 2 to 4 terms with coefficients of both signs in any
+    order, so 1 to 3 sign changes.  The ratios (k + u)/64, k distinct in
+    1..60 and u in [0, 1/2], are at least 1/128 apart, which keeps every
+    dominance index below about 400."""
+    n = draw(st.integers(2, 4))
+    ks = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n, unique=True))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n)
+                 .filter(lambda signs: len(set(signs)) == 2))
+    terms = [(sign * draw(st.floats(0.125, 8.0)), (k + draw(st.floats(0.0, 0.5))) / 64)
+             for sign, k in zip(signs, ks)]
+    return TailForm(terms)
+
+
+def exact_signs(form, start, stop):
+    """The exact sign of form(i) for i in start..stop, or None where
+    |form(i)| is below 2**-40 times sum_j |c_j| * r_j**i, so that a float
+    evaluation may round it to either sign.  A term c * r**i is
+    a * m**i / 2**(s + e*i) for c = a / 2**s and r = m / 2**e, so every
+    value is one integer sum over a common power of two."""
+    parts = []
+    for c, r in form.terms:
+        (a, sden), (m, eden) = c.as_integer_ratio(), r.as_integer_ratio()
+        parts.append((a, sden.bit_length() - 1, m, eden.bit_length() - 1))
+    powers = [m**start for _, _, m, _ in parts]
+    signs = []
+    for i in range(start, stop + 1):
+        top = max(s + e * i for _, s, _, e in parts)
+        scaled = [a * p << (top - s - e * i) for (a, s, _, e), p in zip(parts, powers)]
+        total = sum(scaled)
+        if abs(total) << 40 < sum(map(abs, scaled)):
+            signs.append(None)
+        else:
+            signs.append((total > 0) - (total < 0))
+        powers = [p * m for p, (_, _, m, _) in zip(powers, parts)]
+    return signs
+
+
 class TestSignMachinery:
+    @settings(deadline=None, max_examples=200)
+    @given(mixed_beta_zero_forms(), st.integers(1, 20))
+    @example(TailForm(((-1.0, 0.5), (1.0, 0.6))), 1)
+    @example(TailForm(((1.0, 0.8), (-3.0, 0.85), (2.5, 0.9))), 3)
+    def test_mixed_beta_zero_forms_match_exact_evaluation(self, form, start):
+        sign, idx = eventual_sign(form, start)
+        assert sign == (1 if form.terms[-1][0] > 0.0 else -1) and idx >= start
+        signs = exact_signs(form, start, idx + 64)
+        # the sign holds from idx on
+        assert all(sign * s >= 0 for s in signs[idx - start:] if s is not None)
+        # is_nonnegative is the exact verdict wherever float evaluation is
+        if None not in signs:
+            assert is_nonnegative(form, start) == (min(signs) >= 0)
+
     def test_dominant_positive_constant(self):
         # 0.5 - 0.5**i >= 0 for i >= 1 (equality at i = 1)
         assert is_nonnegative(TailForm(((-1.0, 0.5),), 0.5))
@@ -479,8 +526,11 @@ class TestSignMachinery:
         assert not is_nonnegative(TailForm(((-1.0, 0.9),), 0.0))
 
     def test_beta_zero_mixed_undecided(self):
-        with pytest.raises(UndecidedComparisonError):
-            is_nonnegative(TailForm(((1.0, 0.9), (-1.0, 0.8)), 0.0))
+        # 0.9**i - 0.8**i > 0: the largest-ratio term decides beta = 0 forms
+        assert is_nonnegative(TailForm(((1.0, 0.9), (-1.0, 0.8)), 0.0))
+        assert is_nonnegative(TailForm(((-1.0, 0.5), (1.0, 0.6))))
+        assert not is_nonnegative(TailForm(((-1.0, 0.9), (1.0, 0.8)), 0.0))
+        assert eventual_sign(TailForm(((-1.0, 0.9), (1.0, 0.8)))) == (-1, 1)
 
     def test_beta_zero_mixed_early_negative(self):
         # 0.8**i - 2*0.9**i < 0 at i = 1
@@ -532,12 +582,30 @@ class TestSignMachinery:
 
     def test_eventual_sign_past_the_cap_is_undecided(self):
         # the dominance index of 0.5 - 1e6*0.9999999**i is about 1.45e8,
-        # far past the cap; is_nonnegative refuses the same form
+        # far past the cap; is_nonnegative finds the same form negative at 1
         form = TailForm(((-1e6, 0.9999999),), 0.5)
         with pytest.raises(UndecidedComparisonError, match="exceeds practical range"):
             eventual_sign(form)
-        with pytest.raises(UndecidedComparisonError, match="exceeds practical range"):
+        assert not is_nonnegative(form)
+        # beta = 0, dominance index 18,325,813: nonnegative over the scan to
+        # 1 + _DOMINANCE_CAP, so still undecided
+        form = TailForm(((1.0, 0.9999999), (1.0, 0.99999985), (-1.5, 0.9999998)))
+        with pytest.raises(UndecidedComparisonError, match="index 18325813 exceeds practical range"):
             is_nonnegative(form)
+
+    def test_a_ratio_bound_that_rounds_to_one(self):
+        # nextafter(r_j / r, 1.0) is 1.0 for adjacent ratios
+        near = math.nextafter(0.5, 0.0)
+        assert math.nextafter(near / 0.5, 1.0) == 1.0
+        # 0.5**i - near**i > 0: |-1| <= |1|, and near/0.5 < 1 exactly
+        form = TailForm(((-1.0, near), (1.0, 0.5)))
+        assert eventual_sign(form, 4) == (1, 4)
+        assert is_nonnegative(form)
+        # 0.5**i - 2*near**i: no index can be shown, and it is negative at 1
+        form = TailForm(((-2.0, near), (1.0, 0.5)))
+        with pytest.raises(UndecidedComparisonError, match="exceeds practical range"):
+            eventual_sign(form)
+        assert not is_nonnegative(form)
 
 
 class TestBoxValidation:
@@ -565,9 +633,12 @@ class TestBoxValidation:
             TailBox((), (), lo, TailForm())
 
     def test_mixed_sign_gap_is_undecided(self):
-        # hi - lo = 0.9**i - 0.8**i: beta = 0 with mixed-sign coefficients
-        with pytest.raises(UndecidedComparisonError):
-            TailBox((), (), TailForm(((1.0, 0.8),), 0.0), TailForm(((1.0, 0.9),), 0.0))
+        # hi - lo = 0.9**i - 0.8**i: beta = 0 with mixed-sign coefficients,
+        # decided through its largest-ratio term
+        lo, hi = TailForm(((1.0, 0.8),), 0.0), TailForm(((1.0, 0.9),), 0.0)
+        assert TailBox((), (), lo, hi).tail_hi == hi
+        with pytest.raises(InvalidBoxError):
+            TailBox((), (), hi, lo)
 
     def test_head_length_mismatch(self):
         with pytest.raises(InvalidBoxError):
@@ -713,13 +784,13 @@ class TestSubset:
         assert not subset(UNIT, headed)
 
     def test_undecided_comparison_surfaces(self):
-        # hi tails differ by a mixed-sign beta=0 form: honest refusal
+        # hi tails differ by a mixed-sign beta=0 form, which is decided
         a_hi = TailForm(((1.0, 0.8),), 1.0)
         b_hi = TailForm(((1.0, 0.9),), 1.0)
         a = TailBox((), (), TailForm((), -1.0), a_hi)
         b = TailBox((), (), TailForm((), -1.0), b_hi)
-        with pytest.raises(UndecidedComparisonError):
-            subset(a, b)
+        assert subset(a, b)
+        assert not subset(b, a)
 
     def test_monotonicity_of_measure(self):
         rng = random.Random(11)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darbocert.mnc import (
-    DEFAULT_HORIZON,
     Point,
     TailBox,
     TailForm,
@@ -16,6 +15,7 @@ from darbocert.mnc import (
     truncation_tail_sup,
 )
 from darbocert.operators import (
+    DEFAULT_HORIZON,
     DiagonalAffineOperator,
     NotContractiveError,
     OperatorError,
@@ -92,10 +92,15 @@ class TestApplyToBox:
         assert image.tail_hi == TailForm(((1.0, 0.25),), 0.5)
 
     def test_sign_ambiguous_coefficients_rejected(self):
-        # beta = 0 with mixed-sign terms: eventual sign undecidable
+        # d = 0.9**i - 0.8**i: beta = 0 with mixed-sign terms, positive
+        # from i = 1 on by its largest-ratio term
         op = diag(d_terms=((1.0, 0.9), (-1.0, 0.8)))
-        with pytest.raises(UndecidedComparisonError):
-            apply_to_box(op, UNIT)
+        image = apply_to_box(op, UNIT)
+        assert image.head_len == 0
+        assert image.tail_hi == op.d_tail
+        assert image.tail_lo == op.d_tail.scale(-1.0)
+        assert hausdorff_mnc(image).value == 0.0
+        assert verify_self_map(op, UNIT)
 
     def test_late_sign_settling_is_undecided_without_allocating(self):
         # d(i) = 0.5 - 1e6*0.9999999**i settles its sign only near i = 1.45e8;
@@ -165,15 +170,14 @@ class TestSelfMap:
         assert verify_self_map(op, UNIT)
 
     def test_image_with_a_mixed_sign_gap_is_not_decided_again(self):
-        # the image gap 0.9^i - 0.6*0.45^i is |d| * 2*0.9^i >= 0, but as a
-        # beta = 0 form with mixed signs the public constructor cannot decide it
+        # the image gap 0.9^i - 0.6*0.45^i is |d| * 2*0.9^i >= 0; derived, it
+        # is not decided again, and the public constructor decides it too
         box = TailBox((), (), TailForm(((-1.0, 0.9),)), TailForm(((1.0, 0.9),)))
         op = diag(d_terms=((-0.3, 0.5),), d_const=0.5)
         image = apply_to_box(op, box)
         gap = image.tail_hi - image.tail_lo
         assert gap == TailForm(((-0.6, 0.45), (1.0, 0.9)))
-        with pytest.raises(UndecidedComparisonError):
-            TailBox((), (), image.tail_lo, image.tail_hi)
+        assert TailBox((), (), image.tail_lo, image.tail_hi) == image
         assert verify_self_map(op, box)
 
 
