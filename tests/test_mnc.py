@@ -506,7 +506,8 @@ class TestSignMachinery:
         signs = exact_signs(form, start, idx + 64)
         # the sign holds from idx on
         assert all(sign * s >= 0 for s in signs[idx - start:] if s is not None)
-        # is_nonnegative is the exact verdict wherever float evaluation is
+        # is_nonnegative is the exact verdict when no value is within float
+        # rounding of zero
         if None not in signs:
             assert is_nonnegative(form, start) == (min(signs) >= 0)
 
