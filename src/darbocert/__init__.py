@@ -11,7 +11,6 @@ from .mnc import (
     TailBox,
     SetUnion,
     Point,
-    MncValue,
     hausdorff_mnc,
     mnc_union,
     conv_hull_mnc,
@@ -37,7 +36,6 @@ from .operators import (
     DiagonalAffineOperator,
     FixedPointWitness,
     compose,
-    as_operator,
     apply_to_box,
     verify_self_map,
     fixed_point_witness,

@@ -177,8 +177,8 @@ def _check_m1(rng: random.Random, count: int) -> AxiomRunResult:
     for k in range(count):
         box = random_compact_box(rng)
         mu = hausdorff_mnc(box)
-        if mu.value != 0.0 or not mu.relatively_compact:
-            result.violations.append({"instance": k, "mu": mu.value})
+        if mu != 0.0:
+            result.violations.append({"instance": k, "mu": mu})
     return result
 
 
@@ -190,12 +190,12 @@ def _check_m2(rng: random.Random, count: int) -> AxiomRunResult:
         if not subset(small, big):
             result.violations.append({"instance": k, "reason": "constructed shrink not a subset"})
             continue
-        if hausdorff_mnc(small).value > hausdorff_mnc(big).value:
+        if hausdorff_mnc(small) > hausdorff_mnc(big):
             result.violations.append(
                 {
                     "instance": k,
-                    "muSmall": hausdorff_mnc(small).value,
-                    "muBig": hausdorff_mnc(big).value,
+                    "muSmall": hausdorff_mnc(small),
+                    "muBig": hausdorff_mnc(big),
                 }
             )
     return result
@@ -206,7 +206,7 @@ def _check_m3(rng: random.Random, count: int) -> AxiomRunResult:
     for k in range(count):
         box = random_box(rng)
         closed = closure(box)
-        if closed is not box or hausdorff_mnc(closed).value != hausdorff_mnc(box).value:
+        if closed is not box or hausdorff_mnc(closed) != hausdorff_mnc(box):
             result.violations.append({"instance": k})
     return result
 
@@ -215,8 +215,8 @@ def _check_m4(rng: random.Random, count: int) -> AxiomRunResult:
     result = AxiomRunResult("M4", count)
     for k in range(count):
         union = SetUnion(tuple(random_box(rng) for _ in range(rng.randint(1, 4))))
-        direct = mnc_union(union).value
-        hull = conv_hull_mnc(union).value
+        direct = mnc_union(union)
+        hull = conv_hull_mnc(union)
         if direct != hull:
             result.violations.append({"instance": k, "union": direct, "hull": hull})
     return result
@@ -227,8 +227,8 @@ def _check_m5(rng: random.Random, count: int) -> AxiomRunResult:
     for k in range(count):
         a, b = random_box(rng), random_box(rng)
         lam = rng.uniform(0.0, 1.0)
-        combined = hausdorff_mnc(convex_combination(lam, a, b)).value
-        bound = lam * hausdorff_mnc(a).value + (1.0 - lam) * hausdorff_mnc(b).value
+        combined = hausdorff_mnc(convex_combination(lam, a, b))
+        bound = lam * hausdorff_mnc(a) + (1.0 - lam) * hausdorff_mnc(b)
         if combined > bound + 1e-12:
             result.violations.append(
                 {"instance": k, "lambda": lam, "combined": combined, "bound": bound}
@@ -240,7 +240,7 @@ def _check_m6(rng: random.Random, chains: int, depth: int) -> AxiomRunResult:
     result = AxiomRunResult("M6", chains)
     for k in range(chains):
         chain = random_nested_chain(rng, depth)
-        mus = [hausdorff_mnc(b).value for b in chain]
+        mus = [hausdorff_mnc(b) for b in chain]
         if any(m2 > m1 for m1, m2 in zip(mus, mus[1:])):
             result.violations.append({"instance": k, "reason": "measures not decreasing"})
             continue
@@ -270,7 +270,7 @@ def _check_oracle(rng: random.Random, count: int, cut: int) -> AxiomRunResult:
     result = AxiomRunResult("oracle_agreement", count)
     for k in range(count):
         box = _oracle_box(rng)
-        closed_form = hausdorff_mnc(box).value
+        closed_form = hausdorff_mnc(box)
         oracle = truncation_tail_sup(box, cut)
         if abs(oracle - closed_form) > 1e-6:
             result.violations.append(
@@ -284,8 +284,8 @@ def _check_homogeneity(rng: random.Random, count: int) -> AxiomRunResult:
     for k in range(count):
         box = random_box(rng)
         c = rng.uniform(-3.0, 3.0)
-        scaled = hausdorff_mnc(scale_translate(box, c)).value
-        expected = abs(c) * hausdorff_mnc(box).value
+        scaled = hausdorff_mnc(scale_translate(box, c))
+        expected = abs(c) * hausdorff_mnc(box)
         if scaled != expected:
             result.violations.append(
                 {"instance": k, "c": c, "scaled": scaled, "expected": expected}

@@ -43,7 +43,7 @@ from .engine import (
 )
 from .expr import ExprError, mentions_n, parse_expr
 from .mnc import MncError, TailBox, TailForm, hausdorff_mnc
-from .operators import DiagonalAffineOperator, OperatorError, as_operator
+from .operators import DiagonalAffineOperator, OperatorError, compose
 from .scenarios import demo_pair, scaling_operator, unit_box
 from .shifting import (
     FAIL,
@@ -124,8 +124,11 @@ def _parse_operator(obj: Any, where: str) -> DiagonalAffineOperator:
     if "compose" in obj:
         parts = obj["compose"]
         _require(isinstance(parts, list) and parts, f"{where}: compose needs a nonempty list")
-        ops = [_parse_operator(p, f"{where}.compose[{k}]") for k, p in enumerate(parts)]
-        return as_operator(ops)
+        # list order: the first element acts first
+        current = _parse_operator(parts[0], f"{where}.compose[0]")
+        for k, p in enumerate(parts[1:], 1):
+            current = compose(_parse_operator(p, f"{where}.compose[{k}]"), current)
+        return current
     with _malformed(where):
         return DiagonalAffineOperator(
             tuple(float(x) for x in _list(obj, "dHead", where)),
@@ -449,7 +452,7 @@ def cmd_demo(out_path: str | None) -> int:
     report["checks"] = {name: rep.to_dict() for name, rep in cert.checks.items()}
     report["contractionBound"] = bound.to_dict()
     report["certificate"] = cert.to_dict()
-    report["muInitial"] = hausdorff_mnc(box).value
+    report["muInitial"] = hausdorff_mnc(box)
     if out_path:
         _emit(report, out_path)
 

@@ -10,6 +10,9 @@ Banach Spaces, 1980, ch. 5).  Every step asserts the per-n contraction
 inequality lhs_n(mu(TA)) <= rhs_n(mu(A)) on a ladder of n values and for
 the limit functions, each side evaluated once for a whole block of steps.
 
+Every run takes one ``DiagonalAffineOperator``; a composition is
+materialised into one first, with ``operators.compose``.
+
 Every run's preconditions are decided here, in one order: the ladder
 budget, the grid gate, the pair checks, the self-map (classic runs, which
 read no ladder, skip the first three).  A failure is a PreconditionError,
@@ -42,10 +45,9 @@ import numpy as np
 from .expr import BinOp, DivisionByZeroError, Expr, LimitDivergenceError, Num, Var, mentions_n
 from .mnc import TailBox, UndecidedComparisonError, hausdorff_mnc
 from .operators import (
+    DiagonalAffineOperator,
     FixedPointWitness,
     NotContractiveError,
-    OperatorSpec,
-    as_operator,
     fixed_point_witness,
     verify_self_map,
 )
@@ -158,7 +160,7 @@ def _require_grid_covers(grid: SampleGrid, domain: TailBox) -> None:
     the chain lies in [0, mu(A_0)]; a grid whose last point stops short of
     mu(A_0) is an input error, not a grid to extend.  The last point may
     lie below tMax (tMax 0.9 and step 0.3 end at 0.8999999999999999)."""
-    mu_0 = hausdorff_mnc(domain).value
+    mu_0 = hausdorff_mnc(domain)
     last = float(grid.t_values()[-1])
     if last < mu_0:
         where = f"grid tMax {grid.t_max}"
@@ -167,7 +169,7 @@ def _require_grid_covers(grid: SampleGrid, domain: TailBox) -> None:
         raise PreconditionError(f"{where} is below the domain's measure mu(A_0) = {mu_0}")
 
 
-def _attach_witness(op) -> FixedPointWitness | None:
+def _attach_witness(op: DiagonalAffineOperator) -> FixedPointWitness | None:
     try:
         return fixed_point_witness(op)
     except (NotContractiveError, UndecidedComparisonError):
@@ -179,7 +181,7 @@ _BLOCK_CELLS = 1 << 14
 
 
 def _run_chain(
-    operator: OperatorSpec, domain: TailBox, sides: FunctionSequencePair, tol: float,
+    op: DiagonalAffineOperator, domain: TailBox, sides: FunctionSequencePair, tol: float,
     max_iter: int, n_ladder: tuple[int, ...], details: dict,
 ) -> Certificate:
     """The chain A_{k+1} = T A_k under lhs_n(mu(TA)) <= rhs_n(mu(A)), the
@@ -206,7 +208,6 @@ def _run_chain(
     of steps that raises is decided as its two halves in turn, so the
     first failing single step raises or ends the run INCONCLUSIVE as it
     would alone, after any earlier refutation or stop."""
-    op = as_operator(operator)
     if not verify_self_map(op, domain):
         raise PreconditionError("operator does not map the domain into itself")
     if tol <= 0:
@@ -217,7 +218,7 @@ def _run_chain(
     lhs_seq, rhs_seq = sides.psi_seq, sides.phi_seq
     lhs_limit, rhs_limit = sides.psi_limit, sides.phi_limit
     factor = abs(op.d.asym)
-    trace = [IterationState(hausdorff_mnc(domain).value, {})]
+    trace = [IterationState(hausdorff_mnc(domain), {})]
 
     def finish(outcome: str, **extra) -> Certificate:
         return Certificate(outcome, trace, factor, **{"details": details, **extra})
@@ -277,7 +278,7 @@ def _run_chain(
 
 
 def darbo_iterate(
-    operator: OperatorSpec,
+    operator: DiagonalAffineOperator,
     domain: TailBox,
     pair: FunctionSequencePair,
     tol: float = 1e-9,
@@ -383,7 +384,7 @@ def identity_pair(k: float | None = None) -> FunctionSequencePair:
 
 
 def classic_darbo_run(
-    operator: OperatorSpec,
+    operator: DiagonalAffineOperator,
     domain: TailBox,
     k: float,
     tol: float = 1e-9,
@@ -408,7 +409,7 @@ def classic_darbo_run(
 
 
 def weak_contraction_run(
-    operator: OperatorSpec,
+    operator: DiagonalAffineOperator,
     domain: TailBox,
     pair: FunctionSequencePair,
     tol: float = 1e-9,

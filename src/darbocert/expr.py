@@ -322,17 +322,19 @@ def mentions_n(e: Expr) -> bool:
     return False
 
 
-def limit_in_n(e: Expr, t, tol: float):
+# Two successive probes of limit_in_n closer than this settle the limit.
+LIMIT_TOL = 1e-9
+
+
+def limit_in_n(e: Expr, t):
     """Estimate the pointwise limit of e(t, n) as n grows.
 
     Probes n = 2**j for j = 4..40 and, at each t, keeps the value once two
-    successive probes differ by less than ``tol``.  ``t`` may be a scalar
+    successive probes differ by less than ``LIMIT_TOL``.  ``t`` may be a scalar
     (a float is returned) or an array (an array of its shape is returned,
     also for expressions constant in t).  Raises LimitDivergenceError
     naming the first t where the ladder never stabilises.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     x = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
     shape = np.shape(x)
     result = np.empty(shape)
@@ -341,11 +343,13 @@ def limit_in_n(e: Expr, t, tol: float):
     for j in range(4, 41):
         cur = np.broadcast_to(np.asarray(eval_expr(e, x, float(2**j)), dtype=float), shape)
         if prev is not None:
-            newly = unresolved & (np.abs(cur - prev) < tol)
+            newly = unresolved & (np.abs(cur - prev) < LIMIT_TOL)
             result[newly] = cur[newly]
             unresolved &= ~newly
             if not unresolved.any():
                 return result if shape else float(result)
         prev = cur
     bad = float(np.asarray(x)[unresolved][0])
-    raise LimitDivergenceError(f"{unparse(e)!r} does not stabilise in n at t={bad} (tol={tol})")
+    raise LimitDivergenceError(
+        f"{unparse(e)!r} does not stabilise in n at t={bad} (tol={LIMIT_TOL})"
+    )

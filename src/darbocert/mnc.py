@@ -61,7 +61,6 @@ __all__ = [
     "TailBox",
     "SetUnion",
     "Point",
-    "MncValue",
     "hausdorff_mnc",
     "mnc_union",
     "conv_hull_mnc",
@@ -77,8 +76,8 @@ __all__ = [
 ]
 
 # Dominance indices more than this past the start are out of practical
-# range: eventual_sign reports them undecided, and is_nonnegative scans that
-# far for a negative value instead.
+# range: eventual_sign reports them undecided, and is_nonnegative scans one
+# window of _SCAN_CHUNK coordinates for a negative value instead.
 _DOMINANCE_CAP = 10_000_000
 
 # affine_image materialises d's coordinates up to its sign-settling index
@@ -420,15 +419,16 @@ def is_nonnegative(form: TailForm, start: int = 1) -> bool:
     coordinates before it are evaluated in float64 by ``_first_negative``,
     a windowed pointwise scan: the verdict is that of every coordinate's
     float value.  A form whose sign settles more than ``_DOMINANCE_CAP``
-    past ``start`` is scanned that far instead: a negative value decides,
-    and otherwise UndecidedComparisonError is raised.
+    past ``start`` is scanned for one window instead, start ..
+    start + _SCAN_CHUNK - 1: a negative value there decides, and otherwise
+    UndecidedComparisonError is raised.
     """
     if form.constant < 0.0:
         return False
     try:
         sign, from_idx = eventual_sign(form, start)
     except UndecidedComparisonError:
-        if _first_negative(form, start, start + _DOMINANCE_CAP) is not None:
+        if _first_negative(form, start, start + _SCAN_CHUNK - 1) is not None:
             return False
         raise
     return sign >= 0 and _first_negative(form, start, from_idx - 1) is None
@@ -643,42 +643,23 @@ class Point(Seq):
     value = Seq.__call__
 
 
-@dataclass(frozen=True)
-class MncValue:
-    """Measure-of-noncompactness value; zero exactly when the set is
-    relatively compact in this model (all envelopes vanish asymptotically)."""
-
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        if self.value < 0.0:
-            raise MncError("mnc value must be nonnegative")
-
-    @property
-    def relatively_compact(self) -> bool:
-        return self.value == 0.0
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def hausdorff_mnc(box: TailBox) -> MncValue:
-    """Hausdorff measure of noncompactness of a tail box.
+def hausdorff_mnc(box: TailBox) -> float:
+    """Hausdorff measure of noncompactness of a tail box; zero exactly when
+    the box is relatively compact in this model.
 
     Equals max(|asym(lo)|, |asym(hi)|); the finitely many head coordinates
     never contribute.
     """
-    return MncValue(max(abs(box.lo.asym), abs(box.hi.asym)))
+    return max(abs(box.lo.asym), abs(box.hi.asym))
 
 
-def mnc_union(union: SetUnion) -> MncValue:
+def mnc_union(union: SetUnion) -> float:
     """Measure of a finite union: the max over member boxes (consistent
     with monotonicity and with the convex-hull rewrite, see conv_hull_mnc)."""
-    return MncValue(max(hausdorff_mnc(b).value for b in union.boxes))
+    return max(hausdorff_mnc(b) for b in union.boxes)
 
 
-def conv_hull_mnc(union: SetUnion) -> MncValue:
+def conv_hull_mnc(union: SetUnion) -> float:
     """Measure assigned to the closed convex hull of a union of boxes.
 
     The hull's coordinatewise envelope is [min_j lo_j(i), max_j hi_j(i)],
@@ -688,7 +669,7 @@ def conv_hull_mnc(union: SetUnion) -> MncValue:
     """
     lo = min(b.lo.asym for b in union.boxes)
     hi = max(b.hi.asym for b in union.boxes)
-    return MncValue(max(abs(lo), abs(hi)))
+    return max(abs(lo), abs(hi))
 
 
 def closure(box: TailBox) -> TailBox:
@@ -752,22 +733,15 @@ def affine_image(box: TailBox, d: Seq, e: Seq) -> TailBox:
     return TailBox(_derived=(lo, hi))
 
 
-def scale_translate(a: TailBox, c: float, shift: Point | None = None) -> TailBox:
-    """Coordinatewise c*[lo, hi] + shift.  The shift must be a genuine
-    member of the space (asymptotic value zero); the measure of the result
-    is |c| times the measure of A, exactly.  The envelopes, padded to the
-    shift's head length, are scaled and swapped for c < 0.  With no shift
-    nothing is added, so a zero of c*[lo, hi] keeps its sign."""
-    if shift is not None and not isinstance(shift, Point):
-        raise InvalidPointError("shift must be a Point with asymptotic value zero")
+def scale_translate(a: TailBox, c: float) -> TailBox:
+    """Coordinatewise c*[lo, hi]: the envelopes scaled and swapped for
+    c < 0.  The measure of the result is |c| times the measure of A,
+    exactly, and a zero of c*[lo, hi] keeps its sign."""
     if not math.isfinite(c):
         raise InvalidTailFormError("non-finite constant")
-    h = a.head_len if shift is None else max(a.head_len, shift.head_len)
-    lo, hi = a.lo.pad(h).scale(c), a.hi.pad(h).scale(c)
+    lo, hi = a.lo.scale(c), a.hi.scale(c)
     if c < 0.0:
         lo, hi = hi, lo
-    if shift is not None:
-        lo, hi = lo + shift, hi + shift
     return TailBox(_derived=(lo, hi))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -30,17 +30,16 @@ __all__ = [
     "OperatorError",
     "NotContractiveError",
     "DiagonalAffineOperator",
-    "OperatorSpec",
     "FixedPointWitness",
     "compose",
-    "as_operator",
     "apply_to_box",
     "verify_self_map",
     "fixed_point_witness",
 ]
 
 
-# The coordinates that fixed_point_witness solves numerically.
+# The coordinates that fixed_point_witness solves numerically, and the
+# furthest past the head that it looks for sup_i |d_i| < 1.
 DEFAULT_HORIZON = 10_000
 
 
@@ -92,39 +91,21 @@ class DiagonalAffineOperator:
         return self.d.head_len
 
 
-OperatorSpec = Union[DiagonalAffineOperator, Sequence[DiagonalAffineOperator]]
-
-
 def compose(outer: DiagonalAffineOperator, inner: DiagonalAffineOperator) -> DiagonalAffineOperator:
     """Materialise outer(inner(x)): d = d_o*d_i, e = d_o*e_i + e_o."""
     d, e = outer.d * inner.d, outer.d * inner.e + outer.e
     return DiagonalAffineOperator(d.head, d.tail, e.head, e.tail)
 
 
-def as_operator(spec: OperatorSpec) -> DiagonalAffineOperator:
-    """Materialise a spec: either a single map or a sequence applied in
-    list order (the first element acts first)."""
-    if isinstance(spec, DiagonalAffineOperator):
-        return spec
-    ops = list(spec)
-    if not ops:
-        raise OperatorError("empty operator composition")
-    current = ops[0]
-    for op in ops[1:]:
-        current = compose(op, current)
-    return current
-
-
-def apply_to_box(spec: OperatorSpec, box: TailBox) -> TailBox:
+def apply_to_box(op: DiagonalAffineOperator, box: TailBox) -> TailBox:
     """Exact image box of ``box`` under the operator (see
     ``mnc.affine_image``)."""
-    op = as_operator(spec)
     return affine_image(box, op.d, op.e)
 
 
-def verify_self_map(spec: OperatorSpec, domain: TailBox) -> bool:
+def verify_self_map(op: DiagonalAffineOperator, domain: TailBox) -> bool:
     """True iff the image of ``domain`` is contained in ``domain``."""
-    return subset(apply_to_box(spec, domain), domain)
+    return subset(apply_to_box(op, domain), domain)
 
 
 @dataclass(frozen=True)
@@ -136,15 +117,15 @@ class FixedPointWitness:
     residual: float
 
 
-def _check_contractive(op: DiagonalAffineOperator, horizon: int) -> None:
+def _check_contractive(op: DiagonalAffineOperator) -> None:
     beta = abs(op.d.asym)
     if beta >= 1.0:
         raise NotContractiveError(f"|asym(d)| = {beta} >= 1")
     # beyond idx the geometric part is < 1 - |beta|, so |d(i)| < 1 there
     start = op.head_len + 1
     idx = op.d.tail.with_constant(1.0 - beta).dominance_index(start)
-    if idx - start > horizon:
-        raise NotContractiveError(f"cannot certify sup|d_i| < 1 within horizon {horizon}")
+    if idx - start > DEFAULT_HORIZON:
+        raise NotContractiveError(f"cannot certify sup|d_i| < 1 within horizon {DEFAULT_HORIZON}")
     bad = np.flatnonzero(np.abs(op.d.array(idx)) >= 1.0)
     if bad.size:
         i = int(bad[0]) + 1
@@ -167,20 +148,18 @@ def _residual(op: DiagonalAffineOperator, d: np.ndarray, e: np.ndarray, point: P
     return best
 
 
-def fixed_point_witness(
-    spec: OperatorSpec, horizon: int = DEFAULT_HORIZON
-) -> FixedPointWitness:
+def fixed_point_witness(op: DiagonalAffineOperator) -> FixedPointWitness:
     """Solve x = Tx coordinatewise for a contractive operator.
 
     With a constant d tail the solution tail is exact in closed form;
-    otherwise coordinates up to the horizon are solved numerically and the
-    tail beyond uses the asymptotic coefficient.  The returned residual is
-    sup_i |T(x)_i - x_i| over the probed range.
+    otherwise coordinates up to ``DEFAULT_HORIZON`` (or the head, if
+    longer) are solved numerically and the tail beyond uses the asymptotic
+    coefficient.  The returned residual is sup_i |T(x)_i - x_i| over the
+    probed range.
     """
-    op = as_operator(spec)
-    _check_contractive(op, horizon)
+    _check_contractive(op)
     if op.d.tail.n_terms:
-        solve_to = probe_to = max(op.head_len, horizon)
+        solve_to = probe_to = max(op.head_len, DEFAULT_HORIZON)
     else:
         solve_to, probe_to = op.head_len, max(op.head_len, 64)
     d, e = op.d.array(probe_to), op.e.array(probe_to)

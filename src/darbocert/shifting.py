@@ -141,9 +141,9 @@ def pair_table(
 def limit_values(declared: Expr | None, seq: Expr, t):
     """Limit in n of ``seq`` at t, a scalar or an array: the declared limit
     expression broadcast to the shape of t when there is one, otherwise the
-    ``limit_in_n`` estimate (tolerance 1e-9)."""
+    ``limit_in_n`` estimate (tolerance ``expr.LIMIT_TOL``)."""
     if declared is None:
-        return limit_in_n(seq, t, 1e-9)
+        return limit_in_n(seq, t)
     return np.broadcast_to(eval_expr(declared, t, 1.0), np.shape(t))
 
 

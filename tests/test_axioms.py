@@ -20,13 +20,13 @@ class TestGenerators:
         rng = random.Random(0)
         for _ in range(200):
             random_box(rng)  # the constructor validates
-            assert hausdorff_mnc(random_compact_box(rng)).value == 0.0
+            assert hausdorff_mnc(random_compact_box(rng)) == 0.0
 
     def test_nested_chain_structure(self):
         rng = random.Random(1)
         chain = random_nested_chain(rng, depth=50)
         assert len(chain) == 51
-        mus = [hausdorff_mnc(b).value for b in chain]
+        mus = [hausdorff_mnc(b) for b in chain]
         assert all(m2 <= m1 for m1, m2 in zip(mus, mus[1:]))
         assert mus[-1] < mus[0]
         assert all(subset(b2, b1) for b1, b2 in zip(chain, chain[1:]))

@@ -67,7 +67,7 @@ def loop_run_chain(op, domain, lhs_seq, rhs_seq, lhs_limit, rhs_limit, tol, max_
     ns = np.array(n_ladder, dtype=float)
     names = columns(lhs_seq, rhs_seq, lhs_limit, rhs_limit, n_ladder)
     factor = abs(op.d.asym)
-    trace = [IterationState(hausdorff_mnc(domain).value, {})]
+    trace = [IterationState(hausdorff_mnc(domain), {})]
     if trace[0].mu < tol:
         return Certificate(CERTIFIED, trace, factor, witness=_attach_witness(op), details=details)
 

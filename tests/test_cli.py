@@ -22,6 +22,8 @@ from darbocert.cli import (
     parse_config,
     run,
 )
+from darbocert.mnc import TailForm
+from darbocert.operators import DiagonalAffineOperator, compose
 from darbocert.shifting import run_all_checks
 
 UNIT_BOX = {
@@ -491,6 +493,16 @@ class TestConfigValidation:
         # quarter scaling reaches 1e-9 in 15 steps: 0.25**15 < 1e-9
         assert len(report["certificate"]["trace"]) == 16
 
+    def test_compose_applies_the_first_element_first(self):
+        first = dict(HALF_SCALING, eTail={"terms": [{"alpha": 1.0, "rho": 0.25}]})
+        second = dict(
+            HALF_SCALING, dTail={"beta": -0.5}, eTail={"terms": [{"alpha": 0.5, "rho": 0.5}]}
+        )
+        a = DiagonalAffineOperator((), TailForm((), 0.5), (), TailForm(((1.0, 0.25),)))
+        b = DiagonalAffineOperator((), TailForm((), -0.5), (), TailForm(((0.5, 0.5),)))
+        assert compose(b, a) != compose(a, b)
+        assert parse_config({"operator": {"compose": [first, second]}}).operator == compose(b, a)
+
     def test_unused_head_length_key_still_loads_and_is_echoed(self, tmp_path, capsys):
         # no key of space is read
         space = {"horizon": 500, "headLength": 3}
@@ -617,8 +629,9 @@ class TestConfigValidation:
             ),
             ({"grid": {"tMax": "x"}}, "grid"),
             ({"tol": [1]}, "tol"),
+            ({"operator": {"compose": []}}, "operator"),
         ],
-        ids=["headLo", "alpha", "tMax", "tol"],
+        ids=["headLo", "alpha", "tMax", "tol", "compose"],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, payload, where):
         cfg = write_config(tmp_path, dict(payload, pair=RATIONAL_PAIR))

@@ -302,17 +302,17 @@ class TestRandomPairs:
 
         def scalar(v):
             try:
-                return limit_in_n(e, float(v), 1e-9)
+                return limit_in_n(e, float(v))
             except LimitDivergenceError as exc:
                 return str(exc)
 
         want = [scalar(v) for v in t]
         errors = [w for w in want if isinstance(w, str)]
         if not errors:
-            assert limit_in_n(e, t, 1e-9).tolist() == want
+            assert limit_in_n(e, t).tolist() == want
             return
         with pytest.raises(LimitDivergenceError) as info:
-            limit_in_n(e, t, 1e-9)
+            limit_in_n(e, t)
         assert str(info.value) == errors[0]
 
 

@@ -18,7 +18,6 @@ from darbocert.mnc import (
     InvalidPointError,
     InvalidTailFormError,
     MncError,
-    MncValue,
     Point,
     Seq,
     SetUnion,
@@ -581,18 +580,24 @@ class TestSignMachinery:
         # positive at every index, with the same overflowing sum
         assert is_nonnegative(TailForm(((1e308, 0.5), (1e308, 0.6), (-1e300, 0.1)), 1.0))
 
-    def test_eventual_sign_past_the_cap_is_undecided(self):
+    def test_eventual_sign_past_the_cap_is_undecided(self, monkeypatch):
         # the dominance index of 0.5 - 1e6*0.9999999**i is about 1.45e8,
         # far past the cap; is_nonnegative finds the same form negative at 1
         form = TailForm(((-1e6, 0.9999999),), 0.5)
         with pytest.raises(UndecidedComparisonError, match="exceeds practical range"):
             eventual_sign(form)
         assert not is_nonnegative(form)
-        # beta = 0, dominance index 18,325,813: nonnegative over the scan to
-        # 1 + _DOMINANCE_CAP, so still undecided
-        form = TailForm(((1.0, 0.9999999), (1.0, 0.99999985), (-1.5, 0.9999998)))
-        with pytest.raises(UndecidedComparisonError, match="index 18325813 exceeds practical range"):
-            is_nonnegative(form)
+        # nonnegative over the one window scanned, so still undecided: a
+        # beta = 0 form and a positive beta > 0 one
+        seen = count_evaluated(monkeypatch)
+        for form, index in [
+            (TailForm(((1.0, 0.9999999), (1.0, 0.99999985), (-1.5, 0.9999998))), 18325813),
+            (TailForm(((-0.4, 0.9999999), (1e6, 0.99999995)), 0.5), 290173156),
+        ]:
+            seen[0] = 0
+            with pytest.raises(UndecidedComparisonError, match=f"index {index}"):
+                is_nonnegative(form)
+            assert 0 < seen[0] <= _SCAN_CHUNK
 
     def test_a_ratio_bound_that_rounds_to_one(self):
         # nextafter(r_j / r, 1.0) is 1.0 for adjacent ratios
@@ -649,24 +654,17 @@ class TestBoxValidation:
 class TestHausdorffMnc:
     def test_unit_box(self):
         mu = hausdorff_mnc(UNIT)
-        assert mu.value == 1.0
-        assert not mu.relatively_compact
+        assert type(mu) is float and mu == 1.0
 
     def test_geometric_tails_are_compact(self):
         box = TailBox((), (), TailForm((), 0.0), TailForm(((2.0, 0.5),), 0.0))
-        mu = hausdorff_mnc(box)
-        assert mu.value == 0.0
-        assert mu.relatively_compact
+        assert hausdorff_mnc(box) == 0.0
 
     def test_head_never_contributes(self):
         box = TailBox((-7.0,), (7.0,), TailForm((), -0.3), TailForm((), 0.3))
-        assert hausdorff_mnc(box).value == 0.3
+        assert hausdorff_mnc(box) == 0.3
         # independent truncation oracle agrees
         assert abs(truncation_tail_sup(box, 10**6) - 0.3) <= 1e-6
-
-    def test_negative_value_rejected(self):
-        with pytest.raises(MncError):
-            MncValue(-0.5)
 
 
 class TestTruncationOracle:
@@ -698,31 +696,31 @@ class TestTruncationOracle:
             beta = rng.uniform(0.05, 3.0)
             hi = TailForm(tuple((abs(c), r) for c, r in terms), beta)
             box = TailBox((), (), hi.scale(-1.0), hi)
-            assert abs(truncation_tail_sup(box, 10**6) - hausdorff_mnc(box).value) <= 1e-6
+            assert abs(truncation_tail_sup(box, 10**6) - hausdorff_mnc(box)) <= 1e-6
 
 
 class TestUnion:
     def test_max_rule(self):
         box_03 = symmetric_box(0.3)
-        assert mnc_union(SetUnion((UNIT, box_03))).value == 1.0
+        assert mnc_union(SetUnion((UNIT, box_03))) == 1.0
         # oracle on the union's pointwise envelope: max of per-box sups
         oracle = max(truncation_tail_sup(UNIT, 10**6), truncation_tail_sup(box_03, 10**6))
         assert oracle == pytest.approx(1.0, abs=1e-6)
 
     def test_single_box(self):
-        assert mnc_union(SetUnion((HALF,))).value == hausdorff_mnc(HALF).value
+        assert mnc_union(SetUnion((HALF,))) == hausdorff_mnc(HALF)
 
     def test_two_compact_boxes(self):
         a = TailBox((), (), TailForm((), 0.0), TailForm(((1.0, 0.5),), 0.0))
         b = TailBox((), (), TailForm(((-2.0, 0.9),), 0.0), TailForm((), 0.0))
-        assert mnc_union(SetUnion((a, b))).value == 0.0
+        assert mnc_union(SetUnion((a, b))) == 0.0
 
     def test_one_box_hull_is_the_box_measure(self):
         # the certified chain relies on this: Conv(TA) = TA needs no re-check
         rng = random.Random(17)
         for _ in range(200):
             box = random_box(rng)
-            assert conv_hull_mnc(SetUnion((box,))).value == hausdorff_mnc(box).value
+            assert conv_hull_mnc(SetUnion((box,))) == hausdorff_mnc(box)
 
     def test_empty_union_rejected(self):
         with pytest.raises(InvalidBoxError):
@@ -730,14 +728,14 @@ class TestUnion:
 
     def test_hull_descriptor_agrees(self):
         union = SetUnion((UNIT, symmetric_box(0.3), HALF))
-        assert conv_hull_mnc(union).value == mnc_union(union).value
+        assert conv_hull_mnc(union) == mnc_union(union)
 
 
 class TestConvexCombination:
     def test_symmetric_equality_case(self):
         box_06 = symmetric_box(0.6)
         combined = convex_combination(0.5, UNIT, box_06)
-        assert hausdorff_mnc(combined).value == 0.8
+        assert hausdorff_mnc(combined) == 0.8
         assert abs(truncation_tail_sup(combined, 10**6) - 0.8) <= 1e-6
 
     def test_endpoints_return_operands(self):
@@ -761,7 +759,7 @@ class TestConvexCombination:
             a = symmetric_box(level_a, ((rng.uniform(0, 5), rng.uniform(0, 0.9)),))
             b = symmetric_box(level_b)
             lam = rng.uniform(0, 1)
-            mu = hausdorff_mnc(convex_combination(lam, a, b)).value
+            mu = hausdorff_mnc(convex_combination(lam, a, b))
             assert mu <= lam * level_a + (1 - lam) * level_b + 1e-12
 
 
@@ -806,42 +804,31 @@ class TestSubset:
                 outer.tail_hi.scale(lam),
             )
             assert subset(inner, outer)
-            assert hausdorff_mnc(inner).value <= hausdorff_mnc(outer).value
+            assert hausdorff_mnc(inner) <= hausdorff_mnc(outer)
 
 
 class TestClosure:
     def test_identity_and_measure_preserved(self):
         assert closure(UNIT) is UNIT
-        assert hausdorff_mnc(closure(UNIT)).value == hausdorff_mnc(UNIT).value
+        assert hausdorff_mnc(closure(UNIT)) == hausdorff_mnc(UNIT)
 
 
 class TestScaleTranslate:
     def test_doubling(self):
-        assert hausdorff_mnc(scale_translate(UNIT, 2.0)).value == 2.0
+        assert hausdorff_mnc(scale_translate(UNIT, 2.0)) == 2.0
 
     def test_collapse_to_point(self):
-        assert hausdorff_mnc(scale_translate(UNIT, 0.0)).value == 0.0
+        assert hausdorff_mnc(scale_translate(UNIT, 0.0)) == 0.0
 
     def test_reflection_preserves_measure(self):
-        assert hausdorff_mnc(scale_translate(UNIT, -1.0)).value == 1.0
+        assert hausdorff_mnc(scale_translate(UNIT, -1.0)) == 1.0
 
     def test_homogeneity_exact(self):
         rng = random.Random(5)
         for _ in range(100):
             box = symmetric_box(rng.uniform(0.1, 2), ((rng.uniform(0, 5), rng.uniform(0, 0.9)),))
             c = rng.uniform(-3, 3)
-            assert hausdorff_mnc(scale_translate(box, c)).value == abs(c) * hausdorff_mnc(box).value
-
-    def test_shift_with_nonzero_asym_rejected(self):
-        with pytest.raises(InvalidPointError):
-            Point((), TailForm((), 0.5))
-
-    def test_shift_moves_box(self):
-        shift = Point((), TailForm(((1.0, 0.5),), 0.0))
-        moved = scale_translate(UNIT, 1.0, shift)
-        assert moved.lo(1) == -1.0 + 0.5
-        assert moved.hi(1) == 1.0 + 0.5
-        assert hausdorff_mnc(moved).value == 1.0
+            assert hausdorff_mnc(scale_translate(box, c)) == abs(c) * hausdorff_mnc(box)
 
 
 class TestPoints:
@@ -849,6 +836,10 @@ class TestPoints:
         p = Point((), TailForm(((0.5, 0.5),), 0.0))
         assert contains_point(UNIT, p)
         assert not contains_point(HALF, Point((0.9,), TailForm((), 0.0)))
+
+    def test_nonzero_asym_rejected(self):
+        with pytest.raises(InvalidPointError):
+            Point((), TailForm((), 0.5))
 
     def test_zero_point_in_every_symmetric_box(self):
         for level in (0.1, 1.0, 3.0):
@@ -881,8 +872,7 @@ def edge_seqs(draw):
 @st.composite
 def scaling_cases(draw):
     """A valid box (random_box's forms scaled to near 1e+-300, heads with
-    edge values), a factor c and a shift with head and tail, or None for
-    the default of no shift."""
+    edge values) and a factor c."""
     box = random_box(random.Random(draw(st.integers(0, 2**32 - 1))))
     m = draw(st.sampled_from([1.0, 1e300, 1e-300]))
     pairs = draw(st.lists(st.tuples(edge_floats(), edge_floats()), max_size=3))
@@ -895,11 +885,7 @@ def scaling_cases(draw):
                          math.nan, math.inf, -math.inf]),
         st.floats(-3.0, 3.0),
     ))
-    if draw(st.booleans()):
-        return box, c, None
-    shift = Point(draw(st.lists(edge_floats(), max_size=5)),
-                  TailForm(draw(edge_terms()), draw(st.sampled_from([0.0, -0.0]))))
-    return box, c, shift
+    return box, c
 
 
 def outcome(call):
@@ -910,11 +896,11 @@ def outcome(call):
         return (False, type(exc), str(exc))
 
 
-def box_bits(box, signed_zeros=True):
-    """Hex of both envelopes; with ``signed_zeros`` false a zero head entry
-    or constant reads +0.0 whatever its sign."""
+def box_bits(box):
+    """Hex of both envelopes, a zero head entry or constant read as +0.0
+    whatever its sign."""
     def hex_of(x):
-        return (x if signed_zeros else x + 0.0).hex()
+        return (x + 0.0).hex()
 
     return [
         ([hex_of(x) for x in env.head], bits(env.tail.terms), hex_of(env.tail.constant))
@@ -944,26 +930,17 @@ class TestOrderAndScalingParity:
     @settings(deadline=None, max_examples=150)
     @given(scaling_cases())
     def test_scale_translate_matches_the_constant_affine_image(self, case):
-        box, c, shift = case
-        default = shift is None
-        if default:
-            got = outcome(lambda: scale_translate(box, c))
-            shift = Point()
-        else:
-            got = outcome(lambda: scale_translate(box, c, shift))
-        want = outcome(lambda: affine_image(box, Seq((), TailForm((), c)), shift))
+        box, c = case
+        got = outcome(lambda: scale_translate(box, c))
+        want = outcome(lambda: affine_image(box, Seq((), TailForm((), c)), Point()))
         if got[0] and want[0]:
             # affine_image takes the min and max of the scaled heads x and
             # y and keeps y on a tie of signed zeros, as np.minimum(x, y)
-            # and np.maximum(x, y) do; c * lo keeps its own zero.  Adding
-            # the shift makes the two zeros one, unless the shift's entry is -0.0
-            # itself.  Such a zero may then differ in sign, and both boxes
-            # are the same set.  With no shift, scale_translate adds
-            # nothing, so its zeros keep the sign that c gives them.
-            strict = not default and not any(
-                x == 0.0 and math.copysign(1.0, x) < 0.0 for x in shift.head
-            )
-            assert box_bits(got[1], strict) == box_bits(want[1], strict)
+            # and np.maximum(x, y) do, then adds the zero offset;
+            # scale_translate adds nothing, so its zeros keep the sign that
+            # c gives them.  Such a zero may differ in sign, and both boxes
+            # are the same set.
+            assert box_bits(got[1]) == box_bits(want[1])
         else:
             assert got == want
 
@@ -1091,10 +1068,10 @@ class TestTupleHeadParity:
     @settings(deadline=None, max_examples=200)
     @given(scaling_cases())
     def test_scale_translate(self, case):
-        box, c, shift = case
+        box, c = case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = outcome(lambda: scale_translate(box, c, shift))
+            got = outcome(lambda: scale_translate(box, c))
         if not got[0]:
             if got[1] is InvalidBoxError:
                 assert got[2] == "non-finite head interval"
@@ -1104,8 +1081,6 @@ class TestTupleHeadParity:
             lo, hi = float64_head(box.lo, h) * c, float64_head(box.hi, h) * c
             if c < 0.0:
                 lo, hi = hi, lo
-            if shift is not None:
-                lo, hi = lo + float64_head(shift, h), hi + float64_head(shift, h)
         for env, ref in zip((got[1].lo, got[1].hi), (lo, hi)):
             assert is_float_tuple(env.head) and hexes(env.head) == hexes(ref)
 

@@ -20,7 +20,6 @@ from darbocert.operators import (
     NotContractiveError,
     OperatorError,
     apply_to_box,
-    as_operator,
     compose,
     fixed_point_witness,
     verify_self_map,
@@ -44,10 +43,10 @@ UNIT = unit_box()
 
 @st.composite
 def contractive_operators(draw):
-    """(operator, horizon): heads of up to ``horizon`` entries, and d and e
-    tails whose terms still count at the horizon (ratio 0.9999), with
-    |d_i| < 1 at every coordinate."""
-    horizon = draw(st.sampled_from((1, 64, 1000, DEFAULT_HORIZON)))
+    """Operators with heads of up to 1, 64, 1000 or ``DEFAULT_HORIZON``
+    entries, and d and e tails whose terms still count at the horizon
+    (ratio 0.9999), with |d_i| < 1 at every coordinate."""
+    max_head = draw(st.sampled_from((1, 64, 1000, DEFAULT_HORIZON)))
     rng = random.Random(draw(st.integers(0, 2**32)))
     beta = draw(st.floats(-0.9, 0.9))
     # three terms of at most (1 - |beta|) / 4 keep |d_i| < 1 past the head
@@ -55,9 +54,9 @@ def contractive_operators(draw):
     ratios = st.sampled_from((0.0, 0.5, 0.9, 0.9999))
     d_terms = draw(st.lists(st.tuples(st.floats(-reach, reach), ratios), max_size=3))
     e_terms = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), ratios), max_size=3))
-    d_head = [rng.uniform(-0.99, 0.99) for _ in range(draw(st.integers(0, horizon)))]
-    e_head = [rng.uniform(-2.0, 2.0) for _ in range(draw(st.integers(0, horizon)))]
-    return diag(d_terms, beta, e_terms, 0.0, d_head, e_head), horizon
+    d_head = [rng.uniform(-0.99, 0.99) for _ in range(draw(st.integers(0, max_head)))]
+    e_head = [rng.uniform(-2.0, 2.0) for _ in range(draw(st.integers(0, max_head)))]
+    return diag(d_terms, beta, e_terms, 0.0, d_head, e_head)
 
 
 class TestApplyToBox:
@@ -65,7 +64,7 @@ class TestApplyToBox:
         image = apply_to_box(scaling_operator(0.5), UNIT)
         assert image.tail_hi == TailForm((), 0.5)
         assert image.tail_lo == TailForm((), -0.5)
-        assert hausdorff_mnc(image).value == 0.5
+        assert hausdorff_mnc(image) == 0.5
         assert abs(truncation_tail_sup(image, 10**6) - 0.5) <= 1e-6
 
     def test_identity_returns_equal_box(self):
@@ -77,7 +76,7 @@ class TestApplyToBox:
         image = apply_to_box(op, UNIT)
         assert image.tail_hi == TailForm(((1.0, 0.5),), 0.5)
         assert image.tail_lo == TailForm(((-1.0, 0.5),), -0.5)
-        assert hausdorff_mnc(image).value == 0.5
+        assert hausdorff_mnc(image) == 0.5
 
     def test_negative_coefficients_swap_envelopes(self):
         box = TailBox((), (), TailForm((), -0.25), TailForm((), 1.0))
@@ -99,7 +98,7 @@ class TestApplyToBox:
         assert image.head_len == 0
         assert image.tail_hi == op.d_tail
         assert image.tail_lo == op.d_tail.scale(-1.0)
-        assert hausdorff_mnc(image).value == 0.0
+        assert hausdorff_mnc(image) == 0.0
         assert verify_self_map(op, UNIT)
 
     def test_late_sign_settling_is_undecided_without_allocating(self):
@@ -136,7 +135,7 @@ class TestApplyToBox:
         d1 = 1.0 - 4.0 * 0.5
         assert image.lo(1) == min(d1 * -1.0, d1 * 1.0)
         assert image.hi(1) == max(d1 * -1.0, d1 * 1.0)
-        assert hausdorff_mnc(image).value == 1.0
+        assert hausdorff_mnc(image) == 1.0
 
     def test_heads_match_the_scalar_formula_exactly(self):
         rng = random.Random(23)
@@ -185,7 +184,7 @@ class TestCompose:
     def test_materialised_composition_matches_sequential_application(self):
         first = diag(d_const=0.5, e_terms=((1.0, 0.25),))
         second = diag(d_const=-0.5, e_terms=((0.5, 0.5),))
-        combined = as_operator([first, second])
+        combined = compose(second, first)
         via_steps = apply_to_box(second, apply_to_box(first, UNIT))
         direct = apply_to_box(combined, UNIT)
         assert direct == via_steps
@@ -209,10 +208,6 @@ class TestCompose:
         op = diag(d_const=0.5, e_head=(1.0, 2.0))
         assert hexes(op.d.head) == hexes([0.5, 0.5])
         assert op.e.head_len == op.head_len == 2
-
-    def test_empty_composition_rejected(self):
-        with pytest.raises(OperatorError):
-            as_operator([])
 
     def test_offset_with_nonzero_asym_rejected(self):
         with pytest.raises(OperatorError):
@@ -249,7 +244,7 @@ class TestMuScaling:
     def test_pure_scaling_measure_is_homogeneous(self):
         for c in (0.5, -0.75, 0.0, 0.9):
             image = apply_to_box(scaling_operator(c), UNIT)
-            assert hausdorff_mnc(image).value == abs(c) * 1.0
+            assert hausdorff_mnc(image) == abs(c) * 1.0
 
 
 class TestFixedPointWitness:
@@ -299,15 +294,14 @@ class TestFixedPointWitness:
         ],
     )
     def test_trailing_head_entries_equal_to_the_tail_are_trimmed(self, op, head_len):
-        horizon = 3000
-        witness = fixed_point_witness(op, horizon)
+        witness = fixed_point_witness(op)
         assert witness.point.head_len == head_len
-        solve_to = horizon if op.d.tail.n_terms else op.head_len
-        probe_to = horizon if op.d.tail.n_terms else 64
+        solve_to = DEFAULT_HORIZON if op.d.tail.n_terms else op.head_len
+        probe_to = DEFAULT_HORIZON if op.d.tail.n_terms else 64
         full = Point(
             [op.e(i) / (1.0 - op.d(i)) for i in range(1, solve_to + 1)], witness.point.tail
         )
-        assert all(witness.point(i) == full(i) for i in range(1, horizon + 65))
+        assert all(witness.point(i) == full(i) for i in range(1, DEFAULT_HORIZON + 65))
         # the residual of the untrimmed point, one scalar coordinate at a time
         probes = list(range(1, probe_to + 1)) + [probe_to * 2**k for k in range(1, 41)]
         residual = max(abs(op.d(i) * full(i) + op.e(i) - full(i)) for i in probes if i <= 2**62)
@@ -318,13 +312,14 @@ class TestFixedPointWitness:
             fixed_point_witness(identity_operator())
 
     def test_late_dominance_index_hits_the_horizon(self):
-        # |d_i| < 1 is certified only from i = 9 on, where 1.2*0.9**i < 1 - 0.5
+        # |d_i| < 1 is certified only from i = 69,315 on, where
+        # 0.2*0.99999**i < 1 - 0.9: past the horizon
+        op = diag(d_terms=((0.2, 0.99999),), d_const=0.9, e_terms=((1.0, 0.5),))
+        with pytest.raises(NotContractiveError, match="within horizon 10000"):
+            fixed_point_witness(op)
+        # from i = 9 on, where 1.2*0.9**i < 1 - 0.5: within it
         op = diag(d_terms=((0.6, 0.9), (-0.6, 0.8)), d_const=0.5, e_terms=((1.0, 0.5),))
-        with pytest.raises(NotContractiveError, match="horizon 5"):
-            fixed_point_witness(op, horizon=5)
-        witness = fixed_point_witness(op, horizon=50)
-        assert witness.point.head_len == 50
-        assert witness.residual <= 1e-10
+        assert fixed_point_witness(op).residual <= 1e-10
 
     def test_head_coefficient_at_one_rejected(self):
         op = DiagonalAffineOperator((1.0,), TailForm((), 0.5), (), TailForm())
@@ -333,18 +328,17 @@ class TestFixedPointWitness:
 
     @settings(deadline=None, max_examples=20)
     @given(contractive_operators())
-    def test_random_contractive_operators_under_a_memory_bound(self, case):
-        op, horizon = case
+    def test_random_contractive_operators_under_a_memory_bound(self, op):
         tracemalloc.start()
         try:
-            witness = fixed_point_witness(op, horizon)
+            witness = fixed_point_witness(op)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # a few head arrays of at most 10**4 entries: about 0.7 MB at most
         assert peak < 2 * 2**20
-        solve_to = max(op.head_len, horizon) if op.d.tail.n_terms else op.head_len
-        probe_to = max(op.head_len, horizon) if op.d.tail.n_terms else max(op.head_len, 64)
+        solve_to = max(op.head_len, DEFAULT_HORIZON) if op.d.tail.n_terms else op.head_len
+        probe_to = max(op.head_len, DEFAULT_HORIZON) if op.d.tail.n_terms else max(op.head_len, 64)
         full = Point(
             [op.e(i) / (1.0 - op.d(i)) for i in range(1, solve_to + 1)], witness.point.tail
         )
