@@ -30,7 +30,6 @@ PUBLIC = {
 
 def test_package_exports_exactly_the_pinned_names():
     assert set(darbocert.__all__) == PUBLIC
-    assert all(hasattr(darbocert, name) for name in PUBLIC)
 
 
 @pytest.mark.parametrize("module", [darbocert, mnc, operators], ids=lambda m: m.__name__)
