@@ -4,6 +4,7 @@ certified Darbo-type fixed point iteration."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
 from .expr import Expr, parse_expr, eval_expr, unparse, limit_in_n
 from .mnc import (
     TailForm,
@@ -49,4 +50,6 @@ from .engine import (
     weak_contraction_run,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names; the submodules bound by importing from them are not public
+__all__ = [name for name, value in sorted(globals().items())
+           if not (name.startswith("_") or isinstance(value, _ModuleType))]

@@ -86,6 +86,15 @@ def _malformed(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _number(value: Any, integral: bool = False) -> float | int:
+    """A JSON number, not a bool: a float, or an int (10 or 10.0) if ``integral``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if integral and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def _list(obj: dict, key: str, where: str = "") -> list:
     """``obj[key]`` or [] when absent; a string or object would iterate as one."""
     value = obj.get(key, [])
@@ -102,8 +111,8 @@ def _parse_tail_form(obj: Any, where: str) -> TailForm:
             f"{where}: term {k} needs alpha and rho",
         )
     with _malformed(where):
-        pairs = tuple((float(term["alpha"]), float(term["rho"])) for term in terms)
-        return TailForm(pairs, float(obj.get("beta", 0.0)))
+        pairs = tuple((_number(term["alpha"]), _number(term["rho"])) for term in terms)
+        return TailForm(pairs, _number(obj.get("beta", 0.0)))
 
 
 def _parse_box(obj: Any, where: str) -> TailBox:
@@ -112,8 +121,8 @@ def _parse_box(obj: Any, where: str) -> TailBox:
         _require(key in obj, f"{where}: missing {key}")
     with _malformed(where):
         return TailBox(
-            tuple(float(x) for x in _list(obj, "headLo", where)),
-            tuple(float(x) for x in _list(obj, "headHi", where)),
+            tuple(map(_number, _list(obj, "headLo", where))),
+            tuple(map(_number, _list(obj, "headHi", where))),
             _parse_tail_form(obj["tailLo"], f"{where}.tailLo"),
             _parse_tail_form(obj["tailHi"], f"{where}.tailHi"),
         )
@@ -131,9 +140,9 @@ def _parse_operator(obj: Any, where: str) -> DiagonalAffineOperator:
         return current
     with _malformed(where):
         return DiagonalAffineOperator(
-            tuple(float(x) for x in _list(obj, "dHead", where)),
+            tuple(map(_number, _list(obj, "dHead", where))),
             _parse_tail_form(obj.get("dTail", {}), f"{where}.dTail"),
-            tuple(float(x) for x in _list(obj, "eHead", where)),
+            tuple(map(_number, _list(obj, "eHead", where))),
             _parse_tail_form(obj.get("eTail", {}), f"{where}.eTail"),
         )
 
@@ -169,7 +178,7 @@ def _parse_ladder(obj: Any, where: str) -> tuple[int, ...]:
     in double precision, so an entry past the float range (2**1100, say) is
     an input error."""
     with _malformed(where):
-        ladder = tuple(int(n) for n in obj)
+        ladder = tuple(_number(n, integral=True) for n in obj)
         for n in ladder:
             float(n)  # raises OverflowError past the float range
     _require(
@@ -186,9 +195,9 @@ def _parse_grid(obj: Any, where: str) -> SampleGrid:
     kwargs: dict = {}
     with _malformed(where):
         if "tMax" in obj:
-            kwargs["t_max"] = float(obj["tMax"])
+            kwargs["t_max"] = _number(obj["tMax"])
         if "step" in obj:
-            kwargs["step"] = float(obj["step"])
+            kwargs["step"] = _number(obj["step"])
         if "nLadder" in obj:
             kwargs["n_ladder"] = _parse_ladder(_list(obj, "nLadder", where), f"{where}.nLadder")
         return SampleGrid(**kwargs)
@@ -249,20 +258,20 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.grid = _parse_grid(raw.get("grid"), "grid")
 
     with _malformed("uniformTol"):
-        cfg.uniform_tol = float(raw.get("uniformTol", 1e-6))
+        cfg.uniform_tol = _number(raw.get("uniformTol", 1e-6))
     _require(cfg.uniform_tol > 0, "uniformTol must be positive")
     with _malformed("tol"):
-        cfg.tol = float(raw.get("tol", 1e-9))
+        cfg.tol = _number(raw.get("tol", 1e-9))
     _require(cfg.tol > 0, "tol must be positive")
     with _malformed("maxIter"):
-        cfg.max_iter = int(raw.get("maxIter", 10_000))
+        cfg.max_iter = _number(raw.get("maxIter", 10_000), integral=True)
     # a step costs about 0.1 ms, and 0.13 KB of report plus 45 bytes per further margin
     _require(1 <= cfg.max_iter <= 10**5, "maxIter must lie in [1, 10**5]")
     if "nLadder" in raw:
         cfg.n_ladder = _parse_ladder(_list(raw, "nLadder"), "nLadder")
     if "classicK" in raw:
         with _malformed("classicK"):
-            cfg.classic_k = float(raw["classicK"])
+            cfg.classic_k = _number(raw["classicK"])
         _require(0.0 <= cfg.classic_k < 1.0, "classicK must lie in [0, 1)")
     cfg.enforce_pair_checks = raw.get("enforcePairChecks", True)
     _require(isinstance(cfg.enforce_pair_checks, bool), "enforcePairChecks must be true or false")
@@ -271,7 +280,7 @@ def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(axioms, dict), "axioms must be an object")
     defaults = AxiomCounts()
     with _malformed("axioms"):
-        counts = {name: int(axioms.get(key, getattr(defaults, name)))
+        counts = {name: _number(axioms.get(key, getattr(defaults, name)), integral=True)
                   for key, name, _, _ in _AXIOM_COUNTS}
     for key, name, low, (base, power) in _AXIOM_COUNTS:
         bounds = f"[{low}, {base}**{power}]"

@@ -53,18 +53,15 @@ from .operators import (
 )
 from .shifting import (
     _MAX_GRID_CELLS,
-    FAIL,
     PASS,
     TIE_TOL,
     CheckReport,
     FunctionSequencePair,
     SampleGrid,
-    _ladder_rows,
     check_equality_only_at_zero,
-    first_partner,
+    check_example_bound,
     grid_table,
     limit_values,
-    pair_table,
     run_all_checks,
 )
 
@@ -309,71 +306,6 @@ def darbo_iterate(
     )
     cert.checks = checks
     return cert
-
-
-def check_example_bound(
-    pair: FunctionSequencePair,
-    grid: SampleGrid,
-    n_list: tuple[int, ...],
-) -> CheckReport:
-    """For every listed n and every grid pair (u, v) satisfying
-    psi_n(u) <= phi_n(v), verify 2u - v <= (2n+1)/(n(n+1)) within the tie
-    tolerance; additionally verify the bound decreases along n and that
-    pairs satisfying the limit hypothesis obey 2u - v <= 0 (u <= v/2)."""
-    t = grid.t_values()
-
-    def max_lhs(psi: np.ndarray, phi: np.ndarray) -> tuple[float, int, int]:
-        # the largest 2u - v of a row sits at its first partner v
-        j = first_partner(psi, phi)
-        has = j < t.size
-        lhs = np.full(t.shape, -np.inf)
-        lhs[has] = (2.0 * t)[has] - t[j[has]]
-        i = int(lhs.argmax())
-        return float(lhs[i]), i, int(j[i]) if has[i] else 0
-
-    rows = _ladder_rows(pair, n_list)
-    maxima = [max_lhs(psi, phi) for psi, phi in zip(*pair_table(pair, t, rows))]
-    if len(rows) < len(n_list):
-        # the pair does not mention n: its one row stands for every n
-        maxima *= len(n_list)
-    per_n: dict[str, dict] = {}
-    counterexample = None
-    bounds = []
-    for n, (lhs, i, j) in zip(n_list, maxima):
-        bound = float(Fraction(2 * n + 1, n * (n + 1)))
-        bounds.append(bound)
-        per_n[str(n)] = {"bound": bound, "maxLhs": lhs, "margin": bound - lhs}
-        if counterexample is None and lhs > bound + TIE_TOL:
-            counterexample = {
-                "n": int(n),
-                "u": float(t[i]),
-                "v": float(t[j]),
-                "lhs": lhs,
-                "bound": bound,
-            }
-    details: dict = {"perN": per_n}
-    details["boundDecreasing"] = all(
-        b2 <= b1 + TIE_TOL for b1, b2 in zip(bounds, bounds[1:])
-    )
-    if not details["boundDecreasing"] and counterexample is None:
-        counterexample = {"reason": "bound not decreasing along n"}
-
-    if pair.psi_limit is not None and pair.phi_limit is not None:
-        lhs, i, j = max_lhs(
-            limit_values(pair.psi_limit, pair.psi_seq, t),
-            limit_values(pair.phi_limit, pair.phi_seq, t),
-        )
-        details["limitMaxLhs"] = lhs
-        if counterexample is None and lhs > TIE_TOL:
-            counterexample = {
-                "n": "limit",
-                "u": float(t[i]),
-                "v": float(t[j]),
-                "lhs": lhs,
-                "bound": 0.0,
-            }
-    verdict = FAIL if counterexample is not None else PASS
-    return CheckReport("contraction_bound", verdict, counterexample=counterexample, details=details)
 
 
 def identity_pair(k: float | None = None) -> FunctionSequencePair:

@@ -89,6 +89,10 @@ _HEAD_CAP = 100_000
 # window stay small.
 _SCAN_CHUNK = 1 << 16
 
+# TailForm.__mul__ refuses a product of more raw terms than this, the size
+# Seq._tail_values is written for: n composed operators can give 2**n terms.
+_MAX_PRODUCT_TERMS = 100_000
+
 # Array arithmetic that overflows as Python floats do, without a warning.
 _FLOAT_ARITHMETIC = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
@@ -182,6 +186,7 @@ def _powers(ratio: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.power(ratio, x, out=out, where=x < live)
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class TailForm:
     """finite sum of geometric terms plus a constant, evaluated at i >= 1.
 
@@ -199,7 +204,8 @@ class TailForm:
     equal however they were built.
     """
 
-    __slots__ = ("terms", "constant")
+    terms: tuple[tuple[float, float], ...]
+    constant: float
 
     def __init__(self, terms=(), constant: float = 0.0):
         pairs = []
@@ -227,26 +233,9 @@ class TailForm:
         form._init(terms, constant)
         return form
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to TailForm.{name}: tail forms are immutable")
-
-    def __reduce__(self):
-        return (TailForm, (self.terms, self.constant))
-
     @property
     def n_terms(self) -> int:
         return len(self.terms)
-
-    def __eq__(self, other):
-        if type(other) is not TailForm:
-            return NotImplemented
-        return self.constant == other.constant and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.terms, self.constant))
-
-    def __repr__(self):
-        return f"TailForm(terms={self.terms!r}, constant={self.constant!r})"
 
     @property
     def asym(self) -> float:
@@ -281,7 +270,12 @@ class TailForm:
         return out.reshape(np.shape(indices))
 
     def coeff_abs_sum(self) -> float:
-        return sum(abs(c) for c, _ in self.terms)
+        """sum_j |c_j|, added left to right from 0.0 on every Python
+        version (sum() of floats is compensated from Python 3.12 on)."""
+        total = 0.0
+        for c, _ in self.terms:
+            total += abs(c)
+        return total
 
     def max_ratio(self) -> float:
         return self.terms[-1][1] if self.terms else 0.0
@@ -318,6 +312,11 @@ class TailForm:
     def __mul__(self, other: "TailForm") -> "TailForm":
         # (sum a r^i + b)(sum a' r'^i + b'): product ratios r*r' stay in [0,1);
         # terms in this order: products, b*a' terms, b'*a terms
+        n, m = self.n_terms, other.n_terms
+        if (n + 1) * (m + 1) - 1 > _MAX_PRODUCT_TERMS:
+            raise InvalidTailFormError(
+                f"a product of {n}- and {m}-term tail forms exceeds {_MAX_PRODUCT_TERMS} terms"
+            )
         terms = []
         for c1, r1 in self.terms:
             for c2, r2 in other.terms:

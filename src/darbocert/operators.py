@@ -22,7 +22,9 @@ from .mnc import (
     Seq,
     TailBox,
     TailForm,
+    UndecidedComparisonError,
     affine_image,
+    eventual_sign,
     subset,
 )
 
@@ -121,9 +123,14 @@ def _check_contractive(op: DiagonalAffineOperator) -> None:
     beta = abs(op.d.asym)
     if beta >= 1.0:
         raise NotContractiveError(f"|asym(d)| = {beta} >= 1")
-    # beyond idx the geometric part is < 1 - |beta|, so |d(i)| < 1 there
+    # 1 - d and 1 + d tend to 1 -+ asym(d) > 0: from the later index where each
+    # stays positive (eventual_sign) |d_i| < 1; the coordinates before are scanned
     start = op.head_len + 1
-    idx = op.d.tail.with_constant(1.0 - beta).dominance_index(start)
+    one = TailForm((), 1.0)
+    try:
+        idx = max(eventual_sign(form, start)[1] for form in (one - op.d.tail, one + op.d.tail))
+    except UndecidedComparisonError:  # settles past the cap, far past the horizon
+        idx = math.inf
     if idx - start > DEFAULT_HORIZON:
         raise NotContractiveError(f"cannot certify sup|d_i| < 1 within horizon {DEFAULT_HORIZON}")
     bad = np.flatnonzero(np.abs(op.d.array(idx)) >= 1.0)

@@ -16,6 +16,7 @@ guessing the intended one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -31,7 +32,6 @@ __all__ = [
     "SampleGrid",
     "CheckReport",
     "grid_table",
-    "pair_table",
     "limit_values",
     "first_partner",
     "check_uniform_convergence",
@@ -39,6 +39,7 @@ __all__ = [
     "check_condition_i",
     "check_condition_ii",
     "check_equality_only_at_zero",
+    "check_example_bound",
     "run_all_checks",
 ]
 
@@ -131,13 +132,6 @@ def grid_table(e: Expr, t: np.ndarray, ns: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(eval_expr(e, t, n_column), (len(ns), t.size))
 
 
-def pair_table(
-    pair: FunctionSequencePair, t: np.ndarray, ns: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """[n, t] tables of psi_n and phi_n."""
-    return grid_table(pair.psi_seq, t, ns), grid_table(pair.phi_seq, t, ns)
-
-
 def limit_values(declared: Expr | None, seq: Expr, t):
     """Limit in n of ``seq`` at t, a scalar or an array: the declared limit
     expression broadcast to the shape of t when there is one, otherwise the
@@ -166,16 +160,19 @@ def _ladder_rows(pair: FunctionSequencePair, ns: tuple[int, ...]) -> tuple[int, 
 
 class _PairEvaluation:
     """A pair on one grid, each piece built on first use and kept: the
-    points t, the two limit rows and the two [n, t] tables over
-    ``_ladder_rows``.  A LimitDivergenceError is kept and raised again,
-    with the same message, to every reader of the limits.
-    ``run_all_checks`` hands one to each check as ``_evaluation``; a check
-    called alone builds its own."""
+    points t, the two limit rows and the [n, t] tables of psi_n and phi_n
+    over ``_ladder_rows`` of ``ladder``, the grid's own ladder when it is
+    None.  A LimitDivergenceError is kept and raised again, with the same
+    message, to every reader of the limits.  ``run_all_checks`` hands one
+    to each check as ``_evaluation``; a check called alone builds its own,
+    and ``check_example_bound`` builds one over its n list."""
 
-    def __init__(self, pair: FunctionSequencePair, grid: SampleGrid):
+    def __init__(
+        self, pair: FunctionSequencePair, grid: SampleGrid, ladder: tuple[int, ...] | None = None
+    ):
         self.pair = pair
         self.t = grid.t_values()
-        self.rows = _ladder_rows(pair, grid.n_ladder)
+        self.rows = _ladder_rows(pair, grid.n_ladder if ladder is None else ladder)
         self._limits: tuple[np.ndarray, np.ndarray] | LimitDivergenceError | None = None
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -191,7 +188,8 @@ class _PairEvaluation:
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         if self._tables is None:
-            self._tables = pair_table(self.pair, self.t, self.rows)
+            psi, phi = self.pair.psi_seq, self.pair.phi_seq
+            self._tables = grid_table(psi, self.t, self.rows), grid_table(phi, self.t, self.rows)
         return self._tables
 
 
@@ -420,6 +418,57 @@ def check_equality_only_at_zero(
             details={"reason": "limits agree away from zero"},
         )
     return CheckReport("equality_only_at_zero", PASS)
+
+
+def check_example_bound(
+    pair: FunctionSequencePair, grid: SampleGrid, n_list: tuple[int, ...]
+) -> CheckReport:
+    """For every listed n and every grid pair (u, v) satisfying
+    psi_n(u) <= phi_n(v), verify 2u - v <= (2n+1)/(n(n+1)) within the tie
+    tolerance; additionally verify that the exact bound does not rise
+    along the list, and that pairs satisfying the limit hypothesis obey
+    2u - v <= 0 (u <= v/2).  The pair is evaluated once over ``n_list``,
+    as ``_PairEvaluation`` does for the battery."""
+    ev = _PairEvaluation(pair, grid, n_list)
+    t = ev.t
+
+    def max_lhs(psi: np.ndarray, phi: np.ndarray) -> tuple[float, int, int]:
+        # the largest 2u - v of a row sits at its first partner v
+        j = first_partner(psi, phi)
+        has = j < t.size
+        lhs = np.full(t.shape, -np.inf)
+        lhs[has] = (2.0 * t)[has] - t[j[has]]
+        i = int(lhs.argmax())
+        return float(lhs[i]), i, int(j[i]) if has[i] else 0
+
+    def violation(n, lhs: float, i: int, j: int, bound: float) -> dict:
+        return {"n": n, "u": float(t[i]), "v": float(t[j]), "lhs": lhs, "bound": bound}
+
+    maxima = [max_lhs(psi, phi) for psi, phi in zip(*ev.tables())]
+    if len(ev.rows) < len(n_list):
+        # the pair does not mention n: its one row stands for every n
+        maxima *= len(n_list)
+    per_n: dict[str, dict] = {}
+    counterexample = None
+    bounds = []
+    for n, (lhs, i, j) in zip(n_list, maxima):
+        bounds.append(Fraction(2 * n + 1, n * (n + 1)))
+        bound = float(bounds[-1])
+        per_n[str(n)] = {"bound": bound, "maxLhs": lhs, "margin": bound - lhs}
+        if counterexample is None and lhs > bound + TIE_TOL:
+            counterexample = violation(int(n), lhs, i, j, bound)
+    decreasing = all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))  # exact, no tie tolerance
+    details: dict = {"perN": per_n, "boundDecreasing": decreasing}
+    if not decreasing and counterexample is None:
+        counterexample = {"reason": "bound not decreasing along n"}
+
+    if pair.psi_limit is not None and pair.phi_limit is not None:
+        lhs, i, j = max_lhs(*ev.limits())
+        details["limitMaxLhs"] = lhs
+        if counterexample is None and lhs > TIE_TOL:
+            counterexample = violation("limit", lhs, i, j, 0.0)
+    verdict = FAIL if counterexample is not None else PASS
+    return CheckReport("contraction_bound", verdict, counterexample=counterexample, details=details)
 
 
 def run_all_checks(

@@ -630,8 +630,15 @@ class TestConfigValidation:
             ({"grid": {"tMax": "x"}}, "grid"),
             ({"tol": [1]}, "tol"),
             ({"operator": {"compose": []}}, "operator"),
+            # a config number must be a JSON number, and a count an integral one
+            ({"classicK": False}, "classicK"),
+            ({"tol": "0.5"}, "tol"),
+            ({"maxIter": 2.5}, "maxIter"),
+            ({"nLadder": [1.5, 2.5]}, "nLadder"),
+            ({"axioms": {"m1": 2.9}}, "axioms"),
         ],
-        ids=["headLo", "alpha", "tMax", "tol", "compose"],
+        ids=["headLo", "alpha", "tMax", "tol", "compose", "false", "string", "2.5", "nLadder",
+             "axiom-count"],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, payload, where):
         cfg = write_config(tmp_path, dict(payload, pair=RATIONAL_PAIR))
@@ -640,6 +647,24 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}: ")
         assert not out.exists()
+
+    def test_integral_floats_are_accepted_as_counts(self):
+        cfg = parse_config({"maxIter": 10.0, "nLadder": [1.0, 2], "axioms": {"m1": 3.0}})
+        assert (cfg.max_iter, cfg.n_ladder, cfg.axiom_counts.m1) == (10, (1, 2), 3)
+        assert type(cfg.max_iter) is int and type(cfg.axiom_counts.m1) is int
+
+    def test_compose_past_the_product_cap_is_config_error(self, tmp_path, capsys):
+        # n one-term multipliers with distinct ratios compose to about 2**n
+        # terms: 16 give 58,050, and the 17th product would pass 10**5
+        parts = [dict(HALF_SCALING, dTail={"terms": [{"alpha": 0.01, "rho": 0.5 + 0.02 * k}],
+                                           "beta": 0.5}) for k in range(18)]
+        m = parse_config({"operator": {"compose": parts[:16]}}).operator.d_tail.n_terms
+        assert m == 58_050
+        cfg = certify_config(tmp_path, operator={"compose": parts}, classicK=0.6)
+        assert run(["certify", "--mode", "classic", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: a product of 1- and {m}-term tail forms exceeds 100000 terms\n"
+        )
 
     @pytest.mark.parametrize(
         "grid, message",

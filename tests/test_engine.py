@@ -228,8 +228,24 @@ class TestExampleBound:
         assert rep.details["perN"]["1"]["maxLhs"] == 19.0
         assert rep.counterexample == {"n": 1, "u": 10.0, "v": 1.0, "lhs": 19.0, "bound": 1.5}
 
+    def test_a_bound_rising_by_less_than_the_tie_tolerance_is_not_decreasing(self):
+        # the bound rises by 8.9e-13 from n = 1,500,001 to 1,500,000; the
+        # exact bounds are compared, not floats within TIE_TOL
+        rep = check_example_bound(PAIR, SampleGrid(t_max=10, step=0.5), (1_500_001, 1_500_000))
+        assert rep.details["boundDecreasing"] is False
+        assert rep.verdict == FAIL
+        assert rep.counterexample == {"reason": "bound not decreasing along n"}
+        assert check_example_bound(PAIR, GRID, (1_500_000, 1_500_001)).details["boundDecreasing"]
+
 
 class TestClassicRun:
+    def test_a_slowly_settling_multiplier_gets_its_witness(self):
+        # d = 0.9 - 1.5*0.99999**i: |d_i| < 1 at every i
+        op = DiagonalAffineOperator((), TailForm(((-1.5, 0.99999),), 0.9))
+        cert = classic_darbo_run(op, unit_box(), k=0.95, tol=1e-9)
+        assert (cert.outcome, len(cert.trace) - 1) == (CERTIFIED, 197)
+        assert cert.witness is not None and cert.witness.residual == 0.0
+
     def test_half_factor_on_half_scaling_certifies(self):
         cert = classic_darbo_run(scaling_operator(0.5), unit_box(), k=0.5, tol=1e-9)
         assert cert.outcome == CERTIFIED

@@ -1120,6 +1120,15 @@ def loop_product_terms(f, g):
     return terms
 
 
+def loop_abs_sum(terms):
+    """sum |c| left to right from 0.0: Python 3.11's sum() of floats, which
+    3.12 made compensated."""
+    total = 0.0
+    for c, _ in terms:
+        total += abs(c)
+    return total
+
+
 def bits(terms):
     return [(c.hex(), r.hex()) for c, r in terms]
 
@@ -1164,13 +1173,25 @@ class TestArrayBackedForms:
             assert bits(form.terms) == bits(loop_normalise(raw))
             assert form.n_terms == len(form.terms)
             # sequential sums and the largest ratio, as the tuple loops give them
-            assert form.coeff_abs_sum() == sum(abs(a) for a, _ in form.terms)
+            assert form.coeff_abs_sum() == loop_abs_sum(form.terms)
             assert form.max_ratio() == max((r for _, r in form.terms), default=0.0)
             # the constructor on the same terms gives an equal form
             rebuilt = TailForm(form.terms, form.constant)
             assert rebuilt == form and hash(rebuilt) == hash(form)
             assert hash(form) == hash((form.terms, form.constant))
         assert (f == g) == (f.terms == g.terms and b1 == b2)
+
+    def test_coefficient_sum_is_not_compensated(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum gives 1e16 + 2
+        form = TailForm(((1e16, 0.1), (1.0, 0.2), (1.0, 0.3)))
+        assert form.coeff_abs_sum() == loop_abs_sum(form.terms) == 1e16
+
+    def test_product_past_the_cap_is_refused_before_it_is_built(self):
+        # (n + 1)(m + 1) - 1 raw terms: 99,999 are built, 100,001 are not
+        one = TailForm(((1.0, 0.5),), 0.5)
+        assert (TailForm([(1.0, k / 2e5) for k in range(1, 50_000)], 0.5) * one).n_terms == 75_000
+        with pytest.raises(InvalidTailFormError, match="^a product of 50000- and 1-term tail forms"):
+            TailForm([(1.0, k / 2e5) for k in range(1, 50_001)]) * one
 
     @pytest.mark.parametrize("n", [5, 100])
     @pytest.mark.parametrize(

@@ -321,6 +321,17 @@ class TestFixedPointWitness:
         op = diag(d_terms=((0.6, 0.9), (-0.6, 0.8)), d_const=0.5, e_terms=((1.0, 0.5),))
         assert fixed_point_witness(op).residual <= 1e-10
 
+    def test_contraction_is_decided_by_the_signs_of_one_minus_and_plus_d(self):
+        # d = 0.9 - 1.5*0.99999**i: 1 - d is positive throughout and 1 + d
+        # from i = 1, though sum |c_j| r**i < 1 - |beta| holds only from
+        # i of about 270,800
+        op = diag(d_terms=((-1.5, 0.99999),), d_const=0.9, e_terms=((1.0, 0.5),))
+        assert fixed_point_witness(op).residual <= 1e-10
+        # 1 - d settles about 6.9e9 past the head, past the sign cap: refused
+        op = diag(d_terms=((0.2, 1 - 1e-10),), d_const=0.9)
+        with pytest.raises(NotContractiveError, match="within horizon 10000"):
+            fixed_point_witness(op)
+
     def test_head_coefficient_at_one_rejected(self):
         op = DiagonalAffineOperator((1.0,), TailForm((), 0.5), (), TailForm())
         with pytest.raises(NotContractiveError):

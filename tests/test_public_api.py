@@ -7,8 +7,6 @@ import darbocert
 from darbocert import mnc, operators
 
 PUBLIC = {
-    # submodules
-    "engine", "expr", "mnc", "operators", "shifting",
     # expressions
     "Expr", "eval_expr", "limit_in_n", "parse_expr", "unparse",
     # the set model and its measure
