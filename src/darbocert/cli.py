@@ -136,7 +136,9 @@ def _parse_operator(obj: Any, where: str) -> DiagonalAffineOperator:
         # list order: the first element acts first
         current = _parse_operator(parts[0], f"{where}.compose[0]")
         for k, p in enumerate(parts[1:], 1):
-            current = compose(_parse_operator(p, f"{where}.compose[{k}]"), current)
+            # a product past the term cap is refused here, at its element
+            with _malformed(f"{where}.compose[{k}]"):
+                current = compose(_parse_operator(p, f"{where}.compose[{k}]"), current)
         return current
     with _malformed(where):
         return DiagonalAffineOperator(

@@ -30,10 +30,12 @@ first negative value decides.  Only a form whose sign settles past a cap
 is left undecided.
 
 Head arithmetic runs on Python floats, which round as float64 does; tail
-forms are evaluated in numpy, with each term's powers masked past its
-underflow index (``_powers``: there every power is +0.0, which numpy's
-underflow path would compute about ten times slower), and ``Seq.array``
-gives numpy a long head.
+forms are evaluated in numpy, and ``Seq.array`` gives numpy a long head.
+No power is computed past a form's settle index (``_settle_index``), from
+which its float value is ``0.0 + constant`` bit for bit: ``Seq.pad`` and
+``Seq.array`` fill those coordinates, and ``_powers`` masks them, as it
+masks each term past its underflow index, where numpy's underflow path
+would compute the +0.0 about ten times slower.
 
 Everything here is immutable and pure; concurrent use needs no locks.
 """
@@ -157,12 +159,13 @@ def _merge_sorted(p1, p2) -> tuple[tuple[float, float], ...]:
     return (*out, *p2[j:])
 
 
-def _powers(ratio: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.power(ratio, x)`` written into ``out`` and returned, bit for
-    bit, with every power past the ratio's underflow index left as the
-    ``+0.0`` that ``np.power`` would have computed on its slow underflow
-    path (about 70 ns a power against 6 ns for a normal result, numpy
-    2.4 with AVX-512).
+def _powers(ratio: float, x: np.ndarray, out: np.ndarray, settle: int) -> np.ndarray:
+    """``np.power(ratio, x)`` written into ``out`` and returned, with every
+    lane at or past min(live(r), ``settle``) left as ``+0.0``: past the
+    underflow index that is the power ``np.power`` would have computed on
+    its slow underflow path (about 70 ns a power against 6 ns for a normal
+    result, numpy 2.4 with AVX-512), and past ``settle``, the form's
+    ``_settle_index``, the term cannot change the form's value.
 
     ``ratio`` lies in (0, 1); ``x`` is an array of float indices.  The
     underflow index of r is
@@ -183,7 +186,33 @@ def _powers(ratio: float, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """
     live = 1100.0 / -math.log2(ratio) + 2.0
     out[...] = 0.0
-    return np.power(ratio, x, out=out, where=x < live)
+    return np.power(ratio, x, out=out, where=x < min(live, settle))
+
+
+def _settle_index(form: "TailForm", stop: float = math.inf) -> int:
+    """An index K from which ``form.value(i)`` is ``0.0 + constant`` bit
+    for bit (1 with no terms), or an index past ``stop`` if K is.
+
+    K is the largest ratio rho's underflow index (``_powers``) or, if
+    ulp(c) >= 2**-996 for the constant c and it is smaller, the dominance
+    index K' of the terms against b = ulp(c)/16 if P = rho**K' > 0: from K'
+    on every pow(r, i) is below about 3P (pow within one ulp, P >= 2**-1074),
+    so the terms with their rounding add up to under 4b = ulp(c)/4 (the
+    floor keeps subnormal rounding errors far below b), and round to
+    nearest keeps c + t == c for |t| < ulp(c)/4 (the spacing below a power
+    of two is the tighter side), in ``value``'s running sum and in every
+    step of ``values``.  K' is not computed if the largest-ratio term
+    alone is at least b at ``stop``."""
+    if not form.terms:
+        return 1
+    coeff, rho = form.terms[-1]
+    settle = math.ceil(1100.0 / -math.log2(rho) + 2.0)  # live(rho)
+    b = math.ulp(form.constant) / 16.0
+    if b >= 2.0**-1000 and abs(coeff) * rho**stop < b:
+        k = TailForm._of(form.terms, b).dominance_index()
+        if rho**k > 0.0:
+            settle = min(settle, k)
+    return settle
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -256,15 +285,17 @@ class TailForm:
         """f(i) at every index of ``indices``: the terms are added to the
         constant one at a time, in order, each as ``coeff * powers`` with
         the powers from ``_powers``, which skips the powers that certainly
-        underflow.  One power buffer serves every term and is scaled in
-        place, so the temporaries are three index-sized arrays (indices as
-        floats, the buffer and the result) however many terms there are."""
+        underflow or cannot change the value (past ``_settle_index``).  One
+        power buffer serves every term and is scaled in place, so the
+        temporaries are three index-sized arrays (indices as floats, the
+        buffer and the result) however many terms there are."""
         idx = np.ravel(indices)
         x = idx.astype(float)
         out = np.full(idx.shape, self.constant)
         buf = np.empty(idx.shape)
+        settle = _settle_index(self)
         for coeff, ratio in self.terms:
-            _powers(ratio, x, buf)
+            _powers(ratio, x, buf, settle)
             buf *= coeff
             out += buf
         return out.reshape(np.shape(indices))
@@ -347,9 +378,20 @@ class TailForm:
         ratio = beta / total
         log_ratio = math.log(ratio) if ratio > 0.0 else math.log(beta) - math.log(total)
         raw = log_ratio / math.log(rho)
-        idx = int(raw) + 1
-        while total * rho**idx >= beta:  # guard the float log estimate
-            idx += 1
+        # guard the float log estimate: the first index from it on where the
+        # float bound holds, in doubling steps and then halving ones: for a
+        # ratio near 1 with subnormal powers there, the two can be 10^7
+        # indices apart
+        low = idx = int(raw) + 1
+        step = 1
+        while total * rho**idx >= beta:
+            low, idx, step = idx + 1, idx + step, 2 * step
+        while low < idx:
+            mid = (low + idx) // 2
+            if total * rho**mid >= beta:
+                low = mid + 1
+            else:
+                idx = mid
         return max(start, idx)
 
 
@@ -477,41 +519,40 @@ class Seq:
         return self.tail.value(i)
 
     def _tail_values(self, h0: int, h: int):
-        """``self.tail.value(i)`` for i in h0+1..h, bit for bit, as an
-        iterable: every term ``c * pow(r, i)`` (the libm call of ``r**i``;
-        ``np.power`` differs from it in the last bit) is added in order to
-        a running sum from 0.0, and the constant last.  Each term is one
-        pass of C-level maps over all the coordinates, kept as a list: lazy
-        maps nested once per term overflow the C stack on a form of 10^5
-        terms.  A form with no terms has the value 0.0 + constant."""
+        """``self.tail.value(i)`` for i in h0+1..h, bit for bit, as
+        ``(listed, k, rest)``: the values of h0+1..k, k < the tail's
+        ``_settle_index``, and ``rest = 0.0 + constant`` past k.  Listed,
+        every term ``c * pow(r, i)`` (libm's ``r**i``; ``np.power`` differs
+        in the last bit) is added in order to a running sum from 0.0, and
+        the constant last, each term as one pass of C-level maps kept as a
+        list: lazy maps nested per term overflow the C stack at 10^5 terms."""
         tail = self.tail
-        if not tail.terms:
-            return repeat(0.0 + tail.constant, h - h0)
-        idx = range(h0 + 1, h + 1)
-        acc = repeat(0.0)
+        k = min(h, max(h0, _settle_index(tail, h) - 1))
+        idx = range(h0 + 1, k + 1)
+        acc = repeat(0.0, k - h0)
         for c, r in tail.terms:
             terms = map(operator.mul, repeat(c), map(pow, repeat(r), idx))
             acc = list(map(operator.add, acc, terms))
-        return map(operator.add, acc, repeat(tail.constant))
+        return map(operator.add, acc, repeat(tail.constant)), k, 0.0 + tail.constant
 
     def pad(self, h: int) -> "Seq":
         """The same sequence with at least h explicit head values."""
         h0 = len(self.head)
         if h <= h0:
             return self
-        return Seq._of(self.head + tuple(self._tail_values(h0, h)), self.tail)
+        listed, k, rest = self._tail_values(h0, h)
+        return Seq._of(self.head + tuple(listed) + (rest,) * (h - k), self.tail)
 
     def array(self, h: int) -> np.ndarray:
         """Coordinates 1..max(h, head length) as a float64 array, bit for
         bit ``pad(h).head``."""
         h0 = len(self.head)
         h = max(h, h0)
+        listed, k, rest = self._tail_values(h0, h)
         out = np.empty(h)
         out[:h0] = self.head
-        if self.tail.terms:
-            out[h0:] = np.fromiter(self._tail_values(h0, h), float, h - h0)
-        else:  # one store, not one per coordinate
-            out[h0:] = 0.0 + self.tail.constant
+        out[h0:k] = np.fromiter(listed, float, k - h0)
+        out[k:] = rest  # one store, not one per coordinate
         return out
 
     def _combine(self, other: "Seq", op) -> "Seq":

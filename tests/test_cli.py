@@ -663,7 +663,23 @@ class TestConfigValidation:
         cfg = certify_config(tmp_path, operator={"compose": parts}, classicK=0.6)
         assert run(["certify", "--mode", "classic", "--config", cfg]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"error: a product of 1- and {m}-term tail forms exceeds 100000 terms\n"
+            f"error: operator.compose[16]: a product of 1- and {m}-term tail forms exceeds 100000 terms\n"
+        )
+
+    def test_product_cap_error_names_the_nested_compose_element(self, tmp_path, capsys):
+        # ten two-term multipliers compose to 43,767 terms, and the eleventh
+        # product, inside a compose nested in another, would pass 10**5
+        parts = [dict(HALF_SCALING, dTail={"terms": [{"alpha": 0.01, "rho": 0.3 + 0.02 * k},
+                                                     {"alpha": 0.01, "rho": 0.5 + 0.02 * k}],
+                                           "beta": 0.5}) for k in range(11)]
+        m = parse_config({"operator": {"compose": parts[:10]}}).operator.d_tail.n_terms
+        assert m == 43_767
+        cfg = certify_config(tmp_path, operator={"compose": [HALF_SCALING, {"compose": parts}]},
+                             classicK=0.6)
+        assert run(["certify", "--mode", "classic", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: operator.compose[1].compose[10]: a product of 2- and {m}-term tail forms"
+            " exceeds 100000 terms\n"
         )
 
     @pytest.mark.parametrize(

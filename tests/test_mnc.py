@@ -164,7 +164,7 @@ class TestValuesKernel:
             # across the index, masked and computed lanes are np.power's
             x = np.arange(max(1, first - 4096), first + 4096, dtype=float)
             buf = np.full(x.shape, np.nan)
-            assert mnc._powers(r, x, buf).tobytes() == np.power(r, x).tobytes(), r
+            assert mnc._powers(r, x, buf, math.inf).tobytes() == np.power(r, x).tobytes(), r
 
     def test_temporaries_stay_bounded(self):
         # ratios near 1 keep every power a normal float over 1..10**5
@@ -180,6 +180,67 @@ class TestValuesKernel:
         # the result) and a 100 KB mask; a per-term ``coeff * powers``
         # temporary would make it four
         assert peak < 3.5 * idx.size * 8
+
+
+def underflow_masked_values(form, indices):
+    """``TailForm.values`` with every power masked at its ratio's underflow
+    index only, before ``_settle_index`` shortened the masks: the kernel
+    that must stay unchanged bit for bit."""
+    x = indices.astype(float)
+    out = np.full(indices.shape, form.constant)
+    for coeff, ratio in form.terms:
+        powers = np.zeros(indices.shape)
+        np.power(ratio, x, out=powers, where=x < 1100.0 / -math.log2(ratio) + 2.0)
+        out += coeff * powers
+    return out
+
+
+@st.composite
+def settle_cases(draw):
+    """(form, lo, hi): one to four terms with coefficients up to 1e+-300
+    and ratios near 0, mid-range or within 1e-3 of 1, a constant that is
+    a signed zero, a power of two, subnormal, 0.98 or uniform, and a window
+    lo..hi of indices around the form's settle index."""
+    sign = st.sampled_from([1.0, -1.0])
+    coeff = st.builds(lambda s, e: s * 10.0**e, sign, st.floats(-300, 300))
+    ratio = st.one_of(
+        st.builds(lambda e: 10.0**-e, st.floats(1, 300)),
+        st.floats(0.05, 0.95),
+        st.floats(1 - 1e-3, 1.0, exclude_max=True),
+    )
+    constant = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.98, -0.98]),
+        st.builds(lambda s, k: s * 2.0**k, sign, st.integers(-1074, 1023)),
+        st.floats(-1e3, 1e3),
+    )
+    form = TailForm(draw(st.lists(st.tuples(coeff, ratio), min_size=1, max_size=4)), draw(constant))
+    settle = mnc._settle_index(form)
+    lo = max(1, settle - draw(st.integers(0, 300)))
+    return form, lo, settle + draw(st.integers(0, 300))
+
+
+class TestSettleIndex:
+    @settings(deadline=None, max_examples=300)
+    @given(settle_cases())
+    def test_windows_across_the_settle_index(self, case):
+        form, lo, hi = case
+        idx = np.arange(lo, hi + 1, dtype=np.int64)
+        assert (form.values(idx).view(np.int64) == underflow_masked_values(form, idx).view(np.int64)).all()
+        if hi > 10**6:  # a head that long is out of reach; values covers it
+            return
+        # the head stands in for coordinates 1..lo-1 and is not read
+        seq = Seq((0.0,) * (lo - 1), form)
+        want = [form.value(i).hex() for i in range(lo, hi + 1)]
+        assert hexes(seq.pad(hi).head[lo - 1:]) == want
+        assert hexes(seq.array(hi)[lo - 1:]) == want
+
+    def test_the_chain_long_multiplier_settles_at_its_dominance_index(self):
+        # 0.98 + 0.01 * 0.9**i is 0.98 in float from i = 332 on, long before
+        # 0.9's underflow index of about 7,240
+        d = TailForm(((0.01, 0.9),), 0.98)
+        assert mnc._settle_index(d) <= 340
+        assert d.value(mnc._settle_index(d)) == 0.98
+        assert hexes(Seq((), d).array(10_000)) == [d.value(i).hex() for i in range(1, 10_001)]
 
 
 def loop_first_negative(form, start, stop):
@@ -565,6 +626,17 @@ class TestSignMachinery:
         assert eventual_sign(form)[0] == 1
         assert is_nonnegative(form)
 
+    def test_dominance_index_far_from_its_log_estimate(self):
+        # r**idx is subnormal near the index, and pow and the log estimate
+        # disagree by about 3.7e7 indices: one step at a time, the guard
+        # took seconds
+        r = 0.9999999999999998
+        form = TailForm(((1e300, 0.5), (-5e-324, r)), 2.0**-56)
+        idx = form.dominance_index()
+        assert 1e300 * r**idx < 2.0**-56 <= 1e300 * r**(idx - 1)
+        with pytest.raises(UndecidedComparisonError):
+            eventual_sign(form)
+
     def test_dominance_index_when_the_coefficient_sum_overflows(self):
         # |1e308| + |1e308| overflows; the form is about -1e307 at i = 1
         form = TailForm(((1e308, 0.5), (-1e308, 0.6)), 1.0)
@@ -686,6 +758,26 @@ class TestTruncationOracle:
         box = TailBox((-1.0,), (1.0,), TailForm((), -0.5), TailForm((), 0.5))
         with pytest.raises(MncError):
             truncation_tail_sup(box, 0)
+
+    def test_no_power_past_the_settle_index_is_computed(self, monkeypatch):
+        # the window 71,001..75,096 lies past the settle index (about 4,130)
+        # but before 0.99's underflow index (about 75,870): masked at the
+        # underflow index alone, it computed 24,576 subnormal powers
+        live = [0]
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def power(self, *args, where, **kwargs):
+                live[0] += int(np.count_nonzero(where))
+                return np.power(*args, where=where, **kwargs)
+
+        hi = TailForm(((10.0, 0.99), (10.0, 0.98999), (10.0, 0.98998)), 3.0)
+        box = TailBox((), (), hi.scale(-1.0), hi)
+        monkeypatch.setattr(mnc, "np", CountingNumpy())
+        assert truncation_tail_sup(box, 71_000) == 3.0
+        assert live[0] == 0
 
     def test_oracle_converges_to_closed_form(self):
         rng = random.Random(7)
