@@ -235,8 +235,9 @@ class TestSettleIndex:
         assert hexes(seq.array(hi)[lo - 1:]) == want
 
     def test_the_chain_long_multiplier_settles_at_its_dominance_index(self):
-        # 0.98 + 0.01 * 0.9**i is 0.98 in float from i = 332 on, long before
-        # 0.9's underflow index of about 7,240
+        # 0.98 + 0.01 * 0.9**i is 0.98 in float from i = 312 on, and the
+        # settle index proves it from 332, long before 0.9's underflow index
+        # of about 7,240
         d = TailForm(((0.01, 0.9),), 0.98)
         assert mnc._settle_index(d) <= 340
         assert d.value(mnc._settle_index(d)) == 0.98
@@ -762,7 +763,7 @@ class TestTruncationOracle:
     def test_no_power_past_the_settle_index_is_computed(self, monkeypatch):
         # the window 71,001..75,096 lies past the settle index (about 4,130)
         # but before 0.99's underflow index (about 75,870): masked at the
-        # underflow index alone, it computed 24,576 subnormal powers
+        # underflow index alone, it computed 24,576 powers, most subnormal
         live = [0]
 
         class CountingNumpy:
