@@ -206,10 +206,10 @@ def _parse_grid(obj: Any, where: str) -> SampleGrid:
 
 
 # Each axiom count: config key, AxiomCounts field, least and most value,
-# the latter as (base, power).  An instance costs at most 0.16 ms (M5), an
-# oracle box 0.9 ms and an M6 box 0.045 ms (2-vCPU Xeon VM), so no group runs
-# much past 16 s; the truncation oracle probes no coordinate past 2**62, and
-# a larger cut would also overflow its int64 window.
+# the latter as (base, power).  An instance costs at most 0.16 ms (M5), an M6
+# box 0.045 ms and an oracle box 0.25 ms on average (3.4 ms at most, at cut 0;
+# 2-vCPU Xeon VM), so no group runs much past 16 s; the truncation oracle
+# probes no coordinate past 2**62.
 _AXIOM_COUNTS = (
     ("m1", "m1", 0, (10, 5)), ("m2", "m2", 0, (10, 5)), ("m3", "m3", 0, (10, 5)),
     ("m4", "m4", 0, (10, 5)), ("m5", "m5", 0, (10, 5)), ("m6Chains", "m6_chains", 0, (10, 5)),

@@ -29,13 +29,12 @@ are evaluated in float64, one window of coordinates at a time, and the
 first negative value decides.  Only a form whose sign settles past a cap
 is left undecided.
 
-Head arithmetic runs on Python floats, which round as float64 does; tail
-forms are evaluated in numpy, and ``Seq.array`` gives numpy a long head.
-No power is computed past a form's settle index (``_settle_index``), from
-which its float value is ``0.0 + constant`` bit for bit: ``Seq.pad`` and
-``Seq.array`` fill those coordinates, and ``_powers`` masks them, as it
-masks each term past its underflow index, where numpy's underflow path
-would compute the +0.0 about ten times slower.
+Head arithmetic runs on Python floats, which round as float64 does.  A
+tail coordinate has one float value, ``TailForm.value``'s, with libm's
+``pow`` (never numpy's SIMD power, whose kernel varies with the CPU):
+``TailForm._window`` computes runs of them for padding, the sign scan
+and the truncation oracle alike, none past the form's settle index
+(``_settle_index``).
 
 Everything here is immutable and pure; concurrent use needs no locks.
 """
@@ -47,7 +46,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, count, repeat
 from typing import Sequence
 
 import numpy as np
@@ -87,12 +86,12 @@ _DOMINANCE_CAP = 10_000_000
 _HEAD_CAP = 100_000
 
 # _first_negative scans a range in windows of this many coordinates, so a
-# form negative early in a long scan costs one window, and the arrays of a
+# form negative early in a long scan costs one window, and the lists of a
 # window stay small.
 _SCAN_CHUNK = 1 << 16
 
 # TailForm.__mul__ refuses a product of more raw terms than this, the size
-# Seq._tail_values is written for: n composed operators can give 2**n terms.
+# TailForm._window is written for: n composed operators can give 2**n terms.
 _MAX_PRODUCT_TERMS = 100_000
 
 # Array arithmetic that overflows as Python floats do, without a warning.
@@ -159,50 +158,26 @@ def _merge_sorted(p1, p2) -> tuple[tuple[float, float], ...]:
     return (*out, *p2[j:])
 
 
-def _powers(ratio: float, x: np.ndarray, out: np.ndarray, settle: int) -> np.ndarray:
-    """``np.power(ratio, x)`` written into ``out`` and returned, with every
-    lane at or past min(live(r), ``settle``) left as ``+0.0``: past the
-    underflow index that is the power ``np.power`` would have computed on
-    its slow underflow path (about 70 ns a power against 6 ns for a normal
-    result, numpy 2.4 with AVX-512), and past ``settle``, the form's
-    ``_settle_index``, the term cannot change the form's value.
-
-    ``ratio`` lies in (0, 1); ``x`` is an array of float indices.  The
-    underflow index of r is
-
-        live(r) = 1100 / -log2(r) + 2.
-
-    Why x >= live(r) forces ``np.power(r, x) == +0.0``: log2 and the two
-    float operations after it are each within a few ulp, so x >= live(r)
-    gives x * -log2(r) > 1100 * (1 - 2**-48) > 1099, that is
-    r**x < 2**-1099.  That is 2**-25 of the smallest subnormal,
-    2**-1074, and far below half of it, so a correctly rounded power is
-    +0.0; ``np.power`` (pow, or numpy's SIMD power, evaluating
-    exp(x * log r) with an error far below one in the exponent) is past
-    its underflow threshold of about 2**-1075 and returns +0.0 too.  The
-    masked lanes are filled with ``0.0`` beforehand, so they hold that
-    same +0.0, and ``coeff * power`` (``±0.0``) and every sum taken from it
-    are the reference term bit for bit.
-    """
-    live = 1100.0 / -math.log2(ratio) + 2.0
-    out[...] = 0.0
-    return np.power(ratio, x, out=out, where=x < min(live, settle))
-
-
 def _settle_index(form: "TailForm", stop: float = math.inf) -> int:
     """An index K from which ``form.value(i)`` is ``0.0 + constant`` bit
     for bit (1 with no terms), or an index past ``stop`` if K is.
 
-    K is the largest ratio rho's underflow index (``_powers``) or, if
-    ulp(c) >= 2**-996 for the constant c and it is smaller, the dominance
-    index K' of the terms against b = ulp(c)/16 if P = rho**K' > 0: from K'
-    on every pow(r, i) is below about 3P (pow within one ulp, P >= 2**-1074),
-    so the terms with their rounding add up to under 4b = ulp(c)/4 (the
-    floor keeps subnormal rounding errors far below b), and round to
-    nearest keeps c + t == c for |t| < ulp(c)/4 (the spacing below a power
-    of two is the tighter side), in ``value``'s running sum and in every
-    step of ``values``.  K' is not computed if the largest-ratio term
-    alone is at least b at ``stop``."""
+    K is the largest ratio rho's underflow index live(rho) = 1100 /
+    -log2(rho) + 2, rounded up.  From there i * -log2(r) > 1099 for every
+    ratio r <= rho (log2 and the two float operations after it are each
+    within a few ulp), so r**i < 2**-1099, far below half the smallest
+    subnormal 2**-1074, and ``pow``, which evaluates exp(i * log r) with an
+    error far below one in the exponent, returns +0.0: every term is ±0.0,
+    and the running sum from 0.0 stays +0.0.
+
+    If ulp(c) >= 2**-996 for the constant c, K is the smaller of that and
+    the dominance index K' of the terms against b = ulp(c)/16 if P =
+    rho**K' > 0: from K' on every pow(r, i) is below about 3P (pow within
+    one ulp, P >= 2**-1074), so the terms with their rounding add up to
+    under 4b = ulp(c)/4 (the floor keeps subnormal rounding errors far
+    below b), and round to nearest keeps c + t == c for |t| < ulp(c)/4 (the
+    spacing below a power of two is the tighter side).  K' is not computed
+    if the largest-ratio term alone is at least b at ``stop``."""
     if not form.terms:
         return 1
     coeff, rho = form.terms[-1]
@@ -281,24 +256,20 @@ class TailForm:
             acc += c * r**i
         return acc + self.constant
 
-    def values(self, indices: np.ndarray) -> np.ndarray:
-        """f(i) at every index of ``indices``: the terms are added to the
-        constant one at a time, in order, each as ``coeff * powers`` with
-        the powers from ``_powers``, which skips the powers that certainly
-        underflow or cannot change the value (past ``_settle_index``).  One
-        power buffer serves every term and is scaled in place, so the
-        temporaries are three index-sized arrays (indices as floats, the
-        buffer and the result) however many terms there are."""
-        idx = np.ravel(indices)
-        x = idx.astype(float)
-        out = np.full(idx.shape, self.constant)
-        buf = np.empty(idx.shape)
-        settle = _settle_index(self)
-        for coeff, ratio in self.terms:
-            _powers(ratio, x, buf, settle)
-            buf *= coeff
-            out += buf
-        return out.reshape(np.shape(indices))
+    def _window(self, h0: int, h: int):
+        """``self.value(i)`` for i in h0+1..h as ``(listed, k, rest)``: the
+        values of h0+1..k, k below the settle index, and ``rest = 0.0 +
+        constant`` past k, all bit for bit.  The one route for a run of tail
+        coordinates: each term ``c * pow(r, i)`` is added in order to a
+        running sum from 0.0, in one pass of C-level maps kept as a list
+        (lazy maps nested per term overflow the C stack at 10^5 terms)."""
+        k = min(h, max(h0, _settle_index(self, h) - 1))
+        idx = range(h0 + 1, k + 1)
+        acc = repeat(0.0, k - h0)
+        for c, r in self.terms:
+            terms = map(operator.mul, repeat(c), map(pow, repeat(r), idx))
+            acc = list(map(operator.add, acc, terms))
+        return map(operator.add, acc, repeat(self.constant)), k, 0.0 + self.constant
 
     def coeff_abs_sum(self) -> float:
         """sum_j |c_j|, added left to right from 0.0 on every Python
@@ -438,17 +409,19 @@ def eventual_sign(form: TailForm, start: int = 1) -> tuple[int, int]:
 def _first_negative(form: TailForm, start: int, stop: int) -> int | None:
     """First index i in [start, stop] with form(i) < 0 in float, or None.
 
-    The range is evaluated pointwise with ``form.values`` in windows of
-    ``_SCAN_CHUNK`` coordinates, and the scan stops at the first window
-    holding a negative value."""
+    The range is read through ``TailForm._window`` in windows of
+    ``_SCAN_CHUNK`` coordinates, which bound its lists; from the form's
+    settle index on, ``0.0 + constant`` decides the rest."""
     if start > stop:  # nearly every call on axiom_suite: about 1% of its job
         return None
     for lo in range(start, stop + 1, _SCAN_CHUNK):
         hi = min(stop, lo + _SCAN_CHUNK - 1)
-        idx = np.arange(lo, hi + 1, dtype=np.int64)
-        bad = np.flatnonzero(form.values(idx) < 0.0)
-        if bad.size:
-            return int(idx[bad[0]])
+        listed, k, rest = form._window(lo - 1, hi)
+        bad = next(compress(count(lo), map(operator.lt, listed, repeat(0.0))), None)
+        if bad is not None:
+            return bad
+        if k < hi:
+            return k + 1 if rest < 0.0 else None
     return None
 
 
@@ -518,29 +491,12 @@ class Seq:
             return self.head[i - 1]
         return self.tail.value(i)
 
-    def _tail_values(self, h0: int, h: int):
-        """``self.tail.value(i)`` for i in h0+1..h, bit for bit, as
-        ``(listed, k, rest)``: the values of h0+1..k, k < the tail's
-        ``_settle_index``, and ``rest = 0.0 + constant`` past k.  Listed,
-        every term ``c * pow(r, i)`` (libm's ``r**i``; ``np.power`` differs
-        in the last bit) is added in order to a running sum from 0.0, and
-        the constant last, each term as one pass of C-level maps kept as a
-        list: lazy maps nested per term overflow the C stack at 10^5 terms."""
-        tail = self.tail
-        k = min(h, max(h0, _settle_index(tail, h) - 1))
-        idx = range(h0 + 1, k + 1)
-        acc = repeat(0.0, k - h0)
-        for c, r in tail.terms:
-            terms = map(operator.mul, repeat(c), map(pow, repeat(r), idx))
-            acc = list(map(operator.add, acc, terms))
-        return map(operator.add, acc, repeat(tail.constant)), k, 0.0 + tail.constant
-
     def pad(self, h: int) -> "Seq":
         """The same sequence with at least h explicit head values."""
         h0 = len(self.head)
         if h <= h0:
             return self
-        listed, k, rest = self._tail_values(h0, h)
+        listed, k, rest = self.tail._window(h0, h)
         return Seq._of(self.head + tuple(listed) + (rest,) * (h - k), self.tail)
 
     def array(self, h: int) -> np.ndarray:
@@ -548,7 +504,7 @@ class Seq:
         bit ``pad(h).head``."""
         h0 = len(self.head)
         h = max(h, h0)
-        listed, k, rest = self._tail_values(h0, h)
+        listed, k, rest = self.tail._window(h0, h)
         out = np.empty(h)
         out[:h0] = self.head
         out[h0:k] = np.fromiter(listed, float, k - h0)
@@ -790,11 +746,13 @@ _ORACLE_WINDOW = 4096
 
 def _tail_abs_sup(form_lo: TailForm, form_hi: TailForm, n_cut: int) -> float:
     """sup over i > n_cut of max(|lo(i)|, |hi(i)|) by explicit maximisation:
-    a contiguous window, a dyadic ladder and the asymptotic values."""
+    a contiguous window, a dyadic ladder and the asymptotic values.  Past
+    a form's settle index its absolute value is |constant|, already in
+    ``best``."""
     best = max(abs(form_lo.asym), abs(form_hi.asym))
-    idx = np.arange(n_cut + 1, n_cut + _ORACLE_WINDOW + 1, dtype=np.int64)
-    window = np.maximum(np.abs(form_lo.values(idx)), np.abs(form_hi.values(idx)))
-    best = max(best, float(window.max()))
+    for form in (form_lo, form_hi):
+        listed, _, _ = form._window(n_cut, n_cut + _ORACLE_WINDOW)
+        best = max(best, max(map(abs, listed), default=0.0))
     probe = 2 * (n_cut + _ORACLE_WINDOW)
     while probe <= 2**62:
         best = max(best, abs(form_lo.value(probe)), abs(form_hi.value(probe)))

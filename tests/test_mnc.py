@@ -110,15 +110,6 @@ class TestTailForm:
         assert f - g == f + g.scale(-1.0)
 
 
-def loop_values(form, indices):
-    """The per-term loop that ``TailForm.values`` replaced: the reference it
-    must match bit for bit."""
-    out = np.full(indices.shape, form.constant, dtype=float)
-    for coeff, ratio in form.terms:
-        out += coeff * np.power(ratio, indices.astype(float))
-    return out
-
-
 @st.composite
 def wide_forms(draw, max_terms=300):
     """Forms of 0..max_terms terms with coefficients over twelve decades;
@@ -129,70 +120,6 @@ def wide_forms(draw, max_terms=300):
     coeffs = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, n)
     terms = tuple(zip(coeffs.tolist(), rng.random(n).tolist()))
     return TailForm(terms, draw(st.floats(-1e3, 1e3)))
-
-
-class TestValuesKernel:
-    @settings(deadline=None, max_examples=150)
-    @given(
-        wide_forms(),
-        st.one_of(
-            st.integers(1, 100),
-            # straddles the underflow indices of ratios up to about 0.99
-            st.integers(1, 80_000),
-            st.integers(10**6 - 100, 10**6 + 100),
-        ),
-        st.data(),
-    )
-    def test_matches_the_per_term_loop(self, form, start, data):
-        # one index, or none, or a run of them
-        length = data.draw(st.one_of(st.just(1), st.integers(0, 5000)))
-        idx = np.arange(start, start + length, dtype=np.int64)
-        assert form.values(idx).tobytes() == loop_values(form, idx).tobytes()
-
-    def test_powers_past_the_underflow_index_are_zero(self):
-        # the premise of mnc._powers: np.power itself returns +0.0 at every
-        # index it masks, for ratios across (0, 1) and at both ends of it
-        rng = np.random.default_rng(19)
-        ratios = [2.0**-1074, 1e-300, 0.5, 0.99, 0.999999, 1.0 - 2.0**-53]
-        ratios += rng.random(100).tolist() + (1.0 - 10.0 ** -rng.uniform(1, 15, 94)).tolist()
-        for r in ratios:
-            assert 0.0 < r < 1.0
-            first = math.ceil(1100.0 / -math.log2(r) + 2.0)
-            x = np.arange(first, first + 4096, dtype=float)
-            powers = np.power(r, x)
-            assert (powers == 0.0).all() and not np.signbit(powers).any(), r
-            # across the index, masked and computed lanes are np.power's
-            x = np.arange(max(1, first - 4096), first + 4096, dtype=float)
-            buf = np.full(x.shape, np.nan)
-            assert mnc._powers(r, x, buf, math.inf).tobytes() == np.power(r, x).tobytes(), r
-
-    def test_temporaries_stay_bounded(self):
-        # ratios near 1 keep every power a normal float over 1..10**5
-        form = TailForm(tuple((1.0 + k, 0.999 + k * 1e-6) for k in range(290)), 1.0)
-        idx = np.arange(1, 100_001, dtype=np.int64)
-        tracemalloc.start()
-        try:
-            form.values(idx)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # three 800 KB arrays (the indices as floats, one power buffer and
-        # the result) and a 100 KB mask; a per-term ``coeff * powers``
-        # temporary would make it four
-        assert peak < 3.5 * idx.size * 8
-
-
-def underflow_masked_values(form, indices):
-    """``TailForm.values`` with every power masked at its ratio's underflow
-    index only, before ``_settle_index`` shortened the masks: the kernel
-    that must stay unchanged bit for bit."""
-    x = indices.astype(float)
-    out = np.full(indices.shape, form.constant)
-    for coeff, ratio in form.terms:
-        powers = np.zeros(indices.shape)
-        np.power(ratio, x, out=powers, where=x < 1100.0 / -math.log2(ratio) + 2.0)
-        out += coeff * powers
-    return out
 
 
 @st.composite
@@ -224,15 +151,25 @@ class TestSettleIndex:
     @given(settle_cases())
     def test_windows_across_the_settle_index(self, case):
         form, lo, hi = case
-        idx = np.arange(lo, hi + 1, dtype=np.int64)
-        assert (form.values(idx).view(np.int64) == underflow_masked_values(form, idx).view(np.int64)).all()
-        if hi > 10**6:  # a head that long is out of reach; values covers it
+        want = [form.value(i).hex() for i in range(lo, hi + 1)]
+        listed, k, rest = form._window(lo - 1, hi)
+        assert hexes([*listed, *(rest,) * (hi - k)]) == want
+        if hi > 10**6:  # a head that long is out of reach
             return
         # the head stands in for coordinates 1..lo-1 and is not read
         seq = Seq((0.0,) * (lo - 1), form)
-        want = [form.value(i).hex() for i in range(lo, hi + 1)]
         assert hexes(seq.pad(hi).head[lo - 1:]) == want
         assert hexes(seq.array(hi)[lo - 1:]) == want
+
+    def test_pow_past_the_underflow_index_is_zero(self):
+        # the premise of _settle_index: pow returns +0.0 at and past live(r),
+        # for ratios across (0, 1) and at both ends of it
+        rng = random.Random(19)
+        ratios = [2.0**-1074, 1e-300, 0.5, 0.99, 0.999999, 1.0 - 2.0**-53]
+        ratios += [rng.random() for _ in range(100)] + [1.0 - 10.0 ** -rng.uniform(1, 15) for _ in range(94)]
+        for r in ratios:
+            first = math.ceil(1100.0 / -math.log2(r) + 2.0)
+            assert hexes(pow(r, i) for i in range(first, first + 4096)) == [(0.0).hex()] * 4096, r
 
     def test_the_chain_long_multiplier_settles_at_its_dominance_index(self):
         # 0.98 + 0.01 * 0.9**i is 0.98 in float from i = 312 on, and the
@@ -245,24 +182,15 @@ class TestSettleIndex:
 
 
 def loop_first_negative(form, start, stop):
-    """The pointwise scan that ``_first_negative`` replaced: every
-    coordinate of [start, stop] through ``TailForm.values``, in windows.
-    ``_first_negative`` must return the same index."""
-    i = start
-    while i <= stop:
-        hi = min(stop, i + _SCAN_CHUNK - 1)
-        idx = np.arange(i, hi + 1, dtype=np.int64)
-        bad = np.nonzero(form.values(idx) < 0.0)[0]
-        if bad.size:
-            return int(idx[bad[0]])
-        i = hi + 1
-    return None
+    """The pointwise scan ``_first_negative`` must match: every coordinate
+    of [start, stop] through the scalar ``TailForm.value``."""
+    return next((i for i in range(start, stop + 1) if form.value(i) < 0.0), None)
 
 
 def with_value_at(form, i, value):
     """``form`` with the constant moved so that its float value at i is
     about ``value``."""
-    return form.with_constant(form.constant - float(form.values(np.array([i]))[0]) + value)
+    return form.with_constant(form.constant - form.value(i) + value)
 
 
 @st.composite
@@ -284,15 +212,17 @@ def scan_cases(draw):
 
 
 def count_evaluated(monkeypatch):
-    """Count the columns evaluated by ``TailForm.values`` from now on."""
+    """Count the coordinates ``TailForm._window`` computes from now on,
+    not those it fills past the settle index."""
     seen = [0]
-    values = TailForm.values
+    window = TailForm._window
 
-    def counting(form, indices):
-        seen[0] += np.size(indices)
-        return values(form, indices)
+    def counting(form, h0, h):
+        listed, k, rest = window(form, h0, h)
+        seen[0] += k - h0
+        return listed, k, rest
 
-    monkeypatch.setattr(TailForm, "values", counting)
+    monkeypatch.setattr(TailForm, "_window", counting)
     return seen
 
 
@@ -353,11 +283,32 @@ class TestBlockScan:
         assert _first_negative(form, 1, 10**6) == 2
         assert seen[0] <= _SCAN_CHUNK
 
-    def test_a_nonnegative_form_is_evaluated_once_per_coordinate(self, monkeypatch):
+    def test_a_nonnegative_form_is_scanned_to_its_settle_index(self, monkeypatch):
+        # 0.5**i - 0.5*0.25**i is +0.0 in float from 0.5's underflow index
+        # (1,102) on: the scan computes each coordinate before it once and
+        # stops there
         form = TailForm(((1.0, 0.5), (-0.5, 0.25)))
         seen = count_evaluated(monkeypatch)
         assert _first_negative(form, 3, 10**6) is None
-        assert seen[0] == 10**6 - 3 + 1
+        assert seen[0] == mnc._settle_index(form) - 3 == 1099
+        # past the settle index the constant decides the rest of the range
+        assert _first_negative(form.with_constant(-0.0), 3, 10**6) is None
+        assert _first_negative(form.with_constant(-5e-324), 1200, 10**6) == 1200
+
+    def test_one_window_allocates_a_bounded_amount(self):
+        # ratios near 1 keep every coordinate of the window live; the
+        # per-term lists of the window are two lists of _SCAN_CHUNK floats
+        # (8-byte slot and 24-byte float each) however many terms there are:
+        # 4.27 MB with 3 terms and with 290, which tracemalloc slows to a minute
+        form = TailForm(tuple((1.0 + k, 0.999 + k * 1e-6) for k in range(3)))
+        assert mnc._settle_index(form) > _SCAN_CHUNK
+        tracemalloc.start()
+        try:
+            assert _first_negative(form, 1, _SCAN_CHUNK) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 32 * _SCAN_CHUNK
 
 
 @st.composite
@@ -719,6 +670,17 @@ class TestBoxValidation:
         with pytest.raises(InvalidBoxError):
             TailBox((), (), hi, lo)
 
+    def test_a_zero_coordinate_decides_as_its_scalar_value(self):
+        # f(3) is 0.0 with libm's pow; numpy's AVX-512 power kernel rounds it
+        # below zero, so a scan through np.power refused this box on such CPUs
+        f = TailForm(
+            ((1.154047685158338, 0.603211579357039), (-1.0461999308639558, 0.7666065301569909)),
+            0.21803917144864593,
+        )
+        assert f.value(3) == 0.0
+        assert is_nonnegative(f)
+        assert TailBox((), (), TailForm((), 0.0) - f, TailForm()).tail_lo == TailForm((), 0.0) - f
+
     def test_head_length_mismatch(self):
         with pytest.raises(InvalidBoxError):
             TailBox((0.0,), (), TailForm((), -1.0), TailForm((), 1.0))
@@ -762,23 +724,12 @@ class TestTruncationOracle:
 
     def test_no_power_past_the_settle_index_is_computed(self, monkeypatch):
         # the window 71,001..75,096 lies past the settle index (about 4,130)
-        # but before 0.99's underflow index (about 75,870): masked at the
-        # underflow index alone, it computed 24,576 powers, most subnormal
-        live = [0]
-
-        class CountingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def power(self, *args, where, **kwargs):
-                live[0] += int(np.count_nonzero(where))
-                return np.power(*args, where=where, **kwargs)
-
+        # but before 0.99's underflow index (about 75,870)
         hi = TailForm(((10.0, 0.99), (10.0, 0.98999), (10.0, 0.98998)), 3.0)
         box = TailBox((), (), hi.scale(-1.0), hi)
-        monkeypatch.setattr(mnc, "np", CountingNumpy())
+        seen = count_evaluated(monkeypatch)
         assert truncation_tail_sup(box, 71_000) == 3.0
-        assert live[0] == 0
+        assert seen[0] == 0
 
     def test_oracle_converges_to_closed_form(self):
         rng = random.Random(7)
