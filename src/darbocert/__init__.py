@@ -43,7 +43,6 @@ from .operators import (
 )
 from .engine import (
     Certificate,
-    IterationState,
     darbo_iterate,
     check_example_bound,
     classic_darbo_run,

@@ -218,6 +218,12 @@ _AXIOM_COUNTS = (
 )
 
 
+# Most levels of nested objects and lists in a config, the root being one.
+# A compose inside a compose reaches 9; the report echoes the config, and
+# both the JSON decoder and the report writer recurse once per level.
+_MAX_CONFIG_DEPTH = 64
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration; every referenced expression parses and
@@ -245,11 +251,18 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config nested deeper than {_MAX_CONFIG_DEPTH} levels") from None
     return parse_config(raw)
 
 
 def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(raw, dict), "config root must be an object")
+    level = [raw]
+    for _ in range(_MAX_CONFIG_DEPTH):
+        level = [x for v in level for x in (v.values() if isinstance(v, dict) else v)
+                 if isinstance(x, (dict, list))]
+    _require(not level, f"config nested deeper than {_MAX_CONFIG_DEPTH} levels")
     cfg = RunConfig(raw=raw)
     if "set" in raw:
         cfg.domain = _parse_box(raw["set"], "set")
@@ -455,8 +468,8 @@ def cmd_demo(out_path: str | None) -> int:
     lines.append("")
     lines.append(f"certificate: {cert.outcome} after {len(cert.trace) - 1} steps")
     lines.append("  step        mu")
-    for step, state in enumerate(cert.trace):
-        lines.append(f"  {step:>4}  {state.mu:.12e}")
+    for step, mu in enumerate(cert.mu_trace):
+        lines.append(f"  {step:>4}  {mu:.12e}")
     sys.stdout.write("\n".join(lines) + "\n")
 
     report = _base_report("demo", None, None)

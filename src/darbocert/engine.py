@@ -14,11 +14,12 @@ Every run takes one ``DiagonalAffineOperator``; a composition is
 materialised into one first, with ``operators.compose``.
 
 Every run's preconditions are decided here, in one order: the ladder
-budget, the grid gate, the pair checks, the self-map (classic runs, which
-read no ladder, skip the first three).  A failure is a PreconditionError,
-an input error and never a refutation.
+budget and the grid gate (one ``_grid_gate``), the pair checks, the
+self-map (classic runs, which read no ladder, skip the first three).  A
+failure is a PreconditionError, an input error and never a refutation.
 
-Each step's margins are keyed by distinct columns: rows that are the same
+Each step is the report's record ``{"mu": mu_k, "margins": {...}}``, its
+margins rhs - lhs keyed by distinct columns: rows that are the same
 (lhs, rhs) expression pair are one column, named after the first of them.
 
 Outcomes:
@@ -67,7 +68,7 @@ from .shifting import (
 
 __all__ = [
     "CERTIFIED", "REFUTED", "INCONCLUSIVE", "DEFAULT_ENGINE_LADDER", "PreconditionError",
-    "IterationState", "Certificate", "darbo_iterate", "check_example_bound",
+    "Certificate", "darbo_iterate", "check_example_bound",
     "classic_darbo_run", "identity_pair", "weak_contraction_run",
 ]
 
@@ -83,21 +84,9 @@ class PreconditionError(ValueError):
 
 
 @dataclass
-class IterationState:
-    """One step of the chain, its index in the trace: the measure and the
-    inequality margins rhs - lhs, one per distinct column."""
-
-    mu: float
-    margins: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {"mu": self.mu, "margins": self.margins}
-
-
-@dataclass
 class Certificate:
     outcome: str
-    trace: list[IterationState]
+    trace: list[dict]  # the report's step records, step k at index k
     factor: float  # |d_beta|, the exact ratio of mu_{k+1} = factor * mu_k
     witness: FixedPointWitness | None = None
     refutation: dict | None = None
@@ -106,7 +95,7 @@ class Certificate:
 
     @property
     def mu_trace(self) -> list[float]:
-        return [s.mu for s in self.trace]
+        return [s["mu"] for s in self.trace]
 
     def to_dict(self) -> dict:
         witness = None
@@ -123,7 +112,7 @@ class Certificate:
             }
         return {
             "outcome": self.outcome,
-            "trace": [s.to_dict() for s in self.trace],
+            "trace": self.trace,
             "witness": witness,
             "refutation": self.refutation,
             "factor": self.factor,
@@ -143,20 +132,22 @@ def _enforce_pair_checks(
     warnings.warn(message + " (continuing: checks overridden)", stacklevel=3)
 
 
-def _require_ladder_budget(n_ladder: tuple[int, ...], max_iter: int) -> None:
-    """The chain decides at most one margin per ladder entry and step, and
-    reports it."""
+def _grid_gate(
+    grid: SampleGrid | None, n_ladder, max_iter: int, domain: TailBox
+) -> tuple[SampleGrid, tuple[int, ...]]:
+    """The first two preconditions of the modes that read a grid, and the
+    grid (the default one for None) and ladder they run on.  The chain
+    decides at most one margin per ladder entry and step, and reports it.
+    The pair checks hold on the grid's points only, and every measure of
+    the chain lies in [0, mu(A_0)]; a grid whose last point stops short of
+    mu(A_0) is an input error, not a grid to extend.  The last point may
+    lie below tMax (tMax 0.9 and step 0.3 end at 0.8999999999999999)."""
+    n_ladder = tuple(n_ladder)
     if len(n_ladder) * max_iter > _MAX_GRID_CELLS:
         raise PreconditionError(
             f"nLadder entries x maxIter must be at most {_MAX_GRID_CELLS} margin cells"
         )
-
-
-def _require_grid_covers(grid: SampleGrid, domain: TailBox) -> None:
-    """The pair checks hold on the grid's points only, and every measure of
-    the chain lies in [0, mu(A_0)]; a grid whose last point stops short of
-    mu(A_0) is an input error, not a grid to extend.  The last point may
-    lie below tMax (tMax 0.9 and step 0.3 end at 0.8999999999999999)."""
+    grid = grid or SampleGrid()
     mu_0 = hausdorff_mnc(domain)
     last = float(grid.t_values()[-1])
     if last < mu_0:
@@ -164,6 +155,7 @@ def _require_grid_covers(grid: SampleGrid, domain: TailBox) -> None:
         if last != grid.t_max:
             where = f"grid's last point {last} (tMax {grid.t_max}, step {grid.step})"
         raise PreconditionError(f"{where} is below the domain's measure mu(A_0) = {mu_0}")
+    return grid, n_ladder
 
 
 def _attach_witness(op: DiagonalAffineOperator) -> FixedPointWitness | None:
@@ -215,12 +207,12 @@ def _run_chain(
     lhs_seq, rhs_seq = sides.psi_seq, sides.phi_seq
     lhs_limit, rhs_limit = sides.psi_limit, sides.phi_limit
     factor = abs(op.d.asym)
-    trace = [IterationState(hausdorff_mnc(domain), {})]
+    trace = [{"mu": hausdorff_mnc(domain), "margins": {}}]
 
     def finish(outcome: str, **extra) -> Certificate:
         return Certificate(outcome, trace, factor, **{"details": details, **extra})
 
-    if trace[0].mu < tol:
+    if trace[0]["mu"] < tol:
         # relatively compact entry case: certified without iterating
         return finish(CERTIFIED, witness=_attach_witness(op))
 
@@ -231,7 +223,7 @@ def _run_chain(
     span = max(1, _BLOCK_CELLS // len(keys))
     while len(trace) <= max_iter:
         # the measures in sequence, mu_{k+1} = factor * mu_k as a loop would
-        mu = np.multiply.accumulate([trace[-1].mu] + [factor] * min(span, max_iter + 1 - len(trace)))
+        mu = np.multiply.accumulate([trace[-1]["mu"]] + [factor] * min(span, max_iter + 1 - len(trace)))
         low = np.flatnonzero(mu[1:] < tol)
         if low.size:
             mu = mu[: low[0] + 2]
@@ -262,7 +254,7 @@ def _run_chain(
             end = bad[0] + 1 if bad.size else b - a
             margins = (rhs - lhs)[:, :end].T.tolist()
             for mu_image, row in zip(mu[a + 1 : a + 1 + end].tolist(), margins):
-                trace.append(IterationState(mu_image, dict(zip(keys, row))))
+                trace.append({"mu": mu_image, "margins": dict(zip(keys, row))})
             if bad.size:
                 j = bad[0]
                 i = int(violated[:, j].argmax())
@@ -295,10 +287,7 @@ def darbo_iterate(
     with ``require_pair_checks=False``, which downgrades failures to a
     warning); the self-map.  The battery is the certificate's ``checks``.
     """
-    n_ladder = tuple(n_ladder)
-    _require_ladder_budget(n_ladder, max_iter)
-    grid = grid or SampleGrid()
-    _require_grid_covers(grid, domain)
+    grid, n_ladder = _grid_gate(grid, n_ladder, max_iter, domain)
     checks = run_all_checks(pair, grid, uniform_tol)
     _enforce_pair_checks(checks, require_pair_checks, "darbo_iterate")
     cert = _run_chain(
@@ -360,10 +349,7 @@ def weak_contraction_run(
     the inequality is asserted (phi maps into the nonnegative reals), one
     row at a time in ascending n and as one row when phi does not mention
     n; the self-map."""
-    n_ladder = tuple(n_ladder)
-    _require_ladder_budget(n_ladder, max_iter)
-    grid = grid or SampleGrid()
-    _require_grid_covers(grid, domain)
+    grid, n_ladder = _grid_gate(grid, n_ladder, max_iter, domain)
     _enforce_pair_checks(
         {"equality_only_at_zero": check_equality_only_at_zero(pair, grid)},
         require_pair_checks, "weak_contraction_run",

@@ -11,8 +11,9 @@ Grammar (left associative, usual precedence):
     term   := factor (('*' | '/') factor)*
     factor := NUMBER | 't' | 'n' | '(' expr ')' | '-' factor
 
-``NUMBER`` is a nonnegative integer or decimal literal; negative constants
-are written with the unary minus.  Trees are immutable after parsing and
+``NUMBER`` is a nonnegative integer or decimal literal within the float
+range; negative constants are written with the unary minus.  A tree may be
+at most ``MAX_DEPTH`` levels deep.  Trees are immutable after parsing and
 evaluation is pure, so expressions can be shared across threads freely.
 """
 
@@ -107,6 +108,12 @@ Expr = Union[Num, Var, Neg, BinOp]
 
 _WS = " \t\r\n"
 
+# Most levels parse_expr accepts on a path from the root: each parenthesis
+# pair, unary minus and binary operator is one.  Parsing, evaluation,
+# unparse and mentions_n recurse per level, so a deeper tree would reach
+# Python's recursion limit (1,000 frames) instead of an input error.
+MAX_DEPTH = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
@@ -131,6 +138,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 value = Fraction(lit)
             except (ValueError, ZeroDivisionError):
                 raise ExprSyntaxError(f"malformed number {lit!r}", i) from None
+            try:
+                float(value)
+            except OverflowError:
+                raise ExprSyntaxError("number past the float range", i) from None
             tokens.append(("num", value, i))
             i = j
             continue
@@ -150,9 +161,15 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
+    """Recursive descent.  Each rule returns its tree and the tree's height
+    in levels, and the token that takes a height past ``MAX_DEPTH`` is
+    refused.  Parentheses and unary minus signs are also counted on the way
+    in (``open``), so that the descent stops as early."""
+
     def __init__(self, tokens: list[tuple[str, object, int]]):
         self.tokens = tokens
         self.k = 0
+        self.open = 0
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.k]
@@ -162,50 +179,56 @@ class _Parser:
         self.k += 1
         return tok
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            node = BinOp(op, node, self.term())
-        return node
+    def level(self, height: int, offset: int) -> int:
+        if height > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        return height
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            node = BinOp(op, node, self.factor())
-        return node
+    def chain(self, ops: tuple[str, str], operand) -> tuple[Expr, int]:
+        node, height = operand()
+        while self.peek()[0] in ops:
+            op, _, offset = self.take()
+            right, right_height = operand()
+            node = BinOp(op, node, right)
+            height = self.level(max(height, right_height) + 1, offset)
+        return node, height
 
-    def factor(self) -> Expr:
-        kind, value, offset = self.peek()
+    def expr(self) -> tuple[Expr, int]:
+        return self.chain(("+", "-"), self.term)
+
+    def term(self) -> tuple[Expr, int]:
+        return self.chain(("*", "/"), self.factor)
+
+    def factor(self) -> tuple[Expr, int]:
+        kind, value, offset = self.take()
         if kind == "num":
-            self.take()
-            return Num(value)  # type: ignore[arg-type]
+            return Num(value), 1  # type: ignore[arg-type]
         if kind == "var":
-            self.take()
-            return Var(value)  # type: ignore[arg-type]
-        if kind == "(":
-            self.take()
-            node = self.expr()
-            kind2, _, offset2 = self.peek()
+            return Var(value), 1  # type: ignore[arg-type]
+        if kind not in ("(", "-"):
+            raise ExprSyntaxError("expected a number, 't', 'n', '(' or unary '-'", offset)
+        self.open = self.level(self.open + 1, offset)
+        if kind == "-":
+            node, height = self.factor()
+            node = Neg(node)
+        else:
+            node, height = self.expr()
+            kind2, _, offset2 = self.take()
             if kind2 != ")":
                 raise ExprSyntaxError("expected ')'", offset2)
-            self.take()
-            return node
-        if kind == "-":
-            self.take()
-            return Neg(self.factor())
-        raise ExprSyntaxError("expected a number, 't', 'n', '(' or unary '-'", offset)
+        self.open -= 1
+        return node, self.level(height + 1, offset)
 
 
 def parse_expr(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
-    Raises ExprSyntaxError (with byte offset) on malformed input and
+    Raises ExprSyntaxError (with byte offset) on malformed input, a tree
+    deeper than ``MAX_DEPTH`` and a number past the float range, and
     UnknownIdentifierError for identifiers other than t and n.
     """
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    node, _ = parser.expr()
     kind, _, offset = parser.peek()
     if kind != "end":
         raise ExprSyntaxError("unexpected trailing input", offset)

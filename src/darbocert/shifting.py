@@ -141,14 +141,6 @@ def limit_values(declared: Expr | None, seq: Expr, t):
     return np.broadcast_to(eval_expr(declared, t, 1.0), np.shape(t))
 
 
-def _limits_on_grid(pair: FunctionSequencePair, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Limit values of psi_n and phi_n on the grid."""
-    return (
-        limit_values(pair.psi_limit, pair.psi_seq, t),
-        limit_values(pair.phi_limit, pair.phi_seq, t),
-    )
-
-
 def _ladder_rows(pair: FunctionSequencePair, ns: tuple[int, ...]) -> tuple[int, ...]:
     """The ladder entries whose rows differ: all of ``ns``, or only its
     first entry when neither sequence mentions n, since every row is then
@@ -162,10 +154,11 @@ class _PairEvaluation:
     """A pair on one grid, each piece built on first use and kept: the
     points t, the two limit rows and the [n, t] tables of psi_n and phi_n
     over ``_ladder_rows`` of ``ladder``, the grid's own ladder when it is
-    None.  A LimitDivergenceError is kept and raised again, with the same
-    message, to every reader of the limits.  ``run_all_checks`` hands one
-    to each check as ``_evaluation``; a check called alone builds its own,
-    and ``check_example_bound`` builds one over its n list."""
+    None.  A limit that does not stabilise leaves the limit rows None, for
+    every reader, and its message in ``undecided``; ``_undecided`` is the
+    report of a check that needs them.  ``run_all_checks`` hands one to
+    each check as ``_evaluation``; a check called alone builds its own, and
+    ``check_example_bound`` builds one over its n list."""
 
     def __init__(
         self, pair: FunctionSequencePair, grid: SampleGrid, ladder: tuple[int, ...] | None = None
@@ -173,17 +166,18 @@ class _PairEvaluation:
         self.pair = pair
         self.t = grid.t_values()
         self.rows = _ladder_rows(pair, grid.n_ladder if ladder is None else ladder)
-        self._limits: tuple[np.ndarray, np.ndarray] | LimitDivergenceError | None = None
+        self.undecided: str | None = None
+        self._limits: tuple[np.ndarray, np.ndarray] | None = None
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
-    def limits(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._limits is None:
+    def limits(self) -> tuple[np.ndarray, np.ndarray] | None:
+        if self._limits is None and self.undecided is None:
+            p = self.pair
             try:
-                self._limits = _limits_on_grid(self.pair, self.t)
+                self._limits = (limit_values(p.psi_limit, p.psi_seq, self.t),
+                                limit_values(p.phi_limit, p.phi_seq, self.t))
             except LimitDivergenceError as exc:
-                self._limits = exc
-        if isinstance(self._limits, LimitDivergenceError):
-            raise LimitDivergenceError(str(self._limits))
+                self.undecided = str(exc)
         return self._limits
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -191,6 +185,10 @@ class _PairEvaluation:
             psi, phi = self.pair.psi_seq, self.pair.phi_seq
             self._tables = grid_table(psi, self.t, self.rows), grid_table(phi, self.t, self.rows)
         return self._tables
+
+
+def _undecided(name: str, ev: _PairEvaluation) -> CheckReport:
+    return CheckReport(name, UNDECIDED, details={"reason": ev.undecided})
 
 
 def first_partner(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -216,10 +214,9 @@ def check_uniform_convergence(
         raise ValueError("tol must be positive")
     ev = _evaluation or _PairEvaluation(pair, grid)
     t = ev.t
-    try:
-        psi_lim, phi_lim = ev.limits()
-    except LimitDivergenceError as exc:
-        return CheckReport("uniform_convergence", UNDECIDED, details={"reason": str(exc)})
+    if (limits := ev.limits()) is None:
+        return _undecided("uniform_convergence", ev)
+    psi_lim, phi_lim = limits
     ladder = grid.n_ladder
     sups, argmax = {}, {}
     for which, table, lim in zip(("psi", "phi"), ev.tables(), (psi_lim, phi_lim)):
@@ -337,10 +334,9 @@ def check_condition_i(
     u > v + tie: a grid-complete falsification of condition (i)."""
     ev = _evaluation or _PairEvaluation(pair, grid)
     t = ev.t
-    try:
-        psi_lim, phi_lim = ev.limits()
-    except LimitDivergenceError as exc:
-        return CheckReport("condition_i", UNDECIDED, details={"reason": str(exc)})
+    if (limits := ev.limits()) is None:
+        return _undecided("condition_i", ev)
+    psi_lim, phi_lim = limits
     below = np.searchsorted(t + TIE_TOL, t)  # u > v + tie exactly for v < t[below[u]]
     readings = {
         "limit": _first_violation(psi_lim[None], phi_lim[None], below),
@@ -366,10 +362,9 @@ def check_condition_ii(
     grid w > 0 satisfying the hypothesis falsifies the condition."""
     ev = _evaluation or _PairEvaluation(pair, grid)
     t = ev.t
-    try:
-        psi_lim, phi_lim = ev.limits()
-    except LimitDivergenceError as exc:
-        return CheckReport("condition_ii", UNDECIDED, details={"reason": str(exc)})
+    if (limits := ev.limits()) is None:
+        return _undecided("condition_ii", ev)
+    psi_lim, phi_lim = limits
     positive = t > TIE_TOL
     psi, phi = ev.tables()
     readings = {
@@ -396,10 +391,9 @@ def check_equality_only_at_zero(
     point > 0 (the hypothesis of the weak-contraction run)."""
     ev = _evaluation or _PairEvaluation(pair, grid)
     t = ev.t
-    try:
-        psi_lim, phi_lim = ev.limits()
-    except LimitDivergenceError as exc:
-        return CheckReport("equality_only_at_zero", UNDECIDED, details={"reason": str(exc)})
+    if (limits := ev.limits()) is None:
+        return _undecided("equality_only_at_zero", ev)
+    psi_lim, phi_lim = limits
     diff = np.abs(psi_lim - phi_lim)
     if diff[0] > TIE_TOL:
         return CheckReport(
@@ -462,6 +456,7 @@ def check_example_bound(
     if not decreasing and counterexample is None:
         counterexample = {"reason": "bound not decreasing along n"}
 
+    # declared limits are evaluated, never estimated, so they are never None
     if pair.psi_limit is not None and pair.phi_limit is not None:
         lhs, i, j = max_lhs(*ev.limits())
         details["limitMaxLhs"] = lhs

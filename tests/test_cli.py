@@ -801,6 +801,46 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^grid: 2 ladder entries x 10000000 points"):
             parse_config({"grid": dict(at_cap, nLadder=[1, 2])})
 
+    @pytest.mark.parametrize("command", ["check-pair", "certify"])
+    @pytest.mark.parametrize("psi, message", [
+        ("(" * 328 + "t" + ")" * 328, "expression nested deeper than 100 levels (at offset 100)"),
+        ("+".join(["t"] * 989), "expression nested deeper than 100 levels (at offset 199)"),
+        ("-" * 983 + "t", "expression nested deeper than 100 levels (at offset 100)"),
+        ("1" + "0" * 400 + "*t", "number past the float range (at offset 0)"),
+    ], ids=["parentheses", "sum", "unary-minus", "literal"])
+    def test_expression_that_would_break_evaluation_is_config_error(
+        self, tmp_path, capsys, command, psi, message,
+    ):
+        # each once ended in a RecursionError or OverflowError traceback
+        cfg = certify_config(tmp_path, pair=dict(RATIONAL_PAIR, psiSeq=psi))
+        out = tmp_path / "r.json"
+        assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: pair.psiSeq: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("depth", [65, 550, 700, 990, 100_000])
+    def test_config_nested_too_deeply_is_config_error(self, tmp_path, capsys, depth):
+        # at 550 and 700 levels the report writer, echoing the config, once
+        # ended in a RecursionError, and the JSON decoder does past about 990
+        text = '{"x": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+        if depth == 100_000:
+            with pytest.raises(RecursionError):
+                json.loads(text)
+        out = tmp_path / "r.json"
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(text)
+        assert run(["check-axioms", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: config nested deeper than 64 levels\n"
+        assert not out.exists()
+
+    def test_config_at_the_depth_bound_is_accepted(self):
+        nested: list = []
+        for _ in range(62):
+            nested = [nested]
+        assert parse_config({"x": nested}).raw == {"x": nested}
+        with pytest.raises(ConfigError, match="nested deeper than 64 levels"):
+            parse_config({"x": [nested]})
+
     def test_grid_settings_honoured(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

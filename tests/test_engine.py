@@ -20,7 +20,7 @@ from darbocert.engine import (
     weak_contraction_run,
 )
 from darbocert.expr import eval_expr, parse_expr
-from darbocert.mnc import TailBox, TailForm, hausdorff_mnc, subset
+from darbocert.mnc import TailBox, TailForm, hausdorff_mnc, scale_translate, subset
 from darbocert.operators import DiagonalAffineOperator, apply_to_box, verify_self_map
 from darbocert.scenarios import (
     broken_pair,
@@ -53,7 +53,7 @@ class TestDarboIterate:
         assert cert.outcome == CERTIFIED
         assert len(cert.trace) - 1 == 30
         for k, state in enumerate(cert.trace):
-            assert state.mu == 0.5**k  # pure scaling: exact geometric decay
+            assert state["mu"] == 0.5**k  # pure scaling: exact geometric decay
         assert cert.mu_trace[-1] == pytest.approx(9.313225746154785e-10)
         assert cert.witness is not None and cert.witness.residual == 0.0
         assert cert.factor == 0.5
@@ -61,13 +61,13 @@ class TestDarboIterate:
     def test_margins_are_nonnegative_on_certified_run(self):
         cert = darbo_iterate(scaling_operator(0.5), unit_box(), PAIR, tol=1e-9)
         for state in cert.trace[1:]:
-            assert all(margin >= -1e-12 for margin in state.margins.values())
+            assert all(margin >= -1e-12 for margin in state["margins"].values())
 
     def test_relatively_compact_domain_certifies_at_step_zero(self):
         cert = darbo_iterate(scaling_operator(0.5), compact_geometric_box(), PAIR)
         assert cert.outcome == CERTIFIED
         assert len(cert.trace) == 1
-        assert cert.trace[0].mu == 0.0
+        assert cert.trace[0]["mu"] == 0.0
 
     def test_compact_domain_with_non_constant_factor_certifies_at_step_zero(self):
         domain = TailBox((), (), TailForm(((-1.0, 0.9),)), TailForm(((1.0, 0.9),)))
@@ -75,7 +75,7 @@ class TestDarboIterate:
         cert = darbo_iterate(op, domain, PAIR)
         assert cert.outcome == CERTIFIED
         assert len(cert.trace) == 1
-        assert cert.trace[0].mu == 0.0
+        assert cert.trace[0]["mu"] == 0.0
 
     def test_identity_operator_refuted_at_step_zero(self):
         cert = darbo_iterate(identity_operator(), unit_box(), PAIR)
@@ -110,7 +110,7 @@ class TestDarboIterate:
         )
         assert cert.outcome == INCONCLUSIVE
         # the exact ratio and the last measure: slow decay, not a stall
-        assert cert.factor == 0.5 and cert.trace[-1].mu == 0.5
+        assert cert.factor == 0.5 and cert.trace[-1]["mu"] == 0.5
 
     def test_non_self_map_is_a_precondition_error(self):
         with pytest.raises(PreconditionError):
@@ -283,6 +283,17 @@ class TestClassicRun:
         assert cert.outcome == CERTIFIED and len(cert.trace) - 1 == 18
         assert cert.mu_trace[:2] == [1.0, 0.3]
 
+    @pytest.mark.xfail(
+        strict=True, reason="the step test forgives a margin within TIE_TOL (ROADMAP item 1)",
+    )
+    def test_a_factor_above_k_is_refuted_at_step_zero_whatever_the_scale(self):
+        # 0.9 > 0.5 exactly, so mu_1 <= 0.5*mu_0 fails at step 0; on a box of
+        # measure 1e-12 that step's margin is -4e-13, inside TIE_TOL, and the
+        # run comes out CERTIFIED after 175 steps
+        domain = scale_translate(unit_box(), 1e-12)
+        cert = classic_darbo_run(scaling_operator(0.9), domain, 0.5, tol=1e-20)
+        assert cert.outcome == REFUTED and cert.refutation["step"] == 0
+
     def test_identity_operator_refutes(self):
         cert = classic_darbo_run(identity_operator(), unit_box(), k=0.9)
         assert cert.outcome == REFUTED
@@ -300,7 +311,7 @@ class TestClassicRun:
 
         with mock.patch.object(engine, "run_all_checks", refuse), \
                 mock.patch.object(engine, "check_equality_only_at_zero", refuse), \
-                mock.patch.object(engine, "_require_grid_covers", refuse):
+                mock.patch.object(engine, "_grid_gate", refuse):
             cert = classic_darbo_run(scaling_operator(0.5), domain, k)
         assert cert.outcome == CERTIFIED and len(cert.trace) - 1 == steps
         assert cert.checks is None

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from darbocert.expr import (
+    MAX_DEPTH,
     BinOp,
     DivisionByZeroError,
     ExprSyntaxError,
@@ -55,6 +56,44 @@ class TestParse:
 
     def test_decimal_constants(self):
         assert eval_expr(parse_expr("0.5*t"), Fraction(3), 1) == Fraction(3, 2)
+
+    def test_literal_past_the_float_range_is_refused(self):
+        with pytest.raises(ExprSyntaxError, match="past the float range") as err:
+            parse_expr("2*t+1" + "0" * 400)
+        assert err.value.offset == 4
+        assert eval_expr(parse_expr("1" + "0" * 308 + "*t"), 1.0, 1.0) == 1e308
+
+
+class TestDepth:
+    """Parentheses, unary minus signs and binary operators each add a level;
+    a tree deeper than MAX_DEPTH is refused at the token that makes it so,
+    before anything recurses past the interpreter's limit."""
+
+    @pytest.mark.parametrize("src", [
+        "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+        "-" * (MAX_DEPTH - 1) + "t",
+        "+".join(["t"] * MAX_DEPTH),
+        "-(" * (MAX_DEPTH // 2 - 1) + "t*n" + ")" * (MAX_DEPTH // 2 - 1),
+        "*".join(["t"] + ["n"] * 60),
+    ])
+    def test_trees_within_the_bound_parse_and_evaluate(self, src):
+        tree = parse_expr(src)
+        assert np.isfinite(eval_expr(tree, 1.0, 1.0))
+        assert parse_expr(unparse(tree)) == tree
+
+    @pytest.mark.parametrize("src, offset", [
+        ("(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH, 0),
+        ("(" * 328 + "t" + ")" * 328, MAX_DEPTH),
+        ("-" * MAX_DEPTH + "t", 0),
+        ("-" * 983 + "t", MAX_DEPTH),
+        ("+".join(["t"] * (MAX_DEPTH + 1)), 2 * MAX_DEPTH - 1),
+        ("+".join(["t"] * 989), 2 * MAX_DEPTH - 1),
+        ("t*(" + "+".join(["t"] * (MAX_DEPTH - 1)) + ")", 1),
+    ])
+    def test_deeper_trees_are_refused_with_the_offset(self, src, offset):
+        with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH} levels") as err:
+            parse_expr(src)
+        assert err.value.offset == offset
 
 
 class TestEval:

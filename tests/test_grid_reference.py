@@ -36,7 +36,6 @@ from darbocert.shifting import (
     CheckReport,
     FunctionSequencePair,
     SampleGrid,
-    _limits_on_grid,
     _PairEvaluation,
     check_condition_i,
     check_condition_ii,
@@ -56,6 +55,11 @@ def seq_values(e, t, n):
     return np.broadcast_to(np.asarray(eval_expr(e, t, float(n)), dtype=float), t.shape)
 
 
+def reference_limits(pair, t):
+    """The limit rows of psi_n and phi_n; raises where a limit diverges."""
+    return limit_values(pair.psi_limit, pair.psi_seq, t), limit_values(pair.phi_limit, pair.phi_seq, t)
+
+
 def loop_grid_table(e, t, ns):
     """The [n, t] table built one ladder entry at a time."""
     table = np.empty((len(ns), t.size))
@@ -66,7 +70,7 @@ def loop_grid_table(e, t, ns):
 
 def reference_uniform_convergence(pair, grid, tol):
     t = grid.t_values()
-    psi_lim, phi_lim = _limits_on_grid(pair, t)
+    psi_lim, phi_lim = reference_limits(pair, t)
     sup_errors, argmax = {}, {}
     for which, seq, lim in (("psi", pair.psi_seq, psi_lim), ("phi", pair.phi_seq, phi_lim)):
         err = np.abs(loop_grid_table(seq, t, grid.n_ladder) - lim)
@@ -105,7 +109,7 @@ def condition_report(name, readings, make_witness):
 
 def reference_condition_i(pair, grid):
     t = grid.t_values()
-    psi_lim, phi_lim = _limits_on_grid(pair, t)
+    psi_lim, phi_lim = reference_limits(pair, t)
     gap = t[:, None] > t[None, :] + TIE_TOL
     mask = np.ones((t.size, t.size), dtype=bool)
     for n in grid.n_ladder:
@@ -123,7 +127,7 @@ def reference_condition_i(pair, grid):
 
 def reference_condition_ii(pair, grid):
     t = grid.t_values()
-    psi_lim, phi_lim = _limits_on_grid(pair, t)
+    psi_lim, phi_lim = reference_limits(pair, t)
     positive = t > TIE_TOL
     per_n = np.ones(t.shape, dtype=bool)
     for n in grid.n_ladder:

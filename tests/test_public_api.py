@@ -4,7 +4,7 @@ says so here."""
 import pytest
 
 import darbocert
-from darbocert import mnc, operators
+from darbocert import engine, mnc, operators
 
 PUBLIC = {
     # expressions
@@ -21,7 +21,7 @@ PUBLIC = {
     "DiagonalAffineOperator", "FixedPointWitness", "apply_to_box", "compose",
     "fixed_point_witness", "verify_self_map",
     # the certified iteration
-    "Certificate", "IterationState", "check_example_bound", "classic_darbo_run",
+    "Certificate", "check_example_bound", "classic_darbo_run",
     "darbo_iterate", "weak_contraction_run",
 }
 
@@ -30,8 +30,8 @@ def test_package_exports_exactly_the_pinned_names():
     assert set(darbocert.__all__) == PUBLIC
 
 
-@pytest.mark.parametrize("module", [darbocert, mnc, operators], ids=lambda m: m.__name__)
-@pytest.mark.parametrize("name", ["MncValue", "as_operator", "OperatorSpec"])
+@pytest.mark.parametrize("module", [darbocert, engine, mnc, operators], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("name", ["MncValue", "as_operator", "OperatorSpec", "IterationState"])
 def test_removed_names_stay_removed(module, name):
     assert not hasattr(module, name)
     assert name not in module.__all__
